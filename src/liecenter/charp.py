@@ -21,12 +21,20 @@ from .exactalg import (
     GF,
     Polynomial,
     QQ,
+    field_of_characteristic,
     frobenius_expand,
     jacobian_det,
+    parse_polynomial,
     poly_det,
     ppattern_membership,
 )
-from .invariants import InvariantFamily, brute_force_invariant_space, compare_with_generated
+from .invariants import (
+    InvariantFamily,
+    brute_force_invariant_space,
+    catalog_entry,
+    compare_with_generated,
+    oracle_degree,
+)
 from .liealg import StructureTable, ad_power_identity
 from .linalg import rank_int, rows_to_integer
 from .pbw import (
@@ -43,13 +51,10 @@ from .poisson import cartan_eigenvalue, is_invariant, weight_of
 
 def c1_label(t: StructureTable) -> str:
     """The single basis variable that equals the first invariant."""
-    if t.name.startswith("g2"):
-        return "x6"
-    if t.name.startswith("f4"):
-        return "x24"
-    if "b1" in t.registry and t.name[:1] == "c":
-        return "b1"
-    raise ValueError(f"no designated degree-one invariant for {t.name!r}")
+    entry = catalog_entry(t)
+    if entry is None:
+        raise ValueError(f"no designated degree-one invariant for {t.name!r}")
+    return entry.c1
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +118,20 @@ def sp_generators(t: StructureTable, p: int, level: str = "nilradical") -> Gener
     return GeneratorSet(t.name, level, p, t, tuple(entries))
 
 
+def invariant_generators(
+    t: StructureTable, fam: InvariantFamily, field: Field
+) -> list[tuple[str, Polynomial]]:
+    """The claimed generators of the nilradical invariants at t's level: the
+    central elements, and at characteristic p the p-power generator set in
+    place of c1."""
+    gens = [(name, fam.element(name, field)) for name in fam.central]
+    p = field.characteristic
+    if not p:
+        return gens
+    sp = sp_generators(t, p, "borel" if t.cartan else "nilradical")
+    return sp.polynomials(field) + [g for g in gens if g[0] != "c1"]
+
+
 # ---------------------------------------------------------------------------
 # Frobenius-power membership
 # ---------------------------------------------------------------------------
@@ -153,7 +172,7 @@ def frobenius_membership_suite(
                 witness=None if witness is None else _mono_str(t, witness),
             )
         )
-    if t.name.startswith("f4"):
+    if fam.family == "f4":
         claims.extend(_f4_layered_claims(t, fam, p))
     return claims
 
@@ -268,7 +287,7 @@ def jacobian_identity_suite(
     then instantiated literally over F_p via Frobenius expansion.
     """
     claims = []
-    if t.name.startswith("f4"):
+    if fam.family == "f4":
         cs = [fam.element(f"c{i}") for i in (2, 3, 4)]
         for vars_, coef, factors in _F4_JACOBIANS:
             rhs = Polynomial.constant(t.registry, QQ, coef)
@@ -311,9 +330,7 @@ def jacobian_identity_suite(
                     residual=None if lit == expected_lit else str(lit - expected_lit),
                 )
             )
-    if t.name.startswith("g2"):
-        from .exactalg import parse_polynomial
-
+    if fam.family == "g2":
         c2 = fam.element("c2")
         # stated values of d(t^p - c2^p)/d(x^p); the raw partial of c2 is
         # minus that value with the p-th powers dropped
@@ -382,18 +399,6 @@ def central_lift(
 # Theorem generator audits
 # ---------------------------------------------------------------------------
 
-_ORACLE_CAPS = {"g2": 6, "f4": 4, "c": 3}
-
-
-def _oracle_cap(t: StructureTable, max_degree: Optional[int]) -> int:
-    if max_degree is not None:
-        return max_degree
-    for key, cap in _ORACLE_CAPS.items():
-        if t.name.startswith(key):
-            return cap
-    return 3
-
-
 def _audit_invariant_generators(
     t: StructureTable,
     claims: list,
@@ -446,7 +451,6 @@ def theorem_generator_audit(
     fam: InvariantFamily,
     char: int,
     max_degree: Optional[int] = None,
-    max_entries: int = 10**7,
 ) -> list[rep.Claim]:
     """Assemble each structural theorem's claimed generator set at this
     characteristic and verify every generator's defining property, plus
@@ -454,36 +458,26 @@ def theorem_generator_audit(
     generation-in-all-degrees statements are recorded as asserted, never
     silently assumed."""
     t.check_characteristic(char)
-    field = QQ if char == 0 else GF(char)
+    field = field_of_characteristic(char)
     claims: list[rep.Claim] = []
-    cap = _oracle_cap(t, max_degree)
-    level = "borel" if t.cartan else "nilradical"
-    c_gens = [(name, fam.element(name, field)) for name in fam.central]
+    cap = oracle_degree(t, max_degree)
+    gens = invariant_generators(t, fam, field)
 
-    if level == "nilradical":
+    if not t.cartan:
         # Poisson center of the symmetric algebra of the nilradical
         prefix = f"{t.name}.audit.poisson-center.char{char}"
         if char:
-            sp = sp_generators(t, char, "nilradical")
             claims.append(
                 rep.check(
                     f"{prefix}.gen-count",
                     f"the p-power generator list has {len(t.nilradical)} entries",
-                    len(sp) == len(t.nilradical),
+                    len(sp_generators(t, char, "nilradical")) == len(t.nilradical),
                 )
             )
-            sp_polys = sp.polynomials(field)
-            _audit_invariant_generators(t, claims, prefix, sp_polys, t.nilradical, "nilradical")
-            _audit_invariant_generators(
-                t, claims, prefix, [g for g in c_gens if g[0] != "c1"], t.nilradical, "nilradical"
-            )
-            oracle_gens = sp_polys + [g for g in c_gens if g[0] != "c1"]
-        else:
-            _audit_invariant_generators(t, claims, prefix, c_gens, t.nilradical, "nilradical")
-            oracle_gens = c_gens
+        _audit_invariant_generators(t, claims, prefix, gens, t.nilradical, "nilradical")
         for d in range(1, cap + 1):
-            basis = brute_force_invariant_space(t, d, t.nilradical, field, max_entries)
-            res = compare_with_generated(t, basis, oracle_gens, d, field)
+            basis = brute_force_invariant_space(t, d, t.nilradical, field)
+            res = compare_with_generated(t, basis, gens, d, field)
             claims.append(
                 rep.check(
                     f"{prefix}.complete.deg{d}",
@@ -600,7 +594,7 @@ def theorem_generator_audit(
         )
         _audit_invariant_generators(t, claims, prefix, power_gens, all_idx, "Borel")
         for d in range(1, min(bcap, char + 1) + 1):
-            basis = brute_force_invariant_space(t, d, all_idx, field, max_entries)
+            basis = brute_force_invariant_space(t, d, all_idx, field)
             res = compare_with_generated(t, basis, power_gens, d, field)
             claims.append(
                 rep.check(
@@ -615,7 +609,7 @@ def theorem_generator_audit(
         )
     else:
         for d in range(1, bcap + 1):
-            basis = brute_force_invariant_space(t, d, all_idx, field, max_entries)
+            basis = brute_force_invariant_space(t, d, all_idx, field)
             claims.append(
                 rep.check(
                     f"{prefix}.trivial.deg{d}",
@@ -631,21 +625,16 @@ def theorem_generator_audit(
     # semicenter of S(B): nilradical invariants with Cartan weights
     prefix = f"{t.name}.audit.semicenter.char{char}"
     if char:
-        spb = sp_generators(t, char, "borel")
         expected_count = len(nil_idx) + len(t.cartan)
         claims.append(
             rep.check(
                 f"{prefix}.gen-count",
                 f"the Borel-level p-power list has {expected_count} entries",
-                len(spb) == expected_count,
+                len(sp_generators(t, char, "borel")) == expected_count,
             )
         )
-        spb_polys = spb.polynomials(field)
-        semi_gens = spb_polys + [g for g in c_gens if g[0] != "c1"]
-    else:
-        semi_gens = c_gens
-    _audit_invariant_generators(t, claims, prefix, semi_gens, nil_idx, "nilradical")
-    for name, poly in semi_gens:
+    _audit_invariant_generators(t, claims, prefix, gens, nil_idx, "nilradical")
+    for name, poly in gens:
         weights, bad = weight_of(t, poly)
         claims.append(
             rep.check(
@@ -666,8 +655,8 @@ def theorem_generator_audit(
             )
         )
     for d in range(1, bcap + 1):
-        basis = brute_force_invariant_space(t, d, nil_idx, field, max_entries)
-        res = compare_with_generated(t, basis, semi_gens, d, field)
+        basis = brute_force_invariant_space(t, d, nil_idx, field)
+        res = compare_with_generated(t, basis, gens, d, field)
         claims.append(
             rep.check(
                 f"{prefix}.complete.deg{d}",

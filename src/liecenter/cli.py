@@ -13,12 +13,12 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import count
 from typing import Callable, Optional
 
 from . import charp, invariants, liealg, pbw, poisson
 from . import report as rep
-from .exactalg import GF, QQ, is_prime
+from .exactalg import field_of_characteristic, is_prime
 from .invariants import InvariantFamily, OracleCapExceeded
 from .liealg import StructureTable, TableDataError
 
@@ -34,8 +34,6 @@ SUITE_ORDER = (
     "oracle",
     "audit",
 )
-
-DEFAULT_ORACLE_DEGREES = {"g2": 6, "f4": 4, "c": 3}
 
 
 class ConfigError(Exception):
@@ -69,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suites", default=None, help="comma-separated suite list")
     pv.add_argument("--format", choices=("summary", "json", "markdown"), default="summary")
     pv.add_argument("--out", default=None, help="write the report to this path")
-    pv.add_argument("--jobs", type=int, default=1, help="suite-level worker threads")
 
     pi = sub.add_parser("invariants", help="print the invariant family")
     add_common(pi)
@@ -107,11 +104,8 @@ def resolve_algebra(args) -> tuple[StructureTable, Optional[str]]:
     selector = args.algebra
     corrections, sha = _load_corrections(args.corrections)
     try:
-        if selector in ("g2-borel", "g2-nil"):
-            t = liealg.g2_borel(corrections)
-            return (t if selector.endswith("borel") else liealg.nilradical_table(t)), sha
-        if selector in ("f4-borel", "f4-nil"):
-            t = liealg.f4_borel(corrections)
+        if selector in ("g2-borel", "g2-nil", "f4-borel", "f4-nil"):
+            t = (liealg.g2_borel if selector[:2] == "g2" else liealg.f4_borel)(corrections)
             return (t if selector.endswith("borel") else liealg.nilradical_table(t)), sha
         if selector in ("cn-borel", "cn-nil"):
             if corrections:
@@ -132,8 +126,9 @@ def resolve_algebra(args) -> tuple[StructureTable, Optional[str]]:
 def check_char(t: StructureTable, char: int) -> None:
     if char != 0 and (char == 2 or not is_prime(char)):
         raise ConfigError(f"--char must be 0 or an odd prime, got {char}")
-    if not t.admissible_characteristic(char):
-        raise ConfigError(f"characteristic {char} is excluded for algebra {t.name}")
+    reason = invariants.inadmissible_reason(t, char)
+    if reason:
+        raise ConfigError(reason)
 
 
 def _family(t: StructureTable) -> InvariantFamily:
@@ -144,20 +139,9 @@ def _family(t: StructureTable) -> InvariantFamily:
 
 
 def _oracle_degrees(t: StructureTable, max_degree: Optional[int]) -> range:
-    if max_degree is None:
-        cap = next(
-            (c for key, c in DEFAULT_ORACLE_DEGREES.items() if t.name.startswith(key)),
-            3,
-        )
-        # degree 4 over the 28-variable Borel registry of f4 exceeds the
-        # default solver cap (Cartan variables are grade-zero in every
-        # compatible grading, so the blocks degenerate); ask for it explicitly
-        if t.cartan and t.name.startswith("f4"):
-            cap = min(cap, 3)
-        return range(1, cap + 1)
-    if max_degree < 1:
+    if max_degree is not None and max_degree < 1:
         raise ConfigError("--max-degree must be positive")
-    return range(1, max_degree + 1)
+    return range(1, invariants.oracle_degree(t, max_degree) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +150,11 @@ def _oracle_degrees(t: StructureTable, max_degree: Optional[int]) -> range:
 
 
 def _suite_callables(t: StructureTable, args) -> dict[str, Callable[[], list]]:
-    """Map each applicable suite name to a zero-argument callable; raises
-    ConfigError when an explicitly requested suite does not apply."""
+    """Map each suite that applies to the table and characteristic to a
+    zero-argument callable."""
     char = args.char
-    field = QQ if char == 0 else GF(char)
-    is_catalog = (
-        t.name.startswith("g2")
-        or t.name.startswith("f4")
-        or invariants._CN_NAME.match(t.name) is not None
-    )
-    fam = _family(t) if is_catalog else None
+    field = field_of_characteristic(char)
+    fam = _family(t) if invariants.catalog_entry(t) else None
     suites: dict[str, Callable[[], list]] = {}
 
     def jacobi() -> list:
@@ -209,7 +188,10 @@ def _suite_callables(t: StructureTable, args) -> dict[str, Callable[[], list]]:
             suites["weights"] = lambda: poisson.semicenter_witness_suite(t, fam, field)
         if char:
             suites["frobenius"] = lambda: charp.frobenius_membership_suite(t, fam, char)
-        jac_p = char if char else (5 if t.name.startswith("g2") else 3)
+        # at characteristic 0, the smallest odd prime the table admits
+        jac_p = char or next(
+            p for p in count(3, 2) if is_prime(p) and not invariants.inadmissible_reason(t, p)
+        )
         suites["jacobians"] = lambda: charp.jacobian_identity_suite(t, fam, jac_p)
 
         def pbw_suite() -> list:
@@ -221,40 +203,15 @@ def _suite_callables(t: StructureTable, args) -> dict[str, Callable[[], list]]:
         suites["pbw"] = pbw_suite
 
         def oracle_suite() -> list:
-            gens = [(name, fam.element(name, field)) for name in fam.central]
-            if char:
-                sp = charp.sp_generators(t, char, "borel" if t.cartan else "nilradical")
-                gens = sp.polynomials(field) + [g for g in gens if g[0] != "c1"]
+            gens = charp.invariant_generators(t, fam, field)
             degrees = _oracle_degrees(t, args.max_degree)
-            claims, _ = invariants.oracle_suite(
-                t, gens, degrees, field, gens=t.nilradical, max_entries=10**7
-            )
-            return claims
+            return invariants.oracle_suite(t, gens, degrees, field)[0]
 
         suites["oracle"] = oracle_suite
         suites["audit"] = lambda: charp.theorem_generator_audit(
             t, fam, char, max_degree=args.max_degree
         )
     return suites
-
-
-def run_suites(t: StructureTable, args, names: list[str], jobs: int) -> list[rep.SuiteResult]:
-    available = _suite_callables(t, args)
-    unknown = [n for n in names if n not in SUITE_ORDER]
-    if unknown:
-        raise ConfigError(f"unknown suites: {', '.join(unknown)}")
-    inapplicable = [n for n in names if n not in available]
-    if inapplicable:
-        raise ConfigError(
-            f"suites not applicable to {t.name} at characteristic {args.char}: "
-            + ", ".join(inapplicable)
-        )
-    ordered = [n for n in SUITE_ORDER if n in names]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {name: pool.submit(available[name]) for name in ordered}
-            return [rep.SuiteResult(name, futures[name].result()) for name in ordered]
-    return [rep.SuiteResult(name, available[name]()) for name in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +222,26 @@ def run_suites(t: StructureTable, args, names: list[str], jobs: int) -> list[rep
 def cmd_verify(args) -> int:
     t, sha = resolve_algebra(args)
     check_char(t, args.char)
+    available = _suite_callables(t, args)
     if args.suites:
         names = [s.strip() for s in args.suites.split(",") if s.strip()]
         if not names:
             raise ConfigError("--suites is empty")
+        unknown = [n for n in names if n not in SUITE_ORDER]
+        if unknown:
+            raise ConfigError(f"unknown suites: {', '.join(unknown)}")
+        inapplicable = [n for n in names if n not in available]
+        if inapplicable:
+            raise ConfigError(
+                f"suites not applicable to {t.name} at characteristic {args.char}: "
+                + ", ".join(inapplicable)
+            )
     else:
-        names = [n for n in SUITE_ORDER if n in _suite_callables(t, args)]
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
+        names = [n for n in SUITE_ORDER if n in available]
     try:
-        suites = run_suites(t, args, names, args.jobs)
+        suites = [rep.SuiteResult(n, available[n]()) for n in SUITE_ORDER if n in names]
     except OracleCapExceeded as exc:
         raise ConfigError(str(exc)) from exc
-    # the worker count is an execution detail, not part of the verified
-    # configuration, so it is not echoed into the report
     config = {
         "algebra": args.algebra,
         "n": args.n,
@@ -328,10 +291,7 @@ def _emit(report: rep.VerificationReport, fmt: str, out: Optional[str]) -> None:
         if fmt == "summary":
             return
         # also echo the one-line outcome for scripted use
-        summary = report.summary()
-        print(
-            f"failed claims: {summary[rep.FAILED]}"
-        )
+        print(f"failed claims: {report.summary()[rep.FAILED]}")
     else:
         sys.stdout.write(text)
 
@@ -340,38 +300,31 @@ def cmd_invariants(args) -> int:
     t, _ = resolve_algebra(args)
     check_char(t, args.char)
     fam = _family(t)
-    field = QQ if args.char == 0 else GF(args.char)
+    field = field_of_characteristic(args.char)
     print(f"algebra {t.name} (dim {t.dim}), characteristic {args.char}")
     for note in fam.notes:
         print(f"note: {note}")
-    for name in fam.central:
-        poly = fam.element(name, field)
-        print(f"{name} (degree {poly.total_degree()}) = {poly}")
     aux = [n for n in sorted(fam.elements(field)) if n not in fam.central]
-    for name in aux:
+    for name in [*fam.central, *aux]:
         poly = fam.element(name, field)
         print(f"{name} (degree {poly.total_degree()}) = {poly}")
     if args.oracle:
-        gens = [(name, fam.element(name, field)) for name in fam.central]
-        if args.char:
-            sp = charp.sp_generators(t, args.char, "borel" if t.cartan else "nilradical")
-            gens = sp.polynomials(field) + [g for g in gens if g[0] != "c1"]
-        dims = []
+        gens = charp.invariant_generators(t, fam, field)
+        equal = True
         try:
+            # one degree at a time, so the degrees already solved are printed
+            # even when a later one exceeds the solver cap
             for d in _oracle_degrees(t, args.max_degree):
-                basis = invariants.brute_force_invariant_space(
-                    t, d, t.nilradical, field, max_entries=10**7
-                )
-                res = invariants.compare_with_generated(t, basis, gens, d, field)
-                dims.append(res)
+                [res] = invariants.oracle_suite(t, gens, [d], field)[1]
                 print(
                     f"degree {d}: invariant dimension {res['oracle_dim']}, "
                     f"generated dimension {res['generated_dim']}, "
                     f"{'equal' if res['equal'] else 'DIFFERENT'}"
                 )
+                equal = equal and res["equal"]
         except OracleCapExceeded as exc:
             raise ConfigError(str(exc)) from exc
-        if any(not r["equal"] for r in dims):
+        if not equal:
             return 1
     return 0
 

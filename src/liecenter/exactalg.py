@@ -541,12 +541,6 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_str(field: Field, c) -> str:
-    if isinstance(field, PrimeField):
-        return str(c)
-    return str(c)
-
-
 def format_polynomial(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
@@ -560,11 +554,11 @@ def format_polynomial(p: Polynomial) -> str:
         else:
             sign = "+"
         if not m:
-            body = _coeff_str(field, c)
+            body = str(c)
         elif c == one:
             body = mono_to_str(p.registry, m)
         else:
-            body = f"{_coeff_str(field, c)}*{mono_to_str(p.registry, m)}"
+            body = f"{c}*{mono_to_str(p.registry, m)}"
         if not chunks:
             chunks.append(body if sign == "+" else f"-{body}")
         else:

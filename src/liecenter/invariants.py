@@ -10,10 +10,9 @@ into multidegree blocks derived from the structure table itself.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
@@ -28,8 +27,10 @@ from .exactalg import (
     mono_mul_var,
     mono_sort_key,
     parse_polynomial,
+    poly_det,
 )
-from .liealg import StructureTable
+from ._f4_data import F4_HS, F4_XS
+from .liealg import _G2_LABELS, StructureTable, cn_basis_labels
 from .poisson import ad_apply, cartan_eigenvalue, is_invariant
 
 
@@ -49,7 +50,7 @@ class InvariantFamily:
     """The named elements of one catalog algebra, rebuildable over any
     admissible coefficient field."""
 
-    algebra: str
+    family: str  # the catalog family: g2, f4 or cn
     table: StructureTable
     central: tuple[str, ...]
     builder: Callable[[Field], dict[str, Polynomial]]
@@ -102,7 +103,7 @@ def g2_invariants(t: StructureTable) -> InvariantFamily:
         for j in range(i, 6):
             triangle.append((f"v{i}", f"x{j}", "c1" if i == j else None))
     return InvariantFamily(
-        algebra=t.name,
+        family="g2",
         table=t,
         central=("c1", "c2"),
         builder=lambda field: _g2_defs(t.registry, field),
@@ -224,7 +225,7 @@ def f4_invariants(t: StructureTable) -> InvariantFamily:
         for j in _F4_TRIANGLE_INDICES[a:]:
             triangle.append((f"v{i}", f"x{j}", diag_class(i) if i == j else None))
     return InvariantFamily(
-        algebra=t.name,
+        family="f4",
         table=t,
         central=("c1", "c2", "c3", "c4"),
         builder=lambda field: _f4_defs(t.registry, field),
@@ -311,20 +312,6 @@ def _build_m_matrix(t: StructureTable, n: int, convention: str) -> BlockMatrixM:
     return BlockMatrixM(n, convention, tuple(tuple(row) for row in grid))
 
 
-def _poly_det(rows: list[list[Polynomial]]) -> Polynomial:
-    if len(rows) == 1:
-        return rows[0][0]
-    first = rows[0][0]
-    total = Polynomial.zero(first.registry, first.field)
-    sign = 1
-    for j in range(len(rows)):
-        minor = [[row[k] for k in range(len(rows)) if k != j] for row in rows[1:]]
-        term = rows[0][j] * _poly_det(minor)
-        total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
-
-
 CN_CONVENTIONS = ("literal", "halve-shared", "double-diagonal")
 
 
@@ -332,14 +319,14 @@ def cn_invariants(t: StructureTable) -> InvariantFamily:
     """Build the Cn determinant invariants, selecting the entry-scaling
     convention empirically: candidates are evaluated in a fixed order and the
     first one whose determinants are all nilradical-invariant wins."""
-    n = len(t.cartan) if t.cartan else _infer_cn_rank(t)
+    n = _cn_rank(t)
     verdicts: dict[str, bool] = {}
     chosen = None
     chosen_cs: dict[str, Polynomial] = {}
     chosen_matrix = None
     for convention in CN_CONVENTIONS:
         matrix = _build_m_matrix(t, n, convention)
-        cs = {f"c{i}": _poly_det(matrix.block(i)) for i in range(1, n + 1)}
+        cs = {f"c{i}": poly_det(matrix.block(i)) for i in range(1, n + 1)}
         ok = all(
             is_invariant(t, f, t.nilradical)[0] and not f.is_zero
             for f in cs.values()
@@ -364,7 +351,7 @@ def cn_invariants(t: StructureTable) -> InvariantFamily:
         for k in range(1, n + 1)
     )
     return InvariantFamily(
-        algebra=t.name,
+        family="cn",
         table=t,
         central=tuple(f"c{i}" for i in range(1, n + 1)),
         builder=build,
@@ -375,24 +362,76 @@ def cn_invariants(t: StructureTable) -> InvariantFamily:
     )
 
 
-def _infer_cn_rank(t: StructureTable) -> int:
-    n = int(round(len(t.registry) ** 0.5))
-    if n * n != len(t.registry):
-        raise ValueError(f"cannot infer Cn rank from dimension {len(t.registry)}")
-    return n
+def _cn_rank(t: StructureTable) -> int:
+    """n for a Cn Borel table (one Cartan label per rank) or its nilradical
+    (dimension n^2)."""
+    return len(t.cartan) or isqrt(t.dim)
 
 
-_CN_NAME = re.compile(r"c\d+-")
+# -- Catalog -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """What is known about one catalog family beyond its structure table."""
+
+    build: Callable[[StructureTable], InvariantFamily]
+    # (Cartan labels, nilradical labels) of the family's Borel algebra of t's size
+    labels: Callable[[StructureTable], tuple[Sequence[str], Sequence[str]]]
+    c1: str  # the basis variable that is the degree-one invariant
+    # primes dividing a denominator in the family's formulas: the family does
+    # not exist in these characteristics, whatever primes a table file excludes
+    formula_primes: tuple[int, ...]
+    nil_degree: int  # default oracle degree at the nilradical level
+    borel_degree: int  # and at the Borel level, whose grade-zero Cartan variables grow the blocks
+
+
+CATALOG = (
+    CatalogEntry(g2_invariants, lambda t: (_G2_LABELS[:2], _G2_LABELS[2:]), "x6", (3,), 6, 6),
+    CatalogEntry(f4_invariants, lambda t: (F4_HS, F4_XS), "x24", (2,), 4, 3),
+    CatalogEntry(cn_invariants, lambda t: cn_basis_labels(_cn_rank(t)), "b1", (2,), 3, 3),
+)
+
+
+def catalog_entry(t: StructureTable) -> Optional[CatalogEntry]:
+    """The catalog family of a table, recognised by its basis and Cartan
+    labels (a catalog Borel algebra or its nilradical), never by its name;
+    None for any other table."""
+    basis = tuple(t.registry.names)
+    cartan = tuple(t.label(i) for i in t.cartan)
+    for entry in CATALOG:
+        hs, xs = (tuple(part) for part in entry.labels(t))
+        if xs and (basis, cartan) in ((hs + xs, hs), (xs, ())):
+            return entry
+    return None
+
+
+def inadmissible_reason(t: StructureTable, char: int) -> Optional[str]:
+    """Why characteristic char cannot be used with t, or None when it can:
+    the table excludes it, the formulas of t's catalog family divide by it,
+    or it divides a structure-constant denominator."""
+    entry = catalog_entry(t)
+    if not t.admissible_characteristic(char) or (entry and char in entry.formula_primes):
+        return f"characteristic {char} is excluded for algebra {t.name}"
+    if char and any(c.denominator % char == 0 for row in t.brackets.values() for _, c in row):
+        return f"a structure constant of {t.name} has a denominator divisible by {char}"
+    return None
 
 
 def build_family(t: StructureTable) -> InvariantFamily:
-    if t.name.startswith("g2"):
-        return g2_invariants(t)
-    if t.name.startswith("f4"):
-        return f4_invariants(t)
-    if _CN_NAME.match(t.name):
-        return cn_invariants(t)
-    raise ValueError(f"no invariant family known for algebra {t.name!r}")
+    entry = catalog_entry(t)
+    if entry is None:
+        raise ValueError(f"no invariant family known for algebra {t.name!r}")
+    return entry.build(t)
+
+
+def oracle_degree(t: StructureTable, max_degree: Optional[int] = None) -> int:
+    """The highest degree the oracle checks for a catalog table: max_degree
+    when given, else its family's default at the table's level."""
+    if max_degree is not None:
+        return max_degree
+    entry = catalog_entry(t)
+    return entry.borel_degree if t.cartan else entry.nil_degree
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +622,7 @@ def brute_force_invariant_space(
     degree: int,
     gens: Iterable[int],
     field: Field = QQ,
-    max_entries: int = 10**6,
+    max_entries: int = 10**7,
 ) -> list[Polynomial]:
     """Basis of the space of homogeneous degree-d polynomials killed by every
     ad x_i, i in gens, solved exactly blockwise per derived multidegree.
@@ -755,7 +794,7 @@ def oracle_suite(
     degrees: Iterable[int],
     field: Field = QQ,
     gens: Optional[Sequence[int]] = None,
-    max_entries: int = 10**6,
+    max_entries: int = 10**7,
 ) -> tuple[list[rep.Claim], list[dict]]:
     """Compare oracle invariant spaces with generated spans degree by degree."""
     claims = []

@@ -703,27 +703,46 @@ def table_to_dict(t: StructureTable) -> dict:
 
 
 def table_from_dict(data: dict, validate: bool = True) -> StructureTable:
-    labels = list(data["basis"])
-    registry = VarRegistry(labels)
+    """Build a table from its file form, raising :class:`TableDataError`
+    naming the field for any malformed input."""
+    if not isinstance(data, dict):
+        raise TableDataError("a table file holds one JSON object")
+    if not isinstance(data.get("name"), str):
+        raise TableDataError("table field 'name' must be present and a string")
+    for key in ("basis", "cartan", "brackets"):
+        if not isinstance(data.get(key), list):
+            raise TableDataError(f"table field {key!r} must be present and a list")
+    labels, cartan, items = data["basis"], data["cartan"], data["brackets"]
+    primes = data.get("excluded_primes", [2])
+    if not isinstance(primes, list) or not all(isinstance(p, int) for p in primes):
+        raise TableDataError("table field 'excluded_primes' must be a list of integers")
+    try:
+        registry = VarRegistry(labels)
+    except (TypeError, ValueError) as exc:
+        raise TableDataError(f"table field 'basis': {exc}") from None
+
+    def known(label, where: str) -> int:
+        if not isinstance(label, str) or label not in registry:
+            raise TableDataError(f"{where} names unknown basis label {label!r}")
+        return registry.index(label)
+
+    for h in cartan:
+        known(h, "table field 'cartan'")
     raw: dict[tuple[str, str], str] = {}
-    for item in data["brackets"]:
-        parts = [f"({coef})*{lab}" for coef, lab in item["value"]]
-        # parse_polynomial has no parentheses; build via Fraction directly
-        pairs = tuple(
-            (registry.index(lab), Fraction(coef)) for coef, lab in item["value"]
-        )
-        i, j = registry.index(item["lhs"]), registry.index(item["rhs"])
+    for n, item in enumerate(items):
+        where = f"table field 'brackets' entry {n}"
+        try:
+            i, j = known(item["lhs"], where), known(item["rhs"], where)
+            terms = [(((known(lab, where), 1),), Fraction(c)) for c, lab in item["value"]]
+        except TableDataError:
+            raise
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise TableDataError(f"{where} is malformed: {exc!r}") from None
         if i >= j:
             raise TableDataError("bracket keys must be in basis order")
-        poly = Polynomial.from_terms(registry, QQ, ((((k, 1),), c) for k, c in pairs))
-        raw[(item["lhs"], item["rhs"])] = str(poly)
+        raw[(item["lhs"], item["rhs"])] = str(Polynomial.from_terms(registry, QQ, terms))
     return _build_table(
-        data["name"],
-        labels,
-        list(data["cartan"]),
-        raw,
-        tuple(data.get("excluded_primes", [2])),
-        validate=validate,
+        data["name"], labels, cartan, raw, tuple(primes), validate=validate
     )
 
 
@@ -734,5 +753,9 @@ def save_table(t: StructureTable, path: str) -> None:
 
 
 def load_table(path: str, validate: bool = True) -> StructureTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return table_from_dict(json.load(fh), validate=validate)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise TableDataError(f"cannot read table file {path}: {exc}") from None
+    return table_from_dict(data, validate=validate)

@@ -12,6 +12,7 @@ from liecenter.charp import (
     theorem_generator_audit,
 )
 from liecenter.exactalg import GF, QQ, parse_polynomial
+from liecenter.invariants import catalog_entry
 from liecenter.pbw import gr_leading, is_central_u
 
 
@@ -51,10 +52,11 @@ class TestGeneratorSets:
         assert polys["x1^5"] == parse_polynomial(g2n.registry, GF(5), "x1^5")
         assert polys["x6"] == parse_polynomial(g2n.registry, GF(5), "x6")
 
-    def test_c1_labels(self, g2n, f4n, c2_pair):
-        assert c1_label(g2n) == "x6"
-        assert c1_label(f4n) == "x24"
-        assert c1_label(c2_pair[0]) == "b1"
+    def test_c1_labels(self, g2b, f4b, c2_pair, c3_pair):
+        for borel, label in ((g2b, "x6"), (f4b, "x24"), (c2_pair[0], "b1"), (c3_pair[0], "b1")):
+            nil = liealg.nilradical_table(borel)
+            assert catalog_entry(nil) is catalog_entry(borel) is not None
+            assert c1_label(borel) == c1_label(nil) == label
 
 
 class TestFrobeniusMembership:

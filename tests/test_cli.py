@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from liecenter import cli, liealg
 
 
@@ -99,6 +101,97 @@ class TestVerifyExitCodes:
         assert "[FAIL] invariance" in out
 
 
+class TestTableFiles:
+    """Suites follow a table's basis and Cartan labels, never its name, and
+    malformed files are configuration errors."""
+
+    def _write(self, tmp_path, data):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def _foreign(self):
+        return {
+            "name": "g2-fake",
+            "basis": ["y1", "y2", "y3"],
+            "cartan": [],
+            "brackets": [{"lhs": "y1", "rhs": "y2", "value": [["1", "y3"]]}],
+        }
+
+    def test_catalog_basis_under_any_name(self, capsys, tmp_path, g2b):
+        data = liealg.table_to_dict(g2b)
+        data["name"] = "my-algebra"
+        code, out, _ = run_cli(
+            capsys, "verify", "--algebra", self._write(tmp_path, data),
+            "--suites", "invariance,triangle",
+        )
+        assert code == 0
+        assert "[PASS] invariance" in out and "[PASS] triangle" in out
+
+    @pytest.mark.parametrize(
+        "char, edit, code, message",
+        [
+            # the G2 formulas have denominator 3 whatever the file excludes
+            pytest.param(
+                "3", lambda d: d.update(excluded_primes=[2]), 2, "excluded", id="g2-formulas"
+            ),
+            # so at characteristic 0 the Jacobian identities are checked mod 5, not 3
+            pytest.param(
+                "0", lambda d: d.update(excluded_primes=[2]), 0, "[PASS] jacobians",
+                id="g2-formulas-char-0",
+            ),
+            pytest.param(
+                "5", lambda d: d["brackets"][-1].update(value=[["1/5", "x6"]]), 2, "denominator",
+                id="constant-denominator",
+            ),
+        ],
+    )
+    def test_characteristic_of_file(self, capsys, tmp_path, g2b, char, edit, code, message):
+        data = liealg.table_to_dict(g2b)
+        edit(data)
+        got, out, err = run_cli(
+            capsys, "verify", "--algebra", self._write(tmp_path, data), "--char", char
+        )
+        assert got == code
+        assert message in out + err
+
+    def test_catalog_name_on_foreign_basis(self, capsys, tmp_path):
+        path = self._write(tmp_path, self._foreign())
+        code, out, _ = run_cli(capsys, "verify", "--algebra", path)
+        assert code == 0
+        assert "[PASS] jacobi" in out and "total: 1 suites" in out
+        code, _, err = run_cli(capsys, "verify", "--algebra", path, "--suites", "invariance")
+        assert code == 2
+        assert "invariance" in err
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            pytest.param(lambda d: d.pop("name"), "name", id="no-name"),
+            pytest.param(lambda d: d.pop("basis"), "basis", id="no-basis"),
+            pytest.param(lambda d: d.pop("cartan"), "cartan", id="no-cartan"),
+            pytest.param(lambda d: d.pop("brackets"), "brackets", id="no-brackets"),
+            pytest.param(lambda d: d.update(basis="y1,y2,y3"), "basis", id="basis-string"),
+            pytest.param(lambda d: d.update(cartan="y1"), "cartan", id="cartan-string"),
+            pytest.param(lambda d: d.update(brackets={}), "brackets", id="brackets-object"),
+            pytest.param(lambda d: d.update(cartan=["zz"]), "cartan", id="cartan-unknown"),
+            pytest.param(
+                lambda d: d["brackets"][0].update(rhs="zz"), "brackets", id="bracket-key-unknown"
+            ),
+            pytest.param(
+                lambda d: d["brackets"][0].update(value=[["1", "zz"]]), "brackets",
+                id="bracket-value-unknown",
+            ),
+        ],
+    )
+    def test_malformed_file_is_config_error(self, capsys, tmp_path, edit, field):
+        data = self._foreign()
+        edit(data)
+        code, _, err = run_cli(capsys, "verify", "--algebra", self._write(tmp_path, data))
+        assert code == 2
+        assert field in err
+
+
 class TestDeterminism:
     def test_json_byte_identical(self, capsys):
         args = ("verify", "--algebra", "g2-borel", "--char", "5",
@@ -107,13 +200,6 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
         json.loads(out1)
-
-    def test_jobs_do_not_change_output(self, capsys):
-        base = ("verify", "--algebra", "g2-nil", "--char", "5",
-                "--suites", "jacobi,invariance,triangle,frobenius", "--format", "json")
-        _, seq, _ = run_cli(capsys, *base, "--jobs", "1")
-        _, par, _ = run_cli(capsys, *base, "--jobs", "4")
-        assert seq == par
 
 
 class TestReports:
@@ -186,6 +272,15 @@ class TestInvariantsCommand:
         assert code == 0
         assert "degree 1: invariant dimension 1" in out
         assert "degree 2: invariant dimension 2" in out
+
+    def test_oracle_cap_keeps_solved_degrees(self, capsys):
+        # degree 4 over the f4 Borel algebra exceeds the solver cap
+        code, out, err = run_cli(
+            capsys, "invariants", "--algebra", "f4-borel", "--max-degree", "4", "--oracle"
+        )
+        assert code == 2
+        assert "exceeds" in err
+        assert "degree 3: invariant dimension 2" in out
 
 
 class TestConsoleScript:
