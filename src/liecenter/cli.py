@@ -3,7 +3,8 @@ deterministic report emission.
 
 Exit codes: 0 when every claim passes, 1 when any claim fails, 2 for
 configuration errors (unknown algebra, inadmissible characteristic, a suite
-that does not apply, malformed files).
+that does not apply, malformed files), 3 for an internal error, reported as
+one ``internal error:`` line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -92,9 +93,13 @@ def _load_corrections(path: Optional[str]) -> tuple[list, Optional[str]]:
             raw = fh.read()
         data = json.loads(raw.decode("utf-8"))
         entries = data["entries"] if isinstance(data, dict) else data
-        for e in entries:
-            if not all(k in e for k in ("lhs", "rhs", "value")):
-                raise KeyError("correction entries need lhs, rhs, value")
+        if not isinstance(entries, list):
+            raise ValueError("field 'entries' must be a list")
+        for n, e in enumerate(entries):
+            if not (isinstance(e, dict) and all(isinstance(e.get(k), str) for k in ("lhs", "rhs", "value"))):
+                raise ValueError(
+                    f"field 'entries' item {n} must be an object with string 'lhs', 'rhs' and 'value'"
+                )
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read corrections file {path}: {exc}") from exc
     return entries, hashlib.sha256(raw).hexdigest()
@@ -332,8 +337,11 @@ def cmd_invariants(args) -> int:
 def cmd_report(args) -> int:
     try:
         with open(args.inpath, "r", encoding="utf-8") as fh:
-            report = rep.VerificationReport.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a report file holds one JSON object")
+        report = rep.VerificationReport.from_dict(data)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load report {args.inpath}: {exc}") from exc
     text = report.to_json() if args.format == "json" else report.to_markdown()
     if args.out:
@@ -357,6 +365,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 means a failed claim, so a crash must not end with it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

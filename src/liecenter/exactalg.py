@@ -47,6 +47,8 @@ class RationalField:
     """The field of rationals; coefficients are ``Fraction`` values."""
 
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value: Scalar) -> Fraction:
         if isinstance(value, Fraction):
@@ -56,14 +58,6 @@ class RationalField:
         if isinstance(value, str):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into QQ")
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -99,6 +93,8 @@ class PrimeField:
     """The prime field F_p for an odd prime p; coefficients are ints in [0, p)."""
 
     __slots__ = ("p",)
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if p == 2:
@@ -124,14 +120,6 @@ class PrimeField:
         if isinstance(value, str):
             return self.coerce(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -268,14 +256,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return mono_from_pairs(list(a) + list(b))
 
 
-def mono_pow(m: Monomial, k: int) -> Monomial:
-    if k < 0:
-        raise ValueError("negative monomial power")
-    if k == 0:
-        return MONO_ONE
-    return tuple((i, e * k) for i, e in m)
-
-
 def mono_mul_var(m: Monomial, v: int, e: int = 1) -> Monomial:
     """Multiply a monomial by a single variable power (fast path)."""
     out = []
@@ -323,16 +303,38 @@ def mono_to_str(registry: VarRegistry, m: Monomial) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials
+# Sparse term dicts: the shared kernel of Polynomial and PBWElement
 # ---------------------------------------------------------------------------
 
 
-class Polynomial:
-    """A sparse multivariate polynomial in canonical form.
+def add_into(acc: dict, items: Iterable[tuple], field: Field, scale=None) -> dict:
+    """Add ``(key, coefficient)`` pairs into ``acc`` over ``field``, each
+    coefficient first multiplied by ``scale`` when one is given, and drop
+    every key whose coefficient becomes zero.  Coefficients must already be
+    field elements.  Returns ``acc``."""
+    zero = field.zero
+    add = field.add
+    mul = field.mul
+    for m, c in items:
+        if scale is not None:
+            c = mul(scale, c)
+        prev = acc.get(m)
+        if prev is not None:
+            c = add(prev, c)
+        if c == zero:
+            acc.pop(m, None)
+        else:
+            acc[m] = c
+    return acc
+
+
+class TermDict:
+    """A sparse linear combination of exponent monomials in canonical form.
 
     ``terms`` maps monomials to nonzero coefficients of ``field``; no other
     normalization exists, so ``==`` on equal registries is the authoritative
-    identity test.
+    identity test.  Subclasses fix what a monomial means: a commutative
+    product (:class:`Polynomial`) or an ordered word (``pbw.PBWElement``).
     """
 
     __slots__ = ("registry", "field", "terms")
@@ -342,21 +344,12 @@ class Polynomial:
         self.field = field
         self.terms = terms
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
-    def zero(cls, registry: VarRegistry, field: Field) -> "Polynomial":
+    def zero(cls, registry: VarRegistry, field: Field):
         return cls(registry, field, {})
 
     @classmethod
-    def constant(cls, registry: VarRegistry, field: Field, value: Scalar) -> "Polynomial":
-        c = field.coerce(value)
-        return cls(registry, field, {} if c == field.zero else {MONO_ONE: c})
-
-    @classmethod
-    def variable(
-        cls, registry: VarRegistry, field: Field, var: Union[int, str]
-    ) -> "Polynomial":
+    def variable(cls, registry: VarRegistry, field: Field, var: Union[int, str]):
         i = registry.resolve(var)
         return cls(registry, field, {((i, 1),): field.one})
 
@@ -366,24 +359,20 @@ class Polynomial:
         registry: VarRegistry,
         field: Field,
         items: Iterable[tuple[Monomial, Scalar]],
-    ) -> "Polynomial":
+    ):
         """Build from (monomial, coefficient) pairs, summing duplicates."""
-        terms: dict = {}
-        for m, c in items:
-            c = field.coerce(c)
-            acc = terms.get(m)
-            c = c if acc is None else field.add(acc, c)
-            if c == field.zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = c
-        return cls(registry, field, terms)
+        coerce = field.coerce
+        return cls(registry, field, add_into({}, ((m, coerce(c)) for m, c in items), field))
 
-    # -- helpers -----------------------------------------------------------
+    def _operand(self, other):
+        """The right operand of ``+`` and ``-``; subclasses may coerce scalars."""
+        return other
 
-    def _check(self, other: "Polynomial") -> None:
+    def _check(self, other: "TermDict") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.registry != other.registry:
-            raise RegistryMismatch("polynomials over different registries")
+            raise RegistryMismatch("elements over different registries")
         if self.field != other.field:
             raise CharacteristicMismatch(
                 f"cannot mix {self.field!r} and {other.field!r}"
@@ -394,10 +383,68 @@ class Polynomial:
         return not self.terms
 
     def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
+        """Total degree; -1 for the zero element."""
         if not self.terms:
             return -1
         return max(mono_degree(m) for m in self.terms)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        self._check(other)
+        terms = add_into(dict(self.terms), other.terms.items(), self.field)
+        return type(self)(self.registry, self.field, terms)
+
+    def __neg__(self):
+        neg = self.field.neg
+        return type(self)(self.registry, self.field, {m: neg(c) for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._operand(other))
+
+    def scale(self, value: Scalar):
+        field = self.field
+        c0 = field.coerce(value)
+        if c0 == field.zero:
+            return type(self).zero(self.registry, field)
+        mul = field.mul
+        return type(self)(self.registry, field, {m: mul(c, c0) for m, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.registry == other.registry
+            and self.field == other.field
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.registry, self.field, frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
+
+
+# ---------------------------------------------------------------------------
+# Polynomials
+# ---------------------------------------------------------------------------
+
+
+class Polynomial(TermDict):
+    """A sparse multivariate polynomial in canonical form; ints and
+    ``Fraction`` values act as constants in ``+``, ``-``, ``*`` and ``==``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def constant(cls, registry: VarRegistry, field: Field, value: Scalar) -> "Polynomial":
+        c = field.coerce(value)
+        return cls(registry, field, {} if c == field.zero else {MONO_ONE: c})
+
+    def _operand(self, other):
+        if isinstance(other, Polynomial):
+            return other
+        return Polynomial.constant(self.registry, self.field, other)
 
     def is_homogeneous(self) -> bool:
         degrees = {mono_degree(m) for m in self.terms}
@@ -408,77 +455,24 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=mono_sort_key)
 
-    def coefficient(self, m: Monomial):
-        return self.terms.get(m, self.field.zero)
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda t: mono_sort_key(t[0]), reverse=True)
 
-    def variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            out.update(i for i, _ in m)
-        return out
-
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.registry, self.field, other)
-        self._check(other)
-        field = self.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            c = c if acc is None else field.add(acc, c)
-            if c == field.zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = c
-        return Polynomial(self.registry, field, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        field = self.field
-        return Polynomial(
-            self.registry, field, {m: field.neg(c) for m, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.registry, self.field, other)
-        return self + (-other)
+    __radd__ = TermDict.__add__
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def scale(self, value: Scalar) -> "Polynomial":
-        field = self.field
-        c0 = field.coerce(value)
-        if c0 == field.zero:
-            return Polynomial.zero(self.registry, field)
-        return Polynomial(
-            self.registry, field, {m: field.mul(c, c0) for m, c in self.terms.items()}
-        )
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
         field = self.field
-        zero = field.zero
         terms: dict = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                c = field.mul(ca, cb)
-                acc = terms.get(m)
-                c = c if acc is None else field.add(acc, c)
-                if c == zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = c
+            add_into(terms, ((mono_mul(ma, mb), cb) for mb, cb in other.terms.items()), field, ca)
         return Polynomial(self.registry, field, terms)
 
     def __rmul__(self, other):
@@ -497,21 +491,11 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            if isinstance(other, (int, Fraction)):
-                other = Polynomial.constant(self.registry, self.field, other)
-            else:
-                return NotImplemented
-        return (
-            self.registry == other.registry
-            and self.field == other.field
-            and self.terms == other.terms
-        )
+        if isinstance(other, (int, Fraction)):
+            other = Polynomial.constant(self.registry, self.field, other)
+        return TermDict.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(
-            (self.registry, self.field, frozenset(self.terms.items()))
-        )
+    __hash__ = TermDict.__hash__
 
     # -- calculus ----------------------------------------------------------
 
@@ -531,9 +515,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return format_polynomial(self)
-
-    def __repr__(self) -> str:
-        return f"<Polynomial {format_polynomial(self)}>"
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +666,7 @@ def frobenius_expand(f: Polynomial, p: int) -> Polynomial:
     return Polynomial(
         f.registry,
         field,
-        {mono_pow(m, p): field.pow(c, p) for m, c in f.terms.items()},
+        {tuple((i, e * p) for i, e in m): field.pow(c, p) for m, c in f.terms.items()},
     )
 
 

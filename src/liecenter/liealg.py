@@ -27,6 +27,7 @@ from .exactalg import (
     Field,
     Polynomial,
     VarRegistry,
+    add_into,
     parse_polynomial,
 )
 
@@ -102,10 +103,7 @@ class StructureTable:
         """[basis_i, basis_j] as a linear polynomial over ``field``."""
         i = self.registry.resolve(i)
         j = self.registry.resolve(j)
-        coords = self.bracket_coords(i, j)
-        return Polynomial.from_terms(
-            self.registry, field, (( ((k, 1),), c) for k, c in coords.items())
-        )
+        return lincomb_to_poly(self, self.bracket_coords(i, j), field)
 
     def bracket_row(self, i: int, char: int) -> dict:
         """Cached map j -> ((k, coeff), ...) of [basis_i, basis_j] over the
@@ -144,12 +142,7 @@ def _lincomb_apply(t: StructureTable, i: int, lin: LinComb) -> LinComb:
     """[basis_i, sum_k lin_k basis_k] as a coefficient dict."""
     out: LinComb = {}
     for k, c in lin.items():
-        for m, cm in t.bracket_coords(i, k).items():
-            acc = out.get(m, 0) + c * cm
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+        add_into(out, t.bracket_coords(i, k).items(), QQ, c)
     return out
 
 
@@ -188,13 +181,7 @@ def jacobi_check(t: StructureTable) -> JacobiReport:
         report.triples_checked += 1
         total: LinComb = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = t.bracket_coords(b, c)
-            for m, cm in _lincomb_apply(t, a, inner).items():
-                acc = total.get(m, 0) + cm
-                if acc:
-                    total[m] = acc
-                else:
-                    total.pop(m, None)
+            add_into(total, _lincomb_apply(t, a, t.bracket_coords(b, c)).items(), QQ)
         if total:
             residual = str(lincomb_to_poly(t, total))
             report.failures.append(
@@ -214,7 +201,6 @@ def check_nilradical_ideal(t: StructureTable) -> list[str]:
             problems.append(
                 f"[{t.label(i)},{t.label(j)}] leaves the nilradical span"
             )
-    cartan = set(t.cartan)
     for i in t.cartan:
         for j in t.cartan:
             if i < j and t.brackets.get((i, j)):
@@ -265,7 +251,6 @@ def ad_matrix(t: StructureTable, i: Union[int, str], field: Field = QQ, indices:
 
 
 def mat_mul(a, b, field: Field):
-    n = len(a)
     bt = list(zip(*b))
     zero = field.zero
     out = []
@@ -329,7 +314,11 @@ def ad_power_identity(t: StructureTable, i: Union[int, str], p: int) -> AdPowerR
 
 
 def _parse_lincomb(registry: VarRegistry, text: str) -> tuple[tuple[int, Fraction], ...]:
-    poly = parse_polynomial(registry, QQ, text)
+    try:
+        poly = parse_polynomial(registry, QQ, text)
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        reason = exc.args[0] if exc.args else type(exc).__name__
+        raise TableDataError(f"bracket value {text!r} cannot be parsed: {reason}") from None
     out = []
     for m, c in poly.sorted_terms():
         if len(m) != 1 or m[0][1] != 1:
@@ -371,11 +360,26 @@ def _build_table(
         i, j = registry.index(lhs), registry.index(rhs)
         if i >= j:
             raise TableDataError(f"bracket key ({lhs},{rhs}) not in increasing order")
-        value = _parse_lincomb(registry, text)
-        if value:
-            brackets[(i, j)] = value
+        brackets[(i, j)] = _parse_lincomb(registry, text)
+    return _assemble_table(
+        name, registry, cartan_labels, brackets, excluded_primes, applied, validate
+    )
+
+
+def _assemble_table(
+    name: str,
+    registry: VarRegistry,
+    cartan_labels: Sequence[str],
+    brackets: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]],
+    excluded_primes: Iterable[int],
+    applied: Sequence[Correction] = (),
+    validate: bool = True,
+) -> StructureTable:
+    """A table from brackets already keyed and sorted by basis index; empty
+    brackets are dropped, and ``validate`` checks Jacobi and the ideal."""
+    brackets = {key: value for key, value in brackets.items() if value}
     cartan = [registry.index(h) for h in cartan_labels]
-    nil = [i for i in range(len(labels)) if i not in set(cartan)]
+    nil = [i for i in range(len(registry)) if i not in set(cartan)]
     table = StructureTable(
         name, registry, brackets, cartan, nil, excluded_primes, applied
     )
@@ -610,13 +614,9 @@ def cn_borel(n: int, validate: bool = True) -> tuple[StructureTable, MatrixReali
                 brackets[(i, j)] = tuple(
                     sorted((registry.index(lab), Fraction(c)) for lab, c in coords.items())
                 )
-    cartan = [registry.index(h) for h in cartan_labels]
-    nil = [registry.index(x) for x in nil_labels]
-    table = StructureTable(f"c{n}-borel", registry, brackets, cartan, nil, (2,))
-    if validate:
-        report = jacobi_check(table)
-        if not report.ok:
-            raise TableDataError(f"c{n}-borel: Jacobi fails ({len(report.failures)} triples)")
+    table = _assemble_table(
+        f"c{n}-borel", registry, cartan_labels, brackets, (2,), validate=validate
+    )
     return table, real
 
 
@@ -673,10 +673,7 @@ def nonzero_bracket_items(t: StructureTable) -> list[tuple[str, str, str]]:
     """All stored nonzero brackets as (lhs, rhs, value-text) triples."""
     out = []
     for (i, j), entry in sorted(t.brackets.items()):
-        poly = Polynomial.from_terms(
-            t.registry, QQ, ((((k, 1),), c) for k, c in entry)
-        )
-        out.append((t.label(i), t.label(j), str(poly)))
+        out.append((t.label(i), t.label(j), str(lincomb_to_poly(t, dict(entry)))))
     return out
 
 
@@ -728,21 +725,22 @@ def table_from_dict(data: dict, validate: bool = True) -> StructureTable:
 
     for h in cartan:
         known(h, "table field 'cartan'")
-    raw: dict[tuple[str, str], str] = {}
+    brackets: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
     for n, item in enumerate(items):
         where = f"table field 'brackets' entry {n}"
         try:
             i, j = known(item["lhs"], where), known(item["rhs"], where)
-            terms = [(((known(lab, where), 1),), Fraction(c)) for c, lab in item["value"]]
+            terms = [(known(lab, where), Fraction(c)) for c, lab in item["value"]]
         except TableDataError:
             raise
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise TableDataError(f"{where} is malformed: {exc!r}") from None
         if i >= j:
             raise TableDataError("bracket keys must be in basis order")
-        raw[(item["lhs"], item["rhs"])] = str(Polynomial.from_terms(registry, QQ, terms))
-    return _build_table(
-        data["name"], labels, cartan, raw, tuple(primes), validate=validate
+        # duplicate labels sum, zeros drop, basis order as a parsed value has
+        brackets[(i, j)] = tuple(sorted(add_into({}, terms, QQ).items()))
+    return _assemble_table(
+        data["name"], registry, cartan, brackets, tuple(primes), validate=validate
     )
 
 

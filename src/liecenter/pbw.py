@@ -26,6 +26,8 @@ from .exactalg import (
     Monomial,
     Polynomial,
     QQ,
+    TermDict,
+    add_into,
     mono_degree,
     mono_mul_var,
 )
@@ -36,108 +38,25 @@ class CharacteristicObstruction(ValueError):
     """Symmetrization needs to divide by k! but the characteristic is <= k."""
 
 
-class PBWElement:
-    """An element of the enveloping algebra in normal form."""
+class PBWElement(TermDict):
+    """An element of the enveloping algebra in normal form: each monomial
+    stands for its non-decreasing word in the basis."""
 
-    __slots__ = ("registry", "field", "terms")
-
-    def __init__(self, registry, field: Field, terms: dict):
-        self.registry = registry
-        self.field = field
-        self.terms = terms
-
-    @classmethod
-    def zero(cls, registry, field: Field) -> "PBWElement":
-        return cls(registry, field, {})
+    __slots__ = ()
 
     @classmethod
     def unit(cls, registry, field: Field) -> "PBWElement":
         return cls(registry, field, {MONO_ONE: field.one})
 
     @classmethod
-    def variable(cls, registry, field: Field, var: Union[int, str]) -> "PBWElement":
-        i = registry.resolve(var)
-        return cls(registry, field, {((i, 1),): field.one})
-
-    @classmethod
     def monomial(cls, registry, field: Field, mono: Monomial, coeff=None) -> "PBWElement":
         c = field.one if coeff is None else field.coerce(coeff)
         return cls(registry, field, {mono: c} if c != field.zero else {})
 
-    @classmethod
-    def from_terms(cls, registry, field: Field, items) -> "PBWElement":
-        terms: dict = {}
-        for m, c in items:
-            c = field.coerce(c)
-            acc = terms.get(m)
-            c = c if acc is None else field.add(acc, c)
-            if c == field.zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = c
-        return cls(registry, field, terms)
-
-    def _check(self, other: "PBWElement") -> None:
-        if self.registry != other.registry or self.field != other.field:
-            raise ValueError("mixed registries or fields in enveloping algebra")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def filtration_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
-
-    def __add__(self, other: "PBWElement") -> "PBWElement":
-        self._check(other)
-        field = self.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            c = c if acc is None else field.add(acc, c)
-            if c == field.zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = c
-        return PBWElement(self.registry, field, terms)
-
-    def __neg__(self) -> "PBWElement":
-        field = self.field
-        return PBWElement(
-            self.registry, field, {m: field.neg(c) for m, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "PBWElement") -> "PBWElement":
-        return self + (-other)
-
-    def scale(self, value) -> "PBWElement":
-        field = self.field
-        c0 = field.coerce(value)
-        if c0 == field.zero:
-            return PBWElement.zero(self.registry, field)
-        return PBWElement(
-            self.registry, field, {m: field.mul(c, c0) for m, c in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PBWElement)
-            and self.registry == other.registry
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.registry, self.field, frozenset(self.terms.items())))
+    filtration_degree = TermDict.total_degree
 
     def __str__(self):
-        as_poly = Polynomial(self.registry, self.field, dict(self.terms))
-        return str(as_poly)
-
-    def __repr__(self):
-        return f"<PBWElement {self}>"
+        return str(Polynomial(self.registry, self.field, self.terms))
 
 
 def word_of(mono: Monomial) -> tuple[int, ...]:
@@ -188,6 +107,7 @@ def _mul_mono_letter(t: StructureTable, field: Field, mono: Monomial, v: int):
         mprime = mono[:-1] + ((u, mono[-1][1] - 1),)
     else:
         mprime = mono[:-1]
+    # accumulated inline, not through add_into: every memo miss runs this loop
     acc: dict = {}
     zero = field.zero
     for m1, c1 in _mul_mono_letter(t, field, mprime, v):
@@ -216,17 +136,21 @@ def _mul_mono_letter(t: StructureTable, field: Field, mono: Monomial, v: int):
     return result
 
 
-def _mul_mono_mono(t: StructureTable, field: Field, ma: Monomial, mb: Monomial) -> dict:
-    """Normal form of the product of two normal monomials."""
-    current = {ma: field.one}
+def _mul_word(t: StructureTable, field: Field, current: dict, letters: Iterable[int]) -> dict:
+    """Normal form of ``current`` * x_l1 * ... * x_lk, one letter at a time;
+    ``current`` maps normal monomials to coefficients and is not modified."""
     zero = field.zero
-    for letter in word_of(mb):
+    mul = field.mul
+    add = field.add
+    for letter in letters:
+        # accumulated inline, not through add_into: the hottest loop of
+        # symmetrize and commutator_with_basis
         nxt: dict = {}
         for m, c in current.items():
             for m2, c2 in _mul_mono_letter(t, field, m, letter):
-                cc = field.mul(c, c2)
+                cc = mul(c, c2)
                 prev = nxt.get(m2)
-                cc = cc if prev is None else field.add(prev, cc)
+                cc = cc if prev is None else add(prev, cc)
                 if cc == zero:
                     nxt.pop(m2, None)
                 else:
@@ -240,19 +164,9 @@ def pbw_mul(t: StructureTable, a: PBWElement, b: PBWElement) -> PBWElement:
     a._check(b)
     field = a.field
     t.check_characteristic(field.characteristic)
-    zero = field.zero
     terms: dict = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            base = field.mul(ca, cb)
-            for m, c in _mul_mono_mono(t, field, ma, mb).items():
-                cc = field.mul(base, c)
-                prev = terms.get(m)
-                cc = cc if prev is None else field.add(prev, cc)
-                if cc == zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = cc
+    for mb, cb in b.terms.items():
+        add_into(terms, _mul_word(t, field, a.terms, word_of(mb)).items(), field, cb)
     return PBWElement(a.registry, field, terms)
 
 
@@ -272,13 +186,7 @@ def straighten_word(
         coeff, w = stack.pop()
         inversions = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
         if not inversions:
-            mono = mono_of_word(w)
-            acc = result.get(mono)
-            c = coeff if acc is None else field.add(acc, coeff)
-            if c == zero:
-                result.pop(mono, None)
-            else:
-                result[mono] = c
+            add_into(result, ((mono_of_word(w), coeff),), field)
             continue
         i = inversions[0] if rng is None else rng.choice(inversions)
         swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
@@ -307,7 +215,6 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
     gi = t.registry.resolve(g)
     field = e.field
     t.check_characteristic(field.characteristic)
-    zero = field.zero
     total: dict = {}
     for mono, coeff in e.terms.items():
         word = word_of(mono)
@@ -316,34 +223,12 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
             if not targets:
                 continue
             prefix = mono_of_word(word[:pos])
-            suffix = word[pos + 1 :]
+            # prefix * [x_g, x_letter], then the rest of the word
+            current: dict = {}
             for k, ck in targets.items():
-                ckf = field.coerce(ck)
-                if ckf == zero:
-                    continue
-                current = {
-                    m: field.mul(c, field.mul(coeff, ckf))
-                    for m, c in _mul_mono_letter(t, field, prefix, k)
-                }
-                for letter in suffix:
-                    nxt: dict = {}
-                    for m, c in current.items():
-                        for m2, c2 in _mul_mono_letter(t, field, m, letter):
-                            cc = field.mul(c, c2)
-                            prev = nxt.get(m2)
-                            cc = cc if prev is None else field.add(prev, cc)
-                            if cc == zero:
-                                nxt.pop(m2, None)
-                            else:
-                                nxt[m2] = cc
-                    current = nxt
-                for m, c in current.items():
-                    prev = total.get(m)
-                    c = c if prev is None else field.add(prev, c)
-                    if c == zero:
-                        total.pop(m, None)
-                    else:
-                        total[m] = c
+                scale = field.mul(coeff, field.coerce(ck))
+                add_into(current, _mul_mono_letter(t, field, prefix, k), field, scale)
+            add_into(total, _mul_word(t, field, current, word[pos + 1 :]).items(), field)
     return PBWElement(e.registry, field, total)
 
 
@@ -381,43 +266,14 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
             f"symmetrizing degree {f.total_degree()} needs p > degree, have p={char}"
         )
     total: dict = {}
-    zero = field.zero
     for mono, coeff in f.terms.items():
         word = word_of(mono)
-        k = len(word)
-        if k <= 1:
-            prev = total.get(mono)
-            c = coeff if prev is None else field.add(prev, coeff)
-            if c == zero:
-                total.pop(mono, None)
-            else:
-                total[mono] = c
-            continue
         stab = 1
         for _, e in mono:
             stab *= factorial(e)
-        factor = field.mul(coeff, field.coerce(Fraction(stab, factorial(k))))
+        factor = field.mul(coeff, field.coerce(Fraction(stab, factorial(len(word)))))
         for perm in set(itertools.permutations(word)):
-            current = {MONO_ONE: factor}
-            for letter in perm:
-                nxt: dict = {}
-                for m, c in current.items():
-                    for m2, c2 in _mul_mono_letter(t, field, m, letter):
-                        cc = field.mul(c, c2)
-                        prev = nxt.get(m2)
-                        cc = cc if prev is None else field.add(prev, cc)
-                        if cc == zero:
-                            nxt.pop(m2, None)
-                        else:
-                            nxt[m2] = cc
-                current = nxt
-            for m, c in current.items():
-                prev = total.get(m)
-                c = c if prev is None else field.add(prev, c)
-                if c == zero:
-                    total.pop(m, None)
-                else:
-                    total[m] = c
+            add_into(total, _mul_word(t, field, {MONO_ONE: factor}, perm).items(), field)
     return PBWElement(f.registry, field, total)
 
 

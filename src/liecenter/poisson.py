@@ -41,6 +41,7 @@ def ad_apply(t: StructureTable, i: Union[int, str], f: Polynomial) -> Polynomial
             if factor == zero:
                 continue
             base = mono_div_var(mono, v)
+            # accumulated inline, not through add_into: the hottest loop of the suites
             for w, cw in targets:
                 m2 = mono_mul_var(base, w)
                 c = field.mul(factor, cw if field.characteristic else field.coerce(cw))

@@ -148,10 +148,6 @@ class VerificationReport:
             corrections_sha256=data.get("corrections_sha256"),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
-
     def to_markdown(self) -> str:
         lines = ["# Verification report", ""]
         lines.append("## Configuration")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from liecenter import cli, liealg
+from liecenter import cli, invariants, liealg
 
 
 def run_cli(capsys, *args):
@@ -190,6 +190,54 @@ class TestTableFiles:
         code, _, err = run_cli(capsys, "verify", "--algebra", self._write(tmp_path, data))
         assert code == 2
         assert field in err
+
+
+class TestMalformedInputs:
+    """Inputs that must end in exit 2 and a message naming the field, never a
+    traceback: exit 1 is reserved for a failed claim."""
+
+    @pytest.mark.parametrize(
+        "content, argv, field",
+        [
+            pytest.param(
+                {"entries": [1]},
+                ("verify", "--algebra", "g2-borel", "--suites", "jacobi", "--corrections"),
+                "entries",
+                id="correction-not-object",
+            ),
+            pytest.param(
+                {"entries": [{"lhs": "x1", "rhs": "x2", "value": "x3 +"}]},
+                ("verify", "--algebra", "g2-borel", "--suites", "jacobi", "--corrections"),
+                "value",
+                id="correction-dangling-sign",
+            ),
+            pytest.param(
+                {"entries": [{"lhs": "x1", "rhs": "x2", "value": "y7"}]},
+                ("verify", "--algebra", "f4-nil", "--suites", "jacobi", "--corrections"),
+                "value",
+                id="correction-unknown-variable",
+            ),
+            pytest.param([], ("report", "--in"), "object", id="report-not-object"),
+        ],
+    )
+    def test_exit_2(self, capsys, tmp_path, content, argv, field):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code, _, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert err.startswith("error: ") and field in err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(invariants, "invariance_suite", broken)
+        code, out, err = run_cli(
+            capsys, "verify", "--algebra", "g2-nil", "--suites", "invariance"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: injected\n"
 
 
 class TestDeterminism:

@@ -1,0 +1,100 @@
+"""Property tests: TermDict arithmetic of Polynomial and PBWElement against a
+plain-dict model over QQ and prime fields, and the polynomial text format."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from liecenter.exactalg import (  # noqa: E402
+    GF,
+    QQ,
+    Polynomial,
+    VarRegistry,
+    format_polynomial,
+    mono_from_pairs,
+    mono_mul,
+    parse_polynomial,
+)
+from liecenter.pbw import PBWElement  # noqa: E402
+
+REG = VarRegistry(["x1", "x2", "x3"])
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=["QQ", "GF5", "GF7"])
+CLASSES = pytest.mark.parametrize("cls", [Polynomial, PBWElement])
+SETTINGS = settings(max_examples=25, deadline=None)
+
+# a small monomial space, so duplicates and cancellations are common
+monomials = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(1, 2)), max_size=2
+).map(mono_from_pairs)
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+term_lists = st.lists(st.tuples(monomials, coefficients), max_size=6)
+
+
+def model(field, items):
+    """Sum every coefficient per monomial, then keep the nonzero sums."""
+    sums = {}
+    for m, c in items:
+        sums[m] = field.add(sums.get(m, field.zero), field.coerce(c))
+    return {m: c for m, c in sums.items() if c != field.zero}
+
+
+def negated(items):
+    return [(m, -c) for m, c in items]
+
+
+@FIELDS
+@CLASSES
+@SETTINGS
+@given(items=term_lists)
+def test_from_terms_sums_duplicates_and_drops_zeros(cls, field, items):
+    assert cls.from_terms(REG, field, items).terms == model(field, items)
+    assert cls.from_terms(REG, field, items + negated(items)).is_zero
+
+
+@FIELDS
+@CLASSES
+@SETTINGS
+@given(a=term_lists, b=term_lists, s=coefficients)
+def test_linear_operations(cls, field, a, b, s):
+    x, y = cls.from_terms(REG, field, a), cls.from_terms(REG, field, b)
+    assert (x + y).terms == model(field, a + b)
+    assert (x - y).terms == model(field, a + negated(b))
+    assert (-x).terms == model(field, negated(a))
+    assert x.scale(s).terms == model(field, [(m, c * s) for m, c in a])
+    assert type(x + y) is type(x - y) is type(x.scale(s)) is cls
+
+
+@FIELDS
+@SETTINGS
+@given(a=term_lists, b=term_lists)
+def test_polynomial_product(field, a, b):
+    x, y = Polynomial.from_terms(REG, field, a), Polynomial.from_terms(REG, field, b)
+    expected = [(mono_mul(ma, mb), ca * cb) for ma, ca in a for mb, cb in b]
+    assert (x * y).terms == model(field, expected)
+
+
+@FIELDS
+@CLASSES
+@SETTINGS
+@given(a=term_lists, b=term_lists)
+def test_equality_agrees_with_hash(cls, field, a, b):
+    x = cls.from_terms(REG, field, a)
+    again = cls.from_terms(REG, field, list(reversed(a)))
+    assert x == again and hash(x) == hash(again)
+    y = cls.from_terms(REG, field, b)
+    assert (x == y) == (model(field, a) == model(field, b))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@FIELDS
+@SETTINGS
+@given(items=term_lists)
+def test_format_parse_round_trip(field, items):
+    p = Polynomial.from_terms(REG, field, items)
+    text = format_polynomial(p)
+    assert parse_polynomial(REG, field, text) == p
+    assert format_polynomial(parse_polynomial(REG, field, text)) == text
