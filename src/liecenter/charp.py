@@ -32,8 +32,8 @@ from .invariants import (
     InvariantFamily,
     brute_force_invariant_space,
     catalog_entry,
-    compare_with_generated,
     oracle_degree,
+    oracle_suite,
 )
 from .liealg import StructureTable, ad_power_identity
 from .linalg import rank_int, rows_to_integer
@@ -43,6 +43,7 @@ from .pbw import (
     commutator_with_basis,
     gr_leading,
     is_central_u,
+    p_center_elements,
     reduce_u,
     symmetrize,
 )
@@ -438,6 +439,20 @@ def _audit_central_generators(
         )
 
 
+def _audit_completeness(claims: list, prefix: str, results: Sequence[dict], statement: str) -> None:
+    """One claim per oracle_suite result: the degree-d invariant space equals
+    the generated span; ``statement`` is formatted with the result's fields."""
+    for res in results:
+        claims.append(
+            rep.check(
+                f"{prefix}.complete.deg{res['degree']}",
+                statement.format(**res),
+                res["equal"],
+                residual=None if res["equal"] else str(res),
+            )
+        )
+
+
 def _asserted_generation(prefix: str, ring: str, note: str) -> rep.Claim:
     return rep.asserted(
         f"{prefix}.generation",
@@ -475,17 +490,8 @@ def theorem_generator_audit(
                 )
             )
         _audit_invariant_generators(t, claims, prefix, gens, t.nilradical, "nilradical")
-        for d in range(1, cap + 1):
-            basis = brute_force_invariant_space(t, d, t.nilradical, field)
-            res = compare_with_generated(t, basis, gens, d, field)
-            claims.append(
-                rep.check(
-                    f"{prefix}.complete.deg{d}",
-                    f"degree-{d} invariants (dim {res['oracle_dim']}) all lie in the generated span",
-                    res["equal"],
-                    residual=None if res["equal"] else str(res),
-                )
-            )
+        results = oracle_suite(t, gens, range(1, cap + 1), field)[1]
+        _audit_completeness(claims, prefix, results, "degree-{degree} invariants (dim {oracle_dim}) all lie in the generated span")
         claims.append(
             _asserted_generation(
                 prefix,
@@ -496,20 +502,9 @@ def theorem_generator_audit(
 
         # center of the enveloping algebra
         prefix = f"{t.name}.audit.u-center.char{char}"
-        z_elements: list[tuple[str, PBWElement]] = []
-        if char:
-            for i in t.nilradical:
-                label = t.label(i)
-                if label == c1_label(t):
-                    continue
-                z_elements.append(
-                    (f"{label}^{char}", PBWElement.monomial(t.registry, field, ((i, char),)))
-                )
+        z_elements = p_center_elements(t, field, exempt=c1_label(t)) if char else []
         for name in fam.central:
-            if char == 0 or name == "c1":
-                lift, how = symmetrize(t, fam.element(name, field)), "symmetrized"
-            else:
-                lift, how = central_lift(t, fam, name, field)
+            lift, how = central_lift(t, fam, name, field)
             zname = "z" + name[1:]
             if lift is None:
                 claims.append(
@@ -593,17 +588,8 @@ def theorem_generator_audit(
             )
         )
         _audit_invariant_generators(t, claims, prefix, power_gens, all_idx, "Borel")
-        for d in range(1, min(bcap, char + 1) + 1):
-            basis = brute_force_invariant_space(t, d, all_idx, field)
-            res = compare_with_generated(t, basis, power_gens, d, field)
-            claims.append(
-                rep.check(
-                    f"{prefix}.complete.deg{d}",
-                    f"degree-{d} Borel invariants (dim {res['oracle_dim']}) equal the p-power span",
-                    res["equal"],
-                    residual=None if res["equal"] else str(res),
-                )
-            )
+        results = oracle_suite(t, power_gens, range(1, min(bcap, char + 1) + 1), field, gens=all_idx)[1]
+        _audit_completeness(claims, prefix, results, "degree-{degree} Borel invariants (dim {oracle_dim}) equal the p-power span")
         claims.append(
             _asserted_generation(prefix, "the Poisson center of the Borel", f"verified mechanically up to degree {min(bcap, char + 1)}")
         )
@@ -654,17 +640,8 @@ def theorem_generator_audit(
                 residual=f"eigenvalue {lam}",
             )
         )
-    for d in range(1, bcap + 1):
-        basis = brute_force_invariant_space(t, d, nil_idx, field)
-        res = compare_with_generated(t, basis, gens, d, field)
-        claims.append(
-            rep.check(
-                f"{prefix}.complete.deg{d}",
-                f"degree-{d} nilradical invariants of the Borel (dim {res['oracle_dim']}) equal the generated span",
-                res["equal"],
-                residual=None if res["equal"] else str(res),
-            )
-        )
+    results = oracle_suite(t, gens, range(1, bcap + 1), field)[1]
+    _audit_completeness(claims, prefix, results, "degree-{degree} nilradical invariants of the Borel (dim {oracle_dim}) equal the generated span")
     claims.append(
         _asserted_generation(prefix, "the Poisson semicenter of the Borel", f"verified mechanically up to degree {bcap}")
     )
@@ -672,15 +649,7 @@ def theorem_generator_audit(
     # center and semicenter of U(B)
     prefix = f"{t.name}.audit.u-center.char{char}"
     if char:
-        central_elements: list[tuple[str, PBWElement]] = []
-        for i in nil_idx:
-            central_elements.append(
-                (f"{t.label(i)}^{char}", PBWElement.monomial(t.registry, field, ((i, char),)))
-            )
-        for j in t.cartan:
-            hp = PBWElement.monomial(t.registry, field, ((j, char),))
-            h = PBWElement.variable(t.registry, field, j)
-            central_elements.append((f"{t.label(j)}^{char}-{t.label(j)}", hp - h))
+        central_elements = p_center_elements(t, field)
         claims.append(
             rep.check(
                 f"{prefix}.gen-count",

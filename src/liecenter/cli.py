@@ -41,6 +41,17 @@ class ConfigError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    """The type of --max-degree: any other value exits 2 before a suite runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liecenter",
@@ -60,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--n", type=int, default=None, help="rank for cn-* algebras")
         p.add_argument("--char", type=int, default=0, help="0 or an odd prime")
-        p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
+        p.add_argument("--max-degree", type=_positive_int, default=None, dest="max_degree")
         p.add_argument("--corrections", default=None, help="JSON corrections overlay")
 
     pv = sub.add_parser("verify", help="run verification suites and emit a report")
@@ -143,12 +154,6 @@ def _family(t: StructureTable) -> InvariantFamily:
         raise ConfigError(str(exc)) from exc
 
 
-def _oracle_degrees(t: StructureTable, max_degree: Optional[int]) -> range:
-    if max_degree is not None and max_degree < 1:
-        raise ConfigError("--max-degree must be positive")
-    return range(1, invariants.oracle_degree(t, max_degree) + 1)
-
-
 # ---------------------------------------------------------------------------
 # Suite construction
 # ---------------------------------------------------------------------------
@@ -209,7 +214,7 @@ def _suite_callables(t: StructureTable, args) -> dict[str, Callable[[], list]]:
 
         def oracle_suite() -> list:
             gens = charp.invariant_generators(t, fam, field)
-            degrees = _oracle_degrees(t, args.max_degree)
+            degrees = range(1, invariants.oracle_degree(t, args.max_degree) + 1)
             return invariants.oracle_suite(t, gens, degrees, field)[0]
 
         suites["oracle"] = oracle_suite
@@ -319,7 +324,7 @@ def cmd_invariants(args) -> int:
         try:
             # one degree at a time, so the degrees already solved are printed
             # even when a later one exceeds the solver cap
-            for d in _oracle_degrees(t, args.max_degree):
+            for d in range(1, invariants.oracle_degree(t, args.max_degree) + 1):
                 [res] = invariants.oracle_suite(t, gens, [d], field)[1]
                 print(
                     f"degree {d}: invariant dimension {res['oracle_dim']}, "

@@ -631,11 +631,15 @@ def brute_force_invariant_space(
     families, only the structure table.  Over the rationals each block is
     first rank-tested modulo a fixed large prime; full modular column rank
     proves an empty kernel, and only the remaining blocks go through exact
-    fraction-free elimination.
+    fraction-free elimination.  Each space is solved once per table; the
+    cap is part of the memo key, so a smaller cap still raises.
     """
     t.check_characteristic(field.characteristic)
     gens = list(gens)
     char = field.characteristic
+    memo_key = ("oracle", char, degree, tuple(gens), max_entries)
+    if memo_key in t.memo:
+        return list(t.memo[memo_key])
     monos = homogeneous_monomials(t.dim, degree)
     gradings = derive_multigrading(t)
     blocks: dict[tuple, list[Monomial]] = {}
@@ -695,6 +699,7 @@ def brute_force_invariant_space(
                     t.registry, field, ((cols[c], vec[c]) for c in range(len(cols)))
                 )
             )
+    t.memo[memo_key] = tuple(basis)
     return basis
 
 
@@ -794,15 +799,16 @@ def oracle_suite(
     degrees: Iterable[int],
     field: Field = QQ,
     gens: Optional[Sequence[int]] = None,
-    max_entries: int = 10**7,
 ) -> tuple[list[rep.Claim], list[dict]]:
-    """Compare oracle invariant spaces with generated spans degree by degree."""
+    """Compare oracle invariant spaces with generated spans degree by degree;
+    ``gens`` are the basis indices the invariants are taken under, by
+    default the nilradical."""
     claims = []
     results = []
     gen_indices = list(t.nilradical) if gens is None else list(gens)
     char = field.characteristic
     for d in degrees:
-        basis = brute_force_invariant_space(t, d, gen_indices, field, max_entries)
+        basis = brute_force_invariant_space(t, d, gen_indices, field)
         res = compare_with_generated(t, basis, generators, d, field)
         results.append(res)
         claims.append(

@@ -68,8 +68,11 @@ class StructureTable:
         self.nilradical = tuple(nilradical)
         self.excluded_primes = frozenset(excluded_primes)
         self.corrections = tuple(corrections)
-        self._row_cache: dict = {}
-        self._pbw_cache: dict = {}
+        # everything derived from the table, computed once per table and
+        # keyed by kind: ("row", char, i) bracket rows, ("pbw", char) the
+        # letter-product dict, ("oracle", char, degree, gens, cap) invariant
+        # spaces, ("symmetrize", polynomial) lifts
+        self.memo: dict = {}
 
     @property
     def dim(self) -> int:
@@ -108,8 +111,8 @@ class StructureTable:
     def bracket_row(self, i: int, char: int) -> dict:
         """Cached map j -> ((k, coeff), ...) of [basis_i, basis_j] over the
         field of the given characteristic, for every j with nonzero bracket."""
-        key = (char, i)
-        row = self._row_cache.get(key)
+        key = ("row", char, i)
+        row = self.memo.get(key)
         if row is not None:
             return row
         row = {}
@@ -129,7 +132,7 @@ class StructureTable:
                 row[j] = tuple((k, c) for k, c in reduced if c)
             else:
                 row[j] = tuple(coords.items())
-        self._row_cache[key] = row
+        self.memo[key] = row
         return row
 
     # -- derived tables --------------------------------------------------------

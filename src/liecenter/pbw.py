@@ -4,8 +4,8 @@ Elements are supported on ordered words in the basis, written as exponent
 monomials exactly like commutative polynomials; multiplication straightens
 out-of-order products with the rewriting rule x_u x_v = x_v x_u + [x_u, x_v]
 until every word is non-decreasing.  The rewriting terminates because each
-correction term has strictly smaller filtration degree, and single-letter
-multiplications are memoized per table and characteristic.
+correction term has strictly smaller filtration degree; single-letter
+multiplications and symmetrized lifts are memoized on the table.
 
 A reference rewriting engine with an injectable (randomizable) choice of
 redex backs the confluence property test; the fast path must agree with it.
@@ -93,7 +93,7 @@ def _mul_mono_letter(t: StructureTable, field: Field, mono: Monomial, v: int):
     letter is at most u, so multiplying it by u is a plain append.
     """
     char = field.characteristic
-    cache = t._pbw_cache.setdefault(char, {})
+    cache = t.memo.setdefault(("pbw", char), {})
     key = (mono, v)
     hit = cache.get(key)
     if hit is not None:
@@ -258,6 +258,7 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
 
     Distinct orderings are enumerated once with multiplicity prod(e_i!)/k!,
     which requires k! to be invertible: characteristic 0 or p > deg f.
+    Each lift is computed once per table.
     """
     field = f.field
     char = field.characteristic
@@ -265,6 +266,9 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
         raise CharacteristicObstruction(
             f"symmetrizing degree {f.total_degree()} needs p > degree, have p={char}"
         )
+    key = ("symmetrize", f)
+    if key in t.memo:
+        return t.memo[key]
     total: dict = {}
     for mono, coeff in f.terms.items():
         word = word_of(mono)
@@ -274,7 +278,8 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
         factor = field.mul(coeff, field.coerce(Fraction(stab, factorial(len(word)))))
         for perm in set(itertools.permutations(word)):
             add_into(total, _mul_word(t, field, {MONO_ONE: factor}, perm).items(), field)
-    return PBWElement(f.registry, field, total)
+    t.memo[key] = PBWElement(f.registry, field, total)
+    return t.memo[key]
 
 
 def gr_leading(e: PBWElement) -> Polynomial:
@@ -304,26 +309,32 @@ def reduce_u(e: PBWElement, field: Field) -> Optional[PBWElement]:
 # ---------------------------------------------------------------------------
 
 
-def p_center_suite(
-    t: StructureTable, p: int, gens: Optional[Sequence[int]] = None
-) -> list[rep.Claim]:
+def p_center_elements(
+    t: StructureTable, field: Field, exempt: Optional[str] = None
+) -> list[tuple[str, PBWElement]]:
+    """The p-center generators over GF(p): x^p for each nilradical generator
+    other than ``exempt``, then h^p - h for each Cartan generator."""
+    p = field.characteristic
+    elements = [
+        (f"{t.label(i)}^{p}", PBWElement.monomial(t.registry, field, ((i, p),)))
+        for i in t.nilradical
+        if t.label(i) != exempt
+    ]
+    for j in t.cartan:
+        h = PBWElement.variable(t.registry, field, j)
+        hp = PBWElement.monomial(t.registry, field, ((j, p),))
+        elements.append((f"{t.label(j)}^{p}-{t.label(j)}", hp - h))
+    return elements
+
+
+def p_center_suite(t: StructureTable, p: int) -> list[rep.Claim]:
     """Verify that p-th powers of nilradical generators and h^p - h for
     Cartan generators are central in the enveloping algebra over F_p, and
     cross-check the matrix identities (ad x)^p = 0, (ad h)^p = ad h."""
     t.check_characteristic(p)
-    field = GF(p)
-    gens = list(range(t.dim)) if gens is None else list(gens)
     claims = []
-    elements: list[tuple[str, PBWElement]] = []
-    for i in t.nilradical:
-        mono = ((i, p),)
-        elements.append((f"{t.label(i)}^{p}", PBWElement.monomial(t.registry, field, mono)))
-    for j in t.cartan:
-        hp = PBWElement.monomial(t.registry, field, ((j, p),))
-        h = PBWElement.variable(t.registry, field, j)
-        elements.append((f"{t.label(j)}^{p}-{t.label(j)}", hp - h))
-    for name, elt in elements:
-        for g in gens:
+    for name, elt in p_center_elements(t, GF(p)):
+        for g in range(t.dim):
             com = commutator_with_basis(t, g, elt)
             claims.append(
                 rep.check(

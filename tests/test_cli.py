@@ -300,6 +300,25 @@ class TestReports:
         assert code == 2
 
 
+class TestMaxDegree:
+    """--max-degree is checked once, by argparse, for every suite and command."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--algebra", "g2-nil", "--suites", "audit", "--max-degree", "0"),
+            ("verify", "--algebra", "g2-nil", "--suites", "jacobi", "--max-degree", "-3"),
+            ("invariants", "--algebra", "g2-nil", "--max-degree", "-3"),
+            ("invariants", "--algebra", "g2-nil", "--max-degree", "two"),
+        ],
+    )
+    def test_non_positive_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "--max-degree" in capsys.readouterr().err
+
+
 class TestInvariantsCommand:
     def test_g2_listing(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "--algebra", "g2-nil", "--char", "0")
