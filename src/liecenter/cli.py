@@ -3,8 +3,9 @@ deterministic report emission.
 
 Exit codes: 0 when every claim passes, 1 when any claim fails, 2 for
 configuration errors (unknown algebra, inadmissible characteristic, a suite
-that does not apply, malformed files), 3 for an internal error, reported as
-one ``internal error:`` line on stderr instead of a traceback.
+that does not apply, malformed files, an output path that cannot be
+written), 3 for an internal error, reported as one ``internal error:`` line
+on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -295,15 +296,22 @@ def _emit(report: rep.VerificationReport, fmt: str, out: Optional[str]) -> None:
         )
         text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"report written to {out}")
+        _write(out, text)
         if fmt == "summary":
             return
         # also echo the one-line outcome for scripted use
         print(f"failed claims: {report.summary()[rep.FAILED]}")
     else:
         sys.stdout.write(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path}: {exc}") from exc
+    print(f"report written to {path}")
 
 
 def cmd_invariants(args) -> int:
@@ -350,9 +358,7 @@ def cmd_report(args) -> int:
         raise ConfigError(f"cannot load report {args.inpath}: {exc}") from exc
     text = report.to_json() if args.format == "json" else report.to_markdown()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"report written to {args.out}")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0 if report.ok else 1

@@ -7,15 +7,18 @@ until every word is non-decreasing.  The rewriting terminates because each
 correction term has strictly smaller filtration degree; single-letter
 multiplications and symmetrized lifts are memoized on the table.
 
+Symmetrization averages a monomial over its letter orderings by a recursion
+over sub-multisets, each step one memoized letter product, instead of
+straightening every ordering.
+
 A reference rewriting engine with an injectable (randomizable) choice of
-redex backs the confluence property test; the fast path must agree with it.
+redex backs the confluence and symmetrization tests; the fast paths must
+agree with it.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Optional, Sequence, Union
 
 from . import report as rep
@@ -29,6 +32,7 @@ from .exactalg import (
     TermDict,
     add_into,
     mono_degree,
+    mono_div_var,
     mono_mul_var,
 )
 from .liealg import StructureTable, ad_power_identity
@@ -256,8 +260,11 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
     """The canonical lift: each degree-k monomial becomes the average of its
     k! letter orderings, straightened to normal form.
 
-    Distinct orderings are enumerated once with multiplicity prod(e_i!)/k!,
-    which requires k! to be invertible: characteristic 0 or p > deg f.
+    Grouping the orderings of a multiset M of degree k by their last letter
+    gives sym(M) = sum_a (mult_a(M)/k) sym(M - a) x_a with sym(empty) = 1,
+    one memoized letter product per term.  The averages are built level by
+    level over the sub-multisets of f's monomials, keeping only the previous
+    level.  Dividing by k <= deg f requires characteristic 0 or p > deg f.
     Each lift is computed once per table.
     """
     field = f.field
@@ -269,15 +276,26 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
     key = ("symmetrize", f)
     if key in t.memo:
         return t.memo[key]
+    top = max(f.total_degree(), 0)
+    levels: list = [set() for _ in range(top + 1)]
+    for mono in f.terms:
+        levels[mono_degree(mono)].add(mono)
+    for k in range(top, 0, -1):
+        for mono in levels[k]:
+            levels[k - 1].update(mono_div_var(mono, a) for a, _ in mono)
     total: dict = {}
-    for mono, coeff in f.terms.items():
-        word = word_of(mono)
-        stab = 1
-        for _, e in mono:
-            stab *= factorial(e)
-        factor = field.mul(coeff, field.coerce(Fraction(stab, factorial(len(word)))))
-        for perm in set(itertools.permutations(word)):
-            add_into(total, _mul_word(t, field, {MONO_ONE: factor}, perm).items(), field)
+    averages = {MONO_ONE: {MONO_ONE: field.one}}
+    for k in range(top + 1):
+        if k:
+            prev, averages = averages, {}
+            for mono in levels[k]:
+                acc = averages[mono] = {}
+                for a, e in mono:
+                    step = _mul_word(t, field, prev[mono_div_var(mono, a)], (a,))
+                    add_into(acc, step.items(), field, field.coerce(Fraction(e, k)))
+        for mono, coeff in f.terms.items():
+            if mono_degree(mono) == k:
+                add_into(total, averages[mono].items(), field, coeff)
     t.memo[key] = PBWElement(f.registry, field, total)
     return t.memo[key]
 

@@ -300,6 +300,32 @@ class TestReports:
         assert code == 2
 
 
+class TestUnwritableOutput:
+    """An --out path that cannot be written is a configuration error (exit 2,
+    one error line naming the path), not an internal one."""
+
+    @pytest.mark.parametrize("fmt", ["json", "summary"])
+    def test_verify(self, capsys, tmp_path, fmt):
+        out_path = tmp_path / "missing" / "report.json"
+        code, _, err = run_cli(
+            capsys, "verify", "--algebra", "g2-nil", "--suites", "jacobi",
+            "--format", fmt, "--out", str(out_path),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and str(out_path) in err
+        assert "internal error" not in err
+
+    def test_report(self, capsys, tmp_path):
+        in_path = tmp_path / "report.json"
+        run_cli(
+            capsys, "verify", "--algebra", "g2-nil", "--suites", "jacobi",
+            "--format", "json", "--out", str(in_path),
+        )
+        code, _, err = run_cli(capsys, "report", "--in", str(in_path), "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+
 class TestMaxDegree:
     """--max-degree is checked once, by argparse, for every suite and command."""
 

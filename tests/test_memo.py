@@ -12,9 +12,7 @@ from liecenter.exactalg import GF, QQ
 from liecenter.invariants import OracleCapExceeded, brute_force_invariant_space
 from liecenter.pbw import CharacteristicObstruction, symmetrize, z_lift_audit
 
-# algebra -> (new-table builder, admissible prime, highest oracle degree);
-# the lift checks leave out family elements above degree 4, which here is
-# F4 c4 alone (degree 6, seconds per lift at characteristic 0)
+# algebra -> (new-table builder, admissible prime, highest oracle degree)
 CASES = {
     "g2-nil": (lambda: liealg.nilradical_table(liealg.g2_borel()), 5, 3),
     "f4-nil": (lambda: liealg.nilradical_table(liealg.f4_borel()), 3, 3),
@@ -47,8 +45,6 @@ def test_symmetrize_memo_matches_fresh_table(name):
     for field in (QQ, GF(p)):
         for elt in sorted(warm_fam.elements(field)):
             f = warm_fam.element(elt, field)
-            if f.total_degree() > 4:
-                continue
             try:
                 first = symmetrize(warm, f)
             except CharacteristicObstruction:

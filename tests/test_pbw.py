@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
-from liecenter import invariants, pbw
-from liecenter.exactalg import GF, QQ, parse_polynomial
+from liecenter import invariants, liealg, pbw
+from liecenter.exactalg import GF, MONO_ONE, QQ, add_into, parse_polynomial
 from liecenter.pbw import (
     CharacteristicObstruction,
     PBWElement,
@@ -193,6 +194,49 @@ class TestSymmetrizeReference:
         for t, text in ((g2b, "x1*x2*x4*x5 + h1*x1^2*x4"), (f4n, "x1*x2*x3*x4*x5")):
             f = parse_polynomial(t.registry, field, text)
             assert symmetrize(t, f) == reference_symmetrize(t, f), text
+
+
+def orderings_symmetrize(t, f):
+    """Each distinct letter ordering of each monomial walked once through the
+    letter kernel, weighted by prod(e_i!)/k!: the k!/prod(e_i!) walks that
+    the sub-multiset recursion of ``symmetrize`` replaces."""
+    field = f.field
+    total = {}
+    for mono, coeff in f.terms.items():
+        word = word_of(mono)
+        stab = prod(factorial(e) for _, e in mono)
+        factor = field.mul(coeff, field.coerce(Fraction(stab, factorial(len(word)))))
+        for perm in set(itertools.permutations(word)):
+            add_into(total, pbw._mul_word(t, field, {MONO_ONE: factor}, perm).items(), field)
+    return PBWElement(f.registry, field, total)
+
+
+FAMILY_TABLES = {
+    "g2-borel": liealg.g2_borel,
+    "f4-borel": liealg.f4_borel,
+    **{f"c{n}-borel": (lambda n=n: liealg.cn_borel(n)[0]) for n in (3, 4, 5)},
+}
+
+
+class TestSymmetrizeOrderings:
+    """The sub-multiset recursion equals the distinct-orderings walk on every
+    catalog family element, over QQ and each admissible prime in {5, 7}
+    above the element's degree."""
+
+    @pytest.mark.parametrize("name", FAMILY_TABLES)
+    def test_family_elements(self, name):
+        t = FAMILY_TABLES[name]()
+        fam = invariants.build_family(t)
+        primes = [p for p in (5, 7) if invariants.inadmissible_reason(t, p) is None]
+        checked = 0
+        for field in [QQ] + [GF(p) for p in primes]:
+            for elt in sorted(fam.elements(field)):
+                f = fam.element(elt, field)
+                if field.characteristic and f.total_degree() >= field.characteristic:
+                    continue
+                assert symmetrize(t, f) == orderings_symmetrize(t, f), (elt, field)
+                checked += 1
+        assert checked > len(fam.central)
 
 
 class TestGrLeading:

@@ -1,13 +1,16 @@
 """Property tests: TermDict arithmetic of Polynomial and PBWElement against a
-plain-dict model over QQ and prime fields, and the polynomial text format."""
+plain-dict model over QQ and prime fields, the polynomial text format, and
+symmetrize against the rewriting reference."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from liecenter import liealg  # noqa: E402
 from liecenter.exactalg import (  # noqa: E402
     GF,
     QQ,
@@ -18,7 +21,13 @@ from liecenter.exactalg import (  # noqa: E402
     mono_mul,
     parse_polynomial,
 )
-from liecenter.pbw import PBWElement  # noqa: E402
+from liecenter.pbw import (  # noqa: E402
+    CharacteristicObstruction,
+    PBWElement,
+    mono_of_word,
+    symmetrize,
+)
+from test_pbw import reference_symmetrize  # noqa: E402
 
 REG = VarRegistry(["x1", "x2", "x3"])
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=["QQ", "GF5", "GF7"])
@@ -98,3 +107,49 @@ def test_format_parse_round_trip(field, items):
     text = format_polynomial(p)
     assert parse_polynomial(REG, field, text) == p
     assert format_polynomial(parse_polynomial(REG, field, text)) == text
+
+
+# symmetrize: random polynomials of degree <= 5 over two catalog tables, with
+# the zero polynomial, constants, repeated letters and mixed degrees
+TABLES = {"g2-borel": liealg.g2_borel, "c3-borel": lambda: liealg.cn_borel(3)[0]}
+TABLE_NAMES = pytest.mark.parametrize("name", sorted(TABLES))
+
+
+@cache
+def table(name):
+    return TABLES[name]()
+
+
+def table_words(name, min_size=0):
+    letters = st.integers(0, table(name).dim - 1)
+    return st.lists(letters, min_size=min_size, max_size=5).map(sorted).map(mono_of_word)
+
+
+def table_polynomials(name, field):
+    # denominators prime to 3 and 5, so each draw is defined over GF(3), GF(5)
+    scalars = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 4]))
+    terms = st.lists(st.tuples(table_words(name), scalars), max_size=4)
+    return terms.map(lambda items: Polynomial.from_terms(table(name).registry, field, items))
+
+
+@TABLE_NAMES
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@SETTINGS
+@given(data=st.data())
+def test_symmetrize_matches_rewriting_reference(name, field, data):
+    f = data.draw(table_polynomials(name, field))
+    t = table(name)
+    assert symmetrize(t, f) == reference_symmetrize(t, f)
+
+
+@TABLE_NAMES
+@pytest.mark.parametrize("p", [3, 5])
+@SETTINGS
+@given(data=st.data())
+def test_symmetrize_obstructed_at_small_characteristic(name, p, data):
+    field = GF(p)
+    top = Polynomial.from_terms(table(name).registry, field, [(data.draw(table_words(name, p)), 1)])
+    f = data.draw(table_polynomials(name, field)) + top
+    assume(f.total_degree() >= p)
+    with pytest.raises(CharacteristicObstruction):
+        symmetrize(table(name), f)
