@@ -36,7 +36,7 @@ from .invariants import (
     oracle_suite,
 )
 from .liealg import StructureTable, ad_power_identity
-from .linalg import rank_int, rows_to_integer
+from .linalg import rank
 from .pbw import (
     CharacteristicObstruction,
     PBWElement,
@@ -552,13 +552,7 @@ def theorem_generator_audit(
                 ok_all,
             )
         )
-    span_rows = []
-    for entry in t.brackets.values():
-        row = [Fraction(0)] * t.dim
-        for k, c in entry:
-            row[k] = c
-        span_rows.append(row)
-    derived_rank = rank_int(rows_to_integer(span_rows)) if span_rows else 0
+    derived_rank = rank((dict(entry) for entry in t.brackets.values()), QQ)
     claims.append(
         rep.check(
             f"{prefix}.derived-subalgebra",

@@ -11,6 +11,7 @@ on stderr instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -249,6 +250,8 @@ def cmd_verify(args) -> int:
             )
     else:
         names = [n for n in SUITE_ORDER if n in available]
+    if args.out:
+        _check_writable(args.out)
     try:
         suites = [rep.SuiteResult(n, available[n]()) for n in SUITE_ORDER if n in names]
     except OracleCapExceeded as exc:
@@ -303,6 +306,23 @@ def _emit(report: rep.VerificationReport, fmt: str, out: Optional[str]) -> None:
         print(f"failed claims: {report.summary()[rep.FAILED]}")
     else:
         sys.stdout.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Fail with the error ``_write`` would give, before any work is done,
+    when the report path is a directory or its directory is missing or not
+    writable."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    exc = OSError(code, os.strerror(code), path)
+    raise ConfigError(f"cannot write report {path}: {exc}")
 
 
 def _write(path: str, text: str) -> None:

@@ -11,7 +11,6 @@ into multidegree blocks derived from the structure table itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -25,7 +24,6 @@ from .exactalg import (
     VarRegistry,
     mono_div_var,
     mono_mul_var,
-    mono_sort_key,
     parse_polynomial,
     poly_det,
 )
@@ -630,9 +628,11 @@ def brute_force_invariant_space(
     This is the independent oracle: it never consults the invariant
     families, only the structure table.  Over the rationals each block is
     first rank-tested modulo a fixed large prime; full modular column rank
-    proves an empty kernel, and only the remaining blocks go through exact
-    fraction-free elimination.  Each space is solved once per table; the
-    cap is part of the memo key, so a smaller cap still raises.
+    proves an empty kernel, and only the remaining blocks are eliminated
+    exactly over Q.  Constraint rows are taken in the order they are built:
+    the pivot columns, and with them the basis, do not depend on it.  Each
+    space is solved once per table; the cap is part of the memo key, so a
+    smaller cap still raises.
     """
     t.check_characteristic(field.characteristic)
     gens = list(gens)
@@ -671,11 +671,11 @@ def brute_force_invariant_space(
                             row[cidx] = (row.get(cidx, 0) + e * cw) % char
                         else:
                             row[cidx] = row.get(cidx, 0) + e * cw
-        dense = []
-        for key in sorted(constraint_rows, key=lambda k: (k[0], mono_sort_key(k[1]))):
-            row = constraint_rows[key]
-            if any(row.values()):
-                dense.append([row.get(c, 0) for c in range(len(cols))])
+        dense = [
+            [row.get(c, 0) for c in range(len(cols))]
+            for row in constraint_rows.values()
+            if any(row.values())
+        ]
         total_entries += len(dense) * len(cols)
         if total_entries > max_entries:
             raise OracleCapExceeded(
@@ -683,16 +683,12 @@ def brute_force_invariant_space(
             )
         if not dense:
             null = [[1 if c == k else 0 for c in range(len(cols))] for k in range(len(cols))]
+        elif linalg.saturates_mod(dense, len(cols), char or linalg.FILTER_PRIME):
+            null = []
         elif char:
-            if linalg.saturates_mod(dense, len(cols), char):
-                null = []
-            else:
-                null = linalg.nullspace_mod(dense, len(cols), char)
+            null = linalg.nullspace_mod(dense, len(cols), char)
         else:
-            if linalg.saturates_mod(dense, len(cols), linalg.FILTER_PRIME):
-                null = []
-            else:
-                null = linalg.nullspace_int(dense, len(cols))
+            null = linalg.nullspace_int(dense, len(cols))
         for vec in null:
             basis.append(
                 Polynomial.from_terms(
@@ -735,24 +731,6 @@ def degree_d_products(
     return out
 
 
-def _vectorize(polys: Sequence[Polynomial], char: int) -> tuple[list, int]:
-    cols: dict[Monomial, int] = {}
-    for p in polys:
-        for m in p.terms:
-            if m not in cols:
-                cols[m] = len(cols)
-    rows = []
-    for p in polys:
-        if char:
-            row = [0] * len(cols)
-        else:
-            row = [Fraction(0)] * len(cols)
-        for m, c in p.terms.items():
-            row[cols[m]] = c
-        rows.append(row)
-    return rows, len(cols)
-
-
 def compare_with_generated(
     t: StructureTable,
     oracle_basis: Sequence[Polynomial],
@@ -762,28 +740,12 @@ def compare_with_generated(
 ) -> dict:
     """Exact mutual-containment comparison: the span of degree-d generator
     products against the oracle's invariant space."""
-    char = field.characteristic
     products = [p for _, p in degree_d_products(generators, degree) if not p.is_zero]
-    all_polys = list(oracle_basis) + products
-    if not all_polys:
-        return {
-            "degree": degree,
-            "oracle_dim": 0,
-            "generated_dim": 0,
-            "union_dim": 0,
-            "equal": True,
-        }
-    rows, _ = _vectorize(all_polys, char)
-    n_oracle = len(oracle_basis)
-    oracle_rows = rows[:n_oracle]
-    generated_rows = rows[n_oracle:]
-    if char:
-        rank = lambda rs: linalg.rank_mod(rs, char) if rs else 0
-    else:
-        rank = lambda rs: linalg.rank_int(linalg.rows_to_integer(rs)) if rs else 0
-    r_oracle = rank(oracle_rows)
-    r_generated = rank(generated_rows)
-    r_union = rank(oracle_rows + generated_rows)
+    oracle_rows = [p.terms for p in oracle_basis]
+    generated_rows = [p.terms for p in products]
+    r_oracle = linalg.rank(oracle_rows, field)
+    r_generated = linalg.rank(generated_rows, field)
+    r_union = linalg.rank(oracle_rows + generated_rows, field)
     return {
         "degree": degree,
         "oracle_dim": r_oracle,

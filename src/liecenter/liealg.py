@@ -7,8 +7,8 @@ on demand.  The catalog provides the Borel subalgebras of G2 (dimension 8),
 F4 (dimension 28) and Cn (dimension n^2+n, generated programmatically from a
 2n x 2n matrix realization), plus their nilradicals.
 
-Every shipped table passes :func:`jacobi_check`; builders validate by
-default and accept an optional corrections overlay that replaces individual
+Every shipped table passes :func:`jacobi_check`; the catalog builders always
+validate and accept an optional corrections overlay that replaces individual
 printed entries while retaining the original for audit.
 """
 
@@ -19,10 +19,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import _f4_data
 from .exactalg import (
+    GF,
     QQ,
     Field,
     Polynomial,
@@ -212,76 +213,8 @@ def check_nilradical_ideal(t: StructureTable) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Adjoint matrices
+# Restricted structure: ad-power identities
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdjointMatrix:
-    """Matrix of ad(basis_index) on the basis span; column j holds the
-    coordinates of [x, basis_j]."""
-
-    algebra: str
-    index: int
-    entries: tuple  # entries[r][c]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
-def ad_matrix(t: StructureTable, i: Union[int, str], field: Field = QQ, indices: Optional[Sequence[int]] = None) -> AdjointMatrix:
-    """ad(basis_i) on the span of ``indices`` (default: the full basis)."""
-    i = t.registry.resolve(i)
-    idx = list(range(t.dim)) if indices is None else list(indices)
-    pos = {k: r for r, k in enumerate(idx)}
-    zero = field.zero
-    cols = []
-    for j in idx:
-        col = [zero] * len(idx)
-        for k, c in t.bracket_coords(i, j).items():
-            if k in pos:
-                col[pos[k]] = field.coerce(c)
-            elif c:
-                raise ValueError(
-                    f"[{t.label(i)},{t.label(j)}] leaves the requested span"
-                )
-        cols.append(col)
-    entries = tuple(
-        tuple(cols[c][r] for c in range(len(idx))) for r in range(len(idx))
-    )
-    return AdjointMatrix(t.name, i, entries)
-
-
-def mat_mul(a, b, field: Field):
-    bt = list(zip(*b))
-    zero = field.zero
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = zero
-            for x, y in zip(row, col):
-                if x != zero and y != zero:
-                    acc = field.add(acc, field.mul(x, y))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def mat_pow(a, k: int, field: Field):
-    n = len(a)
-    result = tuple(
-        tuple(field.one if r == c else field.zero for c in range(n)) for r in range(n)
-    )
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base, field)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base, field)
-    return result
 
 
 @dataclass
@@ -295,19 +228,21 @@ class AdPowerResult:
 
 def ad_power_identity(t: StructureTable, i: Union[int, str], p: int) -> AdPowerResult:
     """Verify (ad x)^p = 0 for nilradical elements and (ad h)^p = ad h for
-    Cartan elements, as exact matrix identities over F_p."""
-    from .exactalg import GF
-
+    Cartan elements over F_p, applying ad x p times to every basis element."""
     t.check_characteristic(p)
     i = t.registry.resolve(i)
     fp = GF(p)
-    m = ad_matrix(t, i, fp).entries
-    power = mat_pow(m, p, fp)
-    if i in t.cartan:
-        kind, ok = "cartan", power == m
-    else:
-        zero = tuple(tuple(fp.zero for _ in row) for row in m)
-        kind, ok = "nilpotent", power == zero
+    row = t.bracket_row(i, p)
+    kind = "cartan" if i in t.cartan else "nilpotent"
+    ok = True
+    for j in range(t.dim):
+        vec = {j: 1}
+        for _ in range(p):
+            out: dict = {}
+            for k, c in vec.items():
+                add_into(out, row.get(k, ()), fp, c)
+            vec = out
+        ok = ok and vec == (dict(row.get(j, ())) if kind == "cartan" else {})
     return AdPowerResult(t.name, t.label(i), kind, p, ok)
 
 
@@ -354,7 +289,6 @@ def _build_table(
     raw: dict[tuple[str, str], str],
     excluded_primes: Iterable[int],
     corrections: Sequence[dict] = (),
-    validate: bool = True,
 ) -> StructureTable:
     registry = VarRegistry(labels)
     raw, applied = _apply_corrections(registry, raw, corrections)
@@ -364,9 +298,7 @@ def _build_table(
         if i >= j:
             raise TableDataError(f"bracket key ({lhs},{rhs}) not in increasing order")
         brackets[(i, j)] = _parse_lincomb(registry, text)
-    return _assemble_table(
-        name, registry, cartan_labels, brackets, excluded_primes, applied, validate
-    )
+    return _assemble_table(name, registry, cartan_labels, brackets, excluded_primes, applied)
 
 
 def _assemble_table(
@@ -425,12 +357,12 @@ _G2_BRACKETS = {
 }
 
 
-def g2_borel(corrections: Sequence[dict] = (), validate: bool = True) -> StructureTable:
+def g2_borel(corrections: Sequence[dict] = ()) -> StructureTable:
     """The 8-dimensional Borel subalgebra of type G2 (h1, h2, x1..x6)."""
-    if not corrections and validate:
+    if not corrections:
         return _g2_borel_cached()
     return _build_table(
-        "g2-borel", _G2_LABELS, ("h1", "h2"), _G2_BRACKETS, (2, 3), corrections, validate
+        "g2-borel", _G2_LABELS, ("h1", "h2"), _G2_BRACKETS, (2, 3), corrections
     )
 
 
@@ -485,13 +417,13 @@ def _f4_raw_brackets() -> dict[tuple[str, str], str]:
     return raw
 
 
-def f4_borel(corrections: Sequence[dict] = (), validate: bool = True) -> StructureTable:
+def f4_borel(corrections: Sequence[dict] = ()) -> StructureTable:
     """The 28-dimensional Borel subalgebra of type F4 (h1..h4, x1..x24)."""
-    if not corrections and validate:
+    if not corrections:
         return _f4_borel_cached()
     labels = _f4_data.F4_HS + _f4_data.F4_XS
     return _build_table(
-        "f4-borel", labels, _f4_data.F4_HS, _f4_raw_brackets(), (2,), corrections, validate
+        "f4-borel", labels, _f4_data.F4_HS, _f4_raw_brackets(), (2,), corrections
     )
 
 
@@ -585,7 +517,7 @@ def _cn_defining_position(n: int, label: str) -> tuple[int, int]:
     return (i - 1, n + j - 1)  # c-type
 
 
-def cn_borel(n: int, validate: bool = True) -> tuple[StructureTable, MatrixRealization]:
+def cn_borel(n: int) -> tuple[StructureTable, MatrixRealization]:
     """Borel subalgebra of type Cn: structure constants are computed from
     matrix commutators of the realization and expressed in the basis.
 
@@ -617,9 +549,7 @@ def cn_borel(n: int, validate: bool = True) -> tuple[StructureTable, MatrixReali
                 brackets[(i, j)] = tuple(
                     sorted((registry.index(lab), Fraction(c)) for lab, c in coords.items())
                 )
-    table = _assemble_table(
-        f"c{n}-borel", registry, cartan_labels, brackets, (2,), validate=validate
-    )
+    table = _assemble_table(f"c{n}-borel", registry, cartan_labels, brackets, (2,))
     return table, real
 
 

@@ -1,29 +1,61 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact sparse linear algebra over the rationals and prime fields.
 
-Used by the brute-force invariant solver and the span-comparison checks.
-Rational kernels are computed fraction-free: rows are scaled to integers and
-eliminated Bareiss-style, so intermediate entries stay integral; only the
-final back-substitution uses ``Fraction``, and the resulting basis vectors
-are rescaled to primitive integer vectors with positive leading entry.
+Used by the brute-force invariant solver, the span comparisons and the
+derived-subalgebra audit.  Every rank, saturation test and null space comes
+from one elimination, :func:`echelon`, on rows that map columns to
+coefficients.  Its pivot columns are the reduced-row-echelon pivots of the
+row space, whatever the order of the rows, so the canonical null-space basis
+(one vector per free column) does not depend on that order either.  Rational
+basis vectors are rescaled to primitive integer vectors with positive
+leading entry.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from itertools import compress
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Mapping, Optional, Sequence
+
+from .exactalg import GF, QQ, Field, add_into
 
 
-def rows_to_integer(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each rational row by the lcm of its denominators."""
-    out = []
+def echelon(rows: Iterable[Mapping], field: Field, ncols: Optional[int] = None) -> dict:
+    """Row echelon form of ``rows`` over ``field``, as a map from each pivot
+    column to its pivot row: a ``{column: coefficient}`` dict holding 1 at
+    the pivot and nonzero entries only at larger columns.
+
+    Each row is reduced against the pivots found so far in increasing
+    column order; if anything is left, its lowest column becomes a new pivot.
+    Columns may be any mutually comparable keys.  The elimination stops as
+    soon as ``ncols`` pivots are found.
+    """
+    pivots: dict = {}
+    order: list = []  # the pivot columns, increasing
     for row in rows:
-        scale = 1
-        for x in row:
-            d = Fraction(x).denominator
-            scale = scale * d // gcd(scale, d)
-        out.append([int(Fraction(x) * scale) for x in row])
-    return out
+        r = add_into({}, ((c, field.coerce(x)) for c, x in row.items()), field)
+        for pc in order:
+            x = r.get(pc)
+            if x is not None:
+                add_into(r, pivots[pc].items(), field, field.neg(x))
+        if r:
+            pc = min(r)
+            inv = field.div(field.one, r[pc])
+            pivots[pc] = {c: field.mul(x, inv) for c, x in r.items()}
+            insort(order, pc)
+            if len(order) == ncols:
+                break
+    return pivots
+
+
+def rank(rows: Iterable[Mapping], field: Field) -> int:
+    """Rank over ``field`` of rows that map columns to coefficients."""
+    return len(echelon(rows, field))
+
+
+def _sparse(rows: Sequence[Sequence]) -> list[dict]:
+    return [dict(compress(enumerate(row), row)) for row in rows]
 
 
 def _primitive(vec: list[Fraction]) -> list[int]:
@@ -44,150 +76,51 @@ def _primitive(vec: list[Fraction]) -> list[int]:
     return ints
 
 
-def echelon_bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
-
-    Returns the echelon rows (zero rows dropped) and the pivot column of each.
-    Entries stay integral throughout (Bareiss one-step elimination).
-    """
-    mat = [list(row) for row in rows if any(row)]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def _nullspace(rows: Sequence[Sequence], ncols: int, field: Field) -> list[list]:
+    """One basis vector per free column, in column order: 1 at its own free
+    column, 0 at the others, and the pivot entries by back-substitution."""
+    pivots = echelon(_sparse(rows), field)
+    descending = sorted(pivots, reverse=True)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, len(mat)):
-            head = mat[i][c]
-            row_i = mat[i]
-            row_r = mat[r]
-            for j in range(c, ncols):
-                row_i[j] = (piv * row_i[j] - head * row_r[j]) // prev
-        mat = mat[: r + 1] + [row for row in mat[r + 1 :] if any(row)]
-        pivots.append(c)
-        prev = piv
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    ech, _ = echelon_bareiss([list(r) for r in rows])
-    return len(ech)
+        vec = {fc: field.one}
+        # a pivot row has entries only from its pivot on, so pivots after fc
+        # stay 0 and each earlier one sees every later column already solved
+        for pc in descending:
+            if pc > fc:
+                continue
+            s = field.zero
+            for c, x in pivots[pc].items():
+                y = vec.get(c)
+                if y is not None and c != pc:
+                    s = field.add(s, field.mul(x, y))
+            if s:
+                vec[pc] = field.neg(s)
+        basis.append([vec.get(c, field.zero) for c in range(ncols)])
+    return basis
 
 
 def nullspace_int(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Basis of the rational null space of an integer matrix.
+    """Basis of the rational null space of an integer matrix: one primitive
+    integer vector per free column, in column order."""
+    return [_primitive(vec) for vec in _nullspace(rows, ncols, QQ)]
 
-    One primitive integer vector per free column, in column order; each basis
-    vector has entry 1 (before rescaling) at its own free column and zeros at
-    the other free columns, so the basis is canonical.
-    """
-    ech, pivots = echelon_bareiss([list(r) for r in rows])
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            row = ech[i]
-            s = sum((Fraction(row[j]) * vec[j] for j in range(pc + 1, ncols)), Fraction(0))
-            vec[pc] = -s / row[pc]
-        basis.append(_primitive(vec))
-    return basis
+
+def nullspace_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
+    """Basis of the null space of an integer matrix over GF(p): one vector
+    per free column, in column order."""
+    return _nullspace(rows, ncols, GF(p))
 
 
 # A fixed large prime for the rank pre-filter: full column rank modulo any
 # prime proves full rank over Q (rank can only drop under reduction), so the
-# expensive exact elimination runs only on systems with a modular kernel.
+# exact elimination runs only on systems with a modular kernel.
 FILTER_PRIME = 2147483629
 
 
-def saturates_mod(rows, ncols: int, p: int) -> bool:
-    """True if the rows reach full column rank mod p; exits early once
-    saturated, so large full-rank systems cost little."""
-    echelon: dict[int, list[int]] = {}
-    for row in rows:
-        r = [x % p for x in row]
-        for pc in sorted(echelon):
-            head = r[pc]
-            if head:
-                erow = echelon[pc]
-                r = [(a - head * b) % p for a, b in zip(r, erow)]
-        pc = next((i for i, x in enumerate(r) if x), None)
-        if pc is None:
-            continue
-        inv = pow(r[pc], p - 2, p)
-        echelon[pc] = [x * inv % p for x in r]
-        if len(echelon) == ncols:
-            return True
-    return False
-
-
-# -- prime-field versions ---------------------------------------------------
-
-
-def echelon_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    mat = [[x % p for x in row] for row in rows]
-    mat = [row for row in mat if any(row)]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] % p != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                head = mat[i][c]
-                mat[i] = [(x - head * y) % p for x, y in zip(mat[i], mat[r])]
-        mat = [row for row in mat if any(row)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    ech, _ = echelon_mod(rows, p)
-    return len(ech)
-
-
-def nullspace_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
-    ech, pivots = echelon_mod(rows, p)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            row = ech[i]
-            s = sum(row[j] * vec[j] for j in range(pc + 1, ncols)) % p
-            vec[pc] = -s % p
-        basis.append(vec)
-    return basis
+def saturates_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> bool:
+    """True if the rows reach full column rank mod p; the elimination stops
+    at saturation, so large full-rank systems cost little."""
+    return len(echelon(_sparse(rows), GF(p), ncols)) == ncols

@@ -315,6 +315,24 @@ class TestUnwritableOutput:
         assert err.startswith("error: ") and str(out_path) in err
         assert "internal error" not in err
 
+    def test_verify_fails_before_any_suite_runs(self, capsys, tmp_path, monkeypatch):
+        # a suite that runs would crash with exit 3; the path is checked first
+        liealg.g2_borel()  # the cached table is built, and validated, before the patch
+
+        def crash(t):
+            raise RuntimeError("the jacobi suite ran")
+
+        monkeypatch.setattr(liealg, "jacobi_check", crash)
+        missing = tmp_path / "missing" / "report.json"
+        for out_path, reason in ((missing, "[Errno 2] No such file or directory"),
+                                 (tmp_path, "[Errno 21] Is a directory")):
+            code, out, err = run_cli(
+                capsys, "verify", "--algebra", "g2-nil", "--suites", "jacobi",
+                "--format", "json", "--out", str(out_path),
+            )
+            assert code == 2 and out == ""
+            assert err == f"error: cannot write report {out_path}: {reason}: '{out_path}'\n"
+
     def test_report(self, capsys, tmp_path):
         in_path = tmp_path / "report.json"
         run_cli(

@@ -4,10 +4,77 @@ import pytest
 
 from liecenter import liealg
 from liecenter._f4_data import F4_CARTAN_MATRIX, F4_ROOTS
-from liecenter.exactalg import QQ, parse_polynomial
-from liecenter.liealg import TableDataError, ad_matrix, ad_power_identity, jacobi_check, mat_pow
+from liecenter.exactalg import GF, QQ, parse_polynomial
+from liecenter.liealg import AdPowerResult, TableDataError, ad_power_identity, jacobi_check
 
 from conftest import abelian_table
+
+
+# -- dense reference for the ad-power identities -------------------------------
+
+
+def ad_matrix(t, i, field=QQ):
+    """Matrix of ad(basis_i) on the full basis: column j holds the
+    coordinates of [x_i, x_j]."""
+    i = t.registry.resolve(i)
+    cols = []
+    for j in range(t.dim):
+        col = [field.zero] * t.dim
+        for k, c in t.bracket_coords(i, j).items():
+            col[k] = field.coerce(c)
+        cols.append(col)
+    return tuple(tuple(cols[c][r] for c in range(t.dim)) for r in range(t.dim))
+
+
+def mat_mul(a, b, field):
+    bt = list(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in bt:
+            acc = field.zero
+            for x, y in zip(row, col):
+                acc = field.add(acc, field.mul(x, y))
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def mat_pow(a, k, field):
+    n = len(a)
+    result = tuple(
+        tuple(field.one if r == c else field.zero for c in range(n)) for r in range(n)
+    )
+    base = a
+    while k:
+        if k & 1:
+            result = mat_mul(result, base, field)
+        k >>= 1
+        if k:
+            base = mat_mul(base, base, field)
+    return result
+
+
+def dense_ad_power_identity(t, i, p):
+    """(ad x)^p = 0 or (ad h)^p = ad h as an identity of dense matrices."""
+    t.check_characteristic(p)
+    i = t.registry.resolve(i)
+    fp = GF(p)
+    m = ad_matrix(t, i, fp)
+    power = mat_pow(m, p, fp)
+    if i in t.cartan:
+        kind, ok = "cartan", power == m
+    else:
+        kind, ok = "nilpotent", all(x == 0 for row in power for x in row)
+    return AdPowerResult(t.name, t.label(i), kind, p, ok)
+
+
+def catalog_borel(name):
+    if name == "g2-borel":
+        return liealg.g2_borel()
+    if name == "f4-borel":
+        return liealg.f4_borel()
+    return liealg.cn_borel(int(name[1]))[0]
 
 
 class TestCatalogDimensions:
@@ -89,19 +156,19 @@ class TestBrackets:
 class TestAdjoint:
     def test_ad_h1_diagonal(self, g2b):
         m = ad_matrix(g2b, "h1")
-        diag = [m.entries[i][i] for i in range(8)]
+        diag = [m[i][i] for i in range(8)]
         assert diag == [0, 0, -1, 1, 0, 2, -1, 1]
-        off = [m.entries[i][j] for i in range(8) for j in range(8) if i != j]
+        off = [m[i][j] for i in range(8) for j in range(8) if i != j]
         assert all(x == 0 for x in off)
 
     def test_ad_self_column_zero(self, g2b):
         i = g2b.registry.index("x1")
         m = ad_matrix(g2b, "x1")
-        assert all(m.entries[r][i] == 0 for r in range(8))
+        assert all(m[r][i] == 0 for r in range(8))
 
     def test_ad_x1_nilpotency_degree_four(self, g2n):
         # the chain x4 -> x2 -> 2 x3 -> 6 x5 -> 0 makes (ad x1)^3 nonzero
-        m = ad_matrix(g2n, "x1").entries
+        m = ad_matrix(g2n, "x1")
         cube = mat_pow(m, 3, QQ)
         x4 = g2n.registry.index("x4")
         x5 = g2n.registry.index("x5")
@@ -120,6 +187,30 @@ class TestAdjoint:
     def test_excluded_prime_rejected(self, g2b):
         with pytest.raises(ValueError):
             ad_power_identity(g2b, "x1", 3)
+
+    @pytest.mark.parametrize("name", ["g2-borel", "f4-borel", "c2-borel", "c3-borel", "c4-borel"])
+    def test_matches_dense_reference(self, name):
+        t = catalog_borel(name)
+        for p in (3, 5, 7):
+            if not t.admissible_characteristic(p):
+                continue
+            for i in range(t.dim):
+                assert ad_power_identity(t, i, p) == dense_ad_power_identity(t, i, p)
+
+    @pytest.mark.parametrize(
+        "lhs,rhs,value",
+        [
+            # x2 becomes an eigenvector of ad x1 with eigenvalue 1
+            ("x1", "x2", "x2"),
+            # ad h1 gets the Jordan block x1 -> x1 + x2 -> x2, whose p-th power is 1
+            ("h1", "x1", "x1 + x2"),
+        ],
+    )
+    def test_mutated_bracket_fails(self, g2b, lhs, rhs, value):
+        t = liealg.with_bracket(g2b, lhs, rhs, value)
+        assert not ad_power_identity(t, lhs, 5).ok
+        for i in range(t.dim):
+            assert ad_power_identity(t, i, 5) == dense_ad_power_identity(t, i, 5)
 
 
 class TestCnRealization:
