@@ -130,7 +130,7 @@ def resolve_algebra(args) -> tuple[StructureTable, Optional[str]]:
                 raise ConfigError("corrections overlays apply to the g2/f4 tables only")
             if args.n is None or args.n < 1:
                 raise ConfigError("cn algebras need --n >= 1")
-            t, _ = liealg.cn_borel(args.n)
+            t = liealg.cn_borel(args.n)
             return (t if selector.endswith("borel") else liealg.nilradical_table(t)), sha
         if os.path.exists(selector):
             if corrections:

@@ -446,10 +446,6 @@ class Polynomial(TermDict):
             return other
         return Polynomial.constant(self.registry, self.field, other)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {mono_degree(m) for m in self.terms}
-        return len(degrees) <= 1
-
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")

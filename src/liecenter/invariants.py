@@ -71,12 +71,6 @@ class InvariantFamily:
     def element(self, name: str, field: Field = QQ) -> Polynomial:
         return self.elements(field)[name]
 
-    def names(self) -> list[str]:
-        return sorted(self.elements(QQ))
-
-    def degree(self, name: str) -> int:
-        return self.element(name).total_degree()
-
 
 # -- G2 ----------------------------------------------------------------------
 
@@ -356,7 +350,7 @@ def cn_invariants(t: StructureTable) -> InvariantFamily:
         weight_expectations=weight_expectations,
         nonzero_pairings=tuple((f"c{i}", f"h{i}") for i in range(1, n + 1)),
         notes=(f"entry-scaling convention: {chosen}",),
-        extras={"matrix": chosen_matrix, "convention_verdicts": verdicts, "n": n},
+        extras={"matrix": chosen_matrix, "convention_verdicts": verdicts},
     )
 
 

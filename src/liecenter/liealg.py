@@ -5,7 +5,9 @@ as linear combinations of basis elements with rational coefficients; the
 table is characteristic-free and coefficients are reduced into a prime field
 on demand.  The catalog provides the Borel subalgebras of G2 (dimension 8),
 F4 (dimension 28) and Cn (dimension n^2+n, generated programmatically from a
-2n x 2n matrix realization), plus their nilradicals.
+2n x 2n matrix realization), plus their nilradicals.  The Cn brackets are
+sparse matrix commutators by the rule E_ij E_kl = delta_jk E_il; each is
+checked to lie in the basis span before it is stored.
 
 Every shipped table passes :func:`jacobi_check`; the catalog builders always
 validate and accept an optional corrections overlay that replaces individual
@@ -437,39 +439,6 @@ def _f4_borel_cached() -> StructureTable:
 # Cn catalog: generated from the 2n x 2n matrix realization
 # ---------------------------------------------------------------------------
 
-Matrix = tuple  # tuple of row tuples with int entries
-
-
-@dataclass(frozen=True)
-class MatrixRealization:
-    """Basis labels realized as 2n x 2n matrices."""
-
-    n: int
-    matrices: dict  # label -> Matrix
-
-    @property
-    def size(self) -> int:
-        return 2 * self.n
-
-
-def _unit_matrix(size: int, entries: dict[tuple[int, int], int]) -> Matrix:
-    return tuple(
-        tuple(entries.get((r, c), 0) for c in range(size)) for r in range(size)
-    )
-
-
-def _mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    def prod(x, y):
-        return tuple(
-            tuple(sum(x[r][k] * y[k][c] for k in range(size)) for c in range(size))
-            for r in range(size)
-        )
-    ab, ba = prod(a, b), prod(b, a)
-    return tuple(
-        tuple(ab[r][c] - ba[r][c] for c in range(size)) for r in range(size)
-    )
-
 
 def cn_basis_labels(n: int) -> tuple[list[str], list[str]]:
     """Cartan labels (h1..hn) and nilradical labels in realization order:
@@ -482,79 +451,58 @@ def cn_basis_labels(n: int) -> tuple[list[str], list[str]]:
     return cartan, nil
 
 
-def cn_realization(n: int) -> MatrixRealization:
+def cn_realization(n: int) -> dict[str, dict[tuple[int, int], int]]:
+    """Each basis label as a sparse 2n x 2n matrix {(row, col): entry}.
+
+    The first key is the label's defining position: its entry is 1, no other
+    basis matrix is nonzero there, so it reads off the label's coefficient."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    size = 2 * n
-    mats: dict[str, Matrix] = {}
-    for i in range(1, n + 1):
-        mats[f"h{i}"] = _unit_matrix(size, {(i - 1, i - 1): 1, (n + i - 1, n + i - 1): -1})
-        mats[f"b{i}"] = _unit_matrix(size, {(i - 1, n + i - 1): 1})
-        for j in range(i + 1, n + 1):
-            mats[f"a{i}_{j}"] = _unit_matrix(
-                size, {(i - 1, j - 1): 1, (n + j - 1, n + i - 1): -1}
-            )
-            mats[f"c{i}_{j}"] = _unit_matrix(
-                size, {(i - 1, n + j - 1): 1, (j - 1, n + i - 1): 1}
-            )
-    return MatrixRealization(n, mats)
+    mats = {}
+    for i in range(n):
+        mats[f"h{i + 1}"] = {(i, i): 1, (n + i, n + i): -1}
+        mats[f"b{i + 1}"] = {(i, n + i): 1}
+        for j in range(i + 1, n):
+            mats[f"a{i + 1}_{j + 1}"] = {(i, j): 1, (n + j, n + i): -1}
+            mats[f"c{i + 1}_{j + 1}"] = {(i, n + j): 1, (j, n + i): 1}
+    return mats
 
 
-def _cn_defining_position(n: int, label: str) -> tuple[int, int]:
-    """The matrix position whose entry equals the coefficient of this basis
-    element; positions are pairwise distinct across the basis."""
-    kind = label[0]
-    body = label[1:]
-    if kind == "h":
-        i = int(body)
-        return (i - 1, i - 1)
-    if kind == "b":
-        i = int(body)
-        return (i - 1, n + i - 1)
-    i, j = (int(s) for s in body.split("_"))
-    if kind == "a":
-        return (i - 1, j - 1)
-    return (i - 1, n + j - 1)  # c-type
+def _sparse_commutator(a: dict, b: dict) -> dict:
+    """ab - ba of sparse matrices, by E_ij E_kl = delta_jk E_il."""
+    terms = [((i, l), x * y) for (i, j), x in a.items() for (k, l), y in b.items() if j == k]
+    terms += [((k, j), -x * y) for (i, j), x in a.items() for (k, l), y in b.items() if l == i]
+    return add_into({}, terms, QQ)
 
 
-def cn_borel(n: int) -> tuple[StructureTable, MatrixRealization]:
-    """Borel subalgebra of type Cn: structure constants are computed from
-    matrix commutators of the realization and expressed in the basis.
+def cn_borel(n: int) -> StructureTable:
+    """Borel subalgebra of type Cn: each bracket is the sparse commutator of
+    the realization matrices, with coordinates read off the defining
+    positions.
 
-    Raises :class:`TableDataError` if a commutator falls outside the span.
+    Raises :class:`TableDataError` unless those coordinates rebuild the
+    commutator exactly, i.e. unless it lies in the basis span.
     """
     real = cn_realization(n)
     cartan_labels, nil_labels = cn_basis_labels(n)
     labels = cartan_labels + nil_labels
-    registry = VarRegistry(labels)
-    positions = {lab: _cn_defining_position(n, lab) for lab in labels}
-    size = 2 * n
-
-    def to_coords(mat: Matrix, what: str) -> dict[str, int]:
-        coords = {lab: mat[r][c] for lab, (r, c) in positions.items() if mat[r][c]}
-        # verify the decomposition reproduces the commutator exactly
-        for r in range(size):
-            for c in range(size):
-                acc = sum(coef * real.matrices[lab][r][c] for lab, coef in coords.items())
-                if acc != mat[r][c]:
-                    raise TableDataError(f"commutator {what} is not in the basis span")
-        return coords
-
+    mats = [real[lab] for lab in labels]
+    index = {next(iter(m)): k for k, m in enumerate(mats)}
     brackets = {}
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            comm = _mat_commutator(real.matrices[labels[i]], real.matrices[labels[j]])
-            coords = to_coords(comm, f"[{labels[i]},{labels[j]}]")
-            if coords:
-                brackets[(i, j)] = tuple(
-                    sorted((registry.index(lab), Fraction(c)) for lab, c in coords.items())
-                )
-    table = _assemble_table(f"c{n}-borel", registry, cartan_labels, brackets, (2,))
-    return table, real
+    for i, j in combinations(range(len(labels)), 2):
+        comm = _sparse_commutator(mats[i], mats[j])
+        coords = {index[pos]: Fraction(c) for pos, c in comm.items() if pos in index}
+        rebuilt: dict = {}
+        for k, c in coords.items():
+            add_into(rebuilt, mats[k].items(), QQ, c)
+        if rebuilt != comm:
+            raise TableDataError(f"commutator [{labels[i]},{labels[j]}] is not in the basis span")
+        brackets[(i, j)] = tuple(sorted(coords.items()))
+    return _assemble_table(f"c{n}-borel", VarRegistry(labels), cartan_labels, brackets, (2,))
 
 
 # ---------------------------------------------------------------------------
-# Derived tables and mutation support
+# Derived tables
 # ---------------------------------------------------------------------------
 
 
@@ -575,39 +523,6 @@ def nilradical_table(t: StructureTable) -> StructureTable:
     return StructureTable(
         name, registry, brackets, (), range(len(nil)), t.excluded_primes, t.corrections
     )
-
-
-def with_bracket(t: StructureTable, lhs: str, rhs: str, value: str) -> StructureTable:
-    """A copy of the table with one bracket replaced (no validation).
-
-    Used by the mutation harness to show that corrupted tables are caught.
-    """
-    i, j = t.registry.index(lhs), t.registry.index(rhs)
-    if i > j:
-        raise ValueError("pass the bracket key in basis order")
-    brackets = dict(t.brackets)
-    entry = _parse_lincomb(t.registry, value)
-    if entry:
-        brackets[(i, j)] = entry
-    else:
-        brackets.pop((i, j), None)
-    return StructureTable(
-        t.name + "+mutated",
-        t.registry,
-        brackets,
-        t.cartan,
-        t.nilradical,
-        t.excluded_primes,
-        t.corrections,
-    )
-
-
-def nonzero_bracket_items(t: StructureTable) -> list[tuple[str, str, str]]:
-    """All stored nonzero brackets as (lhs, rhs, value-text) triples."""
-    out = []
-    for (i, j), entry in sorted(t.brackets.items()):
-        out.append((t.label(i), t.label(j), str(lincomb_to_poly(t, dict(entry)))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +590,6 @@ def table_from_dict(data: dict, validate: bool = True) -> StructureTable:
     return _assemble_table(
         data["name"], registry, cartan, brackets, tuple(primes), validate=validate
     )
-
-
-def save_table(t: StructureTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_dict(t), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_table(path: str, validate: bool = True) -> StructureTable:

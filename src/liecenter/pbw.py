@@ -49,10 +49,6 @@ class PBWElement(TermDict):
     __slots__ = ()
 
     @classmethod
-    def unit(cls, registry, field: Field) -> "PBWElement":
-        return cls(registry, field, {MONO_ONE: field.one})
-
-    @classmethod
     def monomial(cls, registry, field: Field, mono: Monomial, coeff=None) -> "PBWElement":
         c = field.one if coeff is None else field.coerce(coeff)
         return cls(registry, field, {mono: c} if c != field.zero else {})

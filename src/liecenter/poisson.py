@@ -126,26 +126,6 @@ def weight_of(t: StructureTable, f: Polynomial) -> tuple[Optional[tuple], Option
     return tuple(weights), None
 
 
-def monomial_weight(t: StructureTable, mono, field: Field = QQ) -> Optional[tuple]:
-    """Weight of a single monomial, when every Cartan generator acts
-    diagonally on the variables (true for all catalog tables)."""
-    weights = []
-    for k in t.cartan:
-        row = t.bracket_row(k, field.characteristic)
-        acc = field.zero
-        for v, e in mono:
-            targets = row.get(v, ())
-            for w, c in targets:
-                if w != v:
-                    return None
-                acc = field.add(
-                    acc,
-                    field.mul(field.coerce(e), c if field.characteristic else field.coerce(c)),
-                )
-        weights.append(acc)
-    return tuple(weights)
-
-
 # ---------------------------------------------------------------------------
 # Semi-center witness suite
 # ---------------------------------------------------------------------------

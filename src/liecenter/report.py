@@ -51,6 +51,8 @@ class Claim:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Claim":
+        if data["status"] not in _PASSING | {FAILED}:
+            raise ValueError(f"claim field 'status' is not a known status: {data['status']!r}")
         return cls(
             claim_id=data["claim_id"],
             statement=data["statement"],
@@ -142,6 +144,8 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
+        if not isinstance(data["config"], dict):
+            raise ValueError("report field 'config' must be an object")
         return cls(
             config=data["config"],
             suites=[SuiteResult.from_dict(s) for s in data["suites"]],

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from liecenter import invariants, liealg
+from liecenter.exactalg import mono_degree
 
 
 @pytest.fixture(scope="session")
@@ -44,13 +47,54 @@ def f4n_fam(f4n):
 
 
 @pytest.fixture(scope="session")
-def c2_pair():
+def c2b():
     return liealg.cn_borel(2)
 
 
 @pytest.fixture(scope="session")
-def c3_pair():
+def c3b():
     return liealg.cn_borel(3)
+
+
+def with_bracket(t, lhs, rhs, value):
+    """A copy of the table with one bracket replaced and no validation, for
+    showing that corrupted tables are caught."""
+    i, j = t.registry.index(lhs), t.registry.index(rhs)
+    if i > j:
+        raise ValueError("pass the bracket key in basis order")
+    brackets = dict(t.brackets)
+    entry = liealg._parse_lincomb(t.registry, value)
+    if entry:
+        brackets[(i, j)] = entry
+    else:
+        brackets.pop((i, j), None)
+    return liealg.StructureTable(
+        t.name + "+mutated",
+        t.registry,
+        brackets,
+        t.cartan,
+        t.nilradical,
+        t.excluded_primes,
+        t.corrections,
+    )
+
+
+def nonzero_bracket_items(t):
+    """All stored nonzero brackets as (lhs, rhs, value-text) triples."""
+    out = []
+    for (i, j), entry in sorted(t.brackets.items()):
+        out.append((t.label(i), t.label(j), str(liealg.lincomb_to_poly(t, dict(entry)))))
+    return out
+
+
+def save_table(t, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(liealg.table_to_dict(t), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def is_homogeneous(p):
+    return len({mono_degree(m) for m in p.terms}) <= 1
 
 
 def abelian_table(dim=4):

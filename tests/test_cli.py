@@ -6,6 +6,8 @@ import pytest
 
 from liecenter import cli, invariants, liealg
 
+from conftest import save_table, with_bracket
+
 
 def run_cli(capsys, *args):
     code = cli.main(list(args))
@@ -77,9 +79,9 @@ class TestVerifyExitCodes:
             assert f"[PASS] {suite}" in out
 
     def test_corrupted_table_fails(self, capsys, tmp_path, g2b):
-        bad = liealg.with_bracket(g2b, "x1", "x3", "-3*x5")
+        bad = with_bracket(g2b, "x1", "x3", "-3*x5")
         path = tmp_path / "bad.json"
-        liealg.save_table(bad, str(path))
+        save_table(bad, str(path))
         code, out, _ = run_cli(
             capsys, "verify", "--algebra", str(path),
             "--suites", "jacobi,invariance,triangle",
@@ -89,9 +91,9 @@ class TestVerifyExitCodes:
 
     def test_flipped_x1x2_caught_by_invariance(self, capsys, tmp_path, g2b):
         # this particular flip leaves every Jacobi triple intact
-        bad = liealg.with_bracket(g2b, "x1", "x2", "-2*x3")
+        bad = with_bracket(g2b, "x1", "x2", "-2*x3")
         path = tmp_path / "bad.json"
-        liealg.save_table(bad, str(path))
+        save_table(bad, str(path))
         code, out, _ = run_cli(
             capsys, "verify", "--algebra", str(path),
             "--suites", "jacobi,invariance,triangle",
@@ -218,6 +220,19 @@ class TestMalformedInputs:
                 id="correction-unknown-variable",
             ),
             pytest.param([], ("report", "--in"), "object", id="report-not-object"),
+            pytest.param(
+                {"config": {}, "suites": [{"name": "s", "claims": [
+                    {"claim_id": "c", "statement": "s", "status": "bogus"}]}]},
+                ("report", "--in"),
+                "status",
+                id="report-unknown-status",
+            ),
+            pytest.param(
+                {"config": [], "suites": []},
+                ("report", "--format", "markdown", "--in"),
+                "config",
+                id="report-config-not-object",
+            ),
         ],
     )
     def test_exit_2(self, capsys, tmp_path, content, argv, field):

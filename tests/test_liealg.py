@@ -1,13 +1,20 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from liecenter import liealg
 from liecenter._f4_data import F4_CARTAN_MATRIX, F4_ROOTS
-from liecenter.exactalg import GF, QQ, parse_polynomial
-from liecenter.liealg import AdPowerResult, TableDataError, ad_power_identity, jacobi_check
+from liecenter.exactalg import GF, QQ, VarRegistry, parse_polynomial
+from liecenter.liealg import (
+    AdPowerResult,
+    StructureTable,
+    TableDataError,
+    ad_power_identity,
+    jacobi_check,
+)
 
-from conftest import abelian_table
+from conftest import abelian_table, save_table, with_bracket
 
 
 # -- dense reference for the ad-power identities -------------------------------
@@ -69,12 +76,79 @@ def dense_ad_power_identity(t, i, p):
     return AdPowerResult(t.name, t.label(i), kind, p, ok)
 
 
+# -- dense reference for the Cn realization ----------------------------------
+
+
+def dense_cn_realization(n):
+    """label -> the basis matrix as a 2n x 2n tuple of row tuples."""
+    size = 2 * n
+
+    def unit(entries):
+        return tuple(tuple(entries.get((r, c), 0) for c in range(size)) for r in range(size))
+
+    mats = {}
+    for i in range(1, n + 1):
+        mats[f"h{i}"] = unit({(i - 1, i - 1): 1, (n + i - 1, n + i - 1): -1})
+        mats[f"b{i}"] = unit({(i - 1, n + i - 1): 1})
+        for j in range(i + 1, n + 1):
+            mats[f"a{i}_{j}"] = unit({(i - 1, j - 1): 1, (n + j - 1, n + i - 1): -1})
+            mats[f"c{i}_{j}"] = unit({(i - 1, n + j - 1): 1, (j - 1, n + i - 1): 1})
+    return mats
+
+
+def dense_commutator(a, b):
+    size = len(a)
+
+    def prod(x, y):
+        return [[sum(x[r][k] * y[k][c] for k in range(size)) for c in range(size)] for r in range(size)]
+
+    ab, ba = prod(a, b), prod(b, a)
+    return tuple(tuple(ab[r][c] - ba[r][c] for c in range(size)) for r in range(size))
+
+
+def defining_position(n, label):
+    """The matrix entry that holds this basis element's coefficient."""
+    kind, body = label[0], label[1:]
+    if kind in "hb":
+        i = int(body)
+        return (i - 1, i - 1) if kind == "h" else (i - 1, n + i - 1)
+    i, j = (int(s) for s in body.split("_"))
+    return (i - 1, j - 1) if kind == "a" else (i - 1, n + j - 1)
+
+
+def dense_cn_borel(n):
+    """The Cn Borel table from dense commutators, each decomposed at the
+    defining positions and checked against every matrix entry."""
+    mats = dense_cn_realization(n)
+    cartan, nil = liealg.cn_basis_labels(n)
+    labels = cartan + nil
+    size = 2 * n
+    brackets = {}
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            comm = dense_commutator(mats[labels[i]], mats[labels[j]])
+            coords = {}
+            for k, lab in enumerate(labels):
+                r, c = defining_position(n, lab)
+                if comm[r][c]:
+                    coords[k] = Fraction(comm[r][c])
+            for r in range(size):
+                for c in range(size):
+                    acc = sum(coef * mats[labels[k]][r][c] for k, coef in coords.items())
+                    assert acc == comm[r][c], (labels[i], labels[j])
+            if coords:
+                brackets[(i, j)] = tuple(sorted(coords.items()))
+    return StructureTable(
+        f"c{n}-borel", VarRegistry(labels), brackets, range(n), range(n, len(labels)), (2,)
+    )
+
+
 def catalog_borel(name):
     if name == "g2-borel":
         return liealg.g2_borel()
     if name == "f4-borel":
         return liealg.f4_borel()
-    return liealg.cn_borel(int(name[1]))[0]
+    return liealg.cn_borel(int(name[1]))
 
 
 class TestCatalogDimensions:
@@ -90,10 +164,11 @@ class TestCatalogDimensions:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cn(self, n):
-        t, real = liealg.cn_borel(n)
+        t = liealg.cn_borel(n)
+        real = liealg.cn_realization(n)
         assert t.dim == n * n + n
         assert len(t.nilradical) == n * n
-        assert real.size == 2 * n
+        assert {x for m in real.values() for pos in m for x in pos} == set(range(2 * n))
 
 
 class TestJacobi:
@@ -112,12 +187,12 @@ class TestJacobi:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cn_no_corrections(self, n):
-        t, _ = liealg.cn_borel(n)
+        t = liealg.cn_borel(n)
         assert not t.corrections
         assert jacobi_check(t).ok
 
     def test_mutated_table_detected(self, g2b):
-        bad = liealg.with_bracket(g2b, "h1", "x1", "x1")
+        bad = with_bracket(g2b, "h1", "x1", "x1")
         report = jacobi_check(bad)
         assert not report.ok
         assert report.failures[0].triple == ("h1", "x1", "x2")
@@ -207,15 +282,15 @@ class TestAdjoint:
         ],
     )
     def test_mutated_bracket_fails(self, g2b, lhs, rhs, value):
-        t = liealg.with_bracket(g2b, lhs, rhs, value)
+        t = with_bracket(g2b, lhs, rhs, value)
         assert not ad_power_identity(t, lhs, 5).ok
         for i in range(t.dim):
             assert ad_power_identity(t, i, 5) == dense_ad_power_identity(t, i, 5)
 
 
 class TestCnRealization:
-    def test_commutator_examples_n2(self, c2_pair):
-        t, real = c2_pair
+    def test_commutator_examples_n2(self, c2b):
+        t = c2b
         # a = e12 - e43, c = e24, d = e14 + e23, b = e13
         assert str(t.bracket("a1_2", "b2")) == "c1_2"
         assert str(t.bracket("a1_2", "c1_2")) == "2*b1"
@@ -223,19 +298,40 @@ class TestCnRealization:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_round_trip_matrix_commutators(self, n):
-        t, real = liealg.cn_borel(n)
+        t = liealg.cn_borel(n)
+        real = dense_cn_realization(n)
         labels = t.registry.names
         for i in range(t.dim):
             for j in range(i + 1, t.dim):
-                comm = liealg._mat_commutator(real.matrices[labels[i]], real.matrices[labels[j]])
+                comm = dense_commutator(real[labels[i]], real[labels[j]])
                 coords = t.bracket_coords(i, j)
-                size = real.size
+                size = 2 * n
                 for r in range(size):
                     for c in range(size):
                         acc = sum(
-                            coef * real.matrices[labels[k]][r][c] for k, coef in coords.items()
+                            coef * real[labels[k]][r][c] for k, coef in coords.items()
                         )
                         assert acc == comm[r][c]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_dense_reference(self, n):
+        real, dense = liealg.cn_realization(n), dense_cn_realization(n)
+        assert sorted(real) == sorted(dense)
+        for label, mat in real.items():
+            assert next(iter(mat)) == defining_position(n, label)
+            assert {(r, c): x for r, row in enumerate(dense[label]) for c, x in enumerate(row) if x} == mat
+        t, ref = liealg.cn_borel(n), dense_cn_borel(n)
+        assert t.registry == ref.registry
+        assert (t.cartan, t.nilradical) == (ref.cartan, ref.nilradical)
+        assert t.brackets == ref.brackets
+
+    def test_commutator_outside_span_rejected(self, monkeypatch):
+        # h1 = e(1,1) alone: [h1, a1_2] = e(1,2) is not a multiple of a1_2
+        real = liealg.cn_realization(2)
+        real["h1"] = {(0, 0): 1}
+        monkeypatch.setattr(liealg, "cn_realization", lambda n: real)
+        with pytest.raises(TableDataError, match=r"\[h1,a1_2\] is not in the basis span"):
+            liealg.cn_borel(2)
 
     def test_bad_rank(self):
         with pytest.raises(ValueError):
@@ -264,7 +360,7 @@ class TestCorrectionsOverlay:
 class TestTableFiles:
     def test_round_trip(self, tmp_path, g2b):
         path = tmp_path / "g2.json"
-        liealg.save_table(g2b, str(path))
+        save_table(g2b, str(path))
         loaded = liealg.load_table(str(path))
         assert loaded.name == g2b.name
         assert loaded.registry == g2b.registry
@@ -274,8 +370,20 @@ class TestTableFiles:
 
     def test_round_trip_f4(self, tmp_path, f4b):
         path = tmp_path / "f4.json"
-        liealg.save_table(f4b, str(path))
+        save_table(f4b, str(path))
         assert liealg.load_table(str(path)).brackets == f4b.brackets
+
+    @pytest.mark.parametrize(
+        "name", [f"{a}-{part}" for a in ("g2", "f4", "c1", "c2", "c3", "c4") for part in ("borel", "nil")]
+    )
+    def test_dict_round_trip_catalog(self, name):
+        t = catalog_borel(name.replace("-nil", "-borel"))
+        if name.endswith("-nil"):
+            t = liealg.nilradical_table(t)
+        back = liealg.table_from_dict(liealg.table_to_dict(t))
+        assert (back.name, back.registry, back.brackets) == (t.name, t.registry, t.brackets)
+        assert (back.cartan, back.nilradical) == (t.cartan, t.nilradical)
+        assert back.excluded_primes == t.excluded_primes
 
     def test_rejects_out_of_order_keys(self, tmp_path, g2b):
         data = liealg.table_to_dict(g2b)
@@ -289,9 +397,9 @@ class TestTableFiles:
             liealg.load_table(str(path))
 
     def test_invalid_table_rejected_on_load(self, tmp_path, g2b):
-        bad = liealg.with_bracket(g2b, "h1", "x1", "x1")
+        bad = with_bracket(g2b, "h1", "x1", "x1")
         path = tmp_path / "bad.json"
-        liealg.save_table(bad, str(path))
+        save_table(bad, str(path))
         with pytest.raises(TableDataError):
             liealg.load_table(str(path))  # validate=True by default
         loaded = liealg.load_table(str(path), validate=False)

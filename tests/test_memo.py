@@ -2,7 +2,9 @@
 
 Oracle spaces and symmetrized lifts are computed once per table; a result
 served from a warm memo must equal the one a newly built table computes.
-``nilradical_table`` and ``cn_borel`` return new tables on every call.
+Each builder in ``CASES`` returns a new table, with an empty memo, on every
+call: ``nilradical_table`` and ``cn_borel`` build one each time, unlike the
+cached ``g2_borel`` and ``f4_borel``.
 """
 
 import pytest
@@ -16,7 +18,7 @@ from liecenter.pbw import CharacteristicObstruction, symmetrize, z_lift_audit
 CASES = {
     "g2-nil": (lambda: liealg.nilradical_table(liealg.g2_borel()), 5, 3),
     "f4-nil": (lambda: liealg.nilradical_table(liealg.f4_borel()), 3, 3),
-    "c3-borel": (lambda: liealg.cn_borel(3)[0], 5, 2),
+    "c3-borel": (lambda: liealg.cn_borel(3), 5, 2),
 }
 
 

@@ -8,12 +8,32 @@ from liecenter.poisson import (
     ad_apply,
     cartan_eigenvalue,
     is_invariant,
-    monomial_weight,
     poisson_bracket,
     weight_of,
 )
 
 from test_exactalg import rand_poly
+
+
+def monomial_weight(t, mono, field=QQ):
+    """Weight of a single monomial, when every Cartan generator acts
+    diagonally on the variables (true for all catalog tables): the reference
+    for ``weight_of``."""
+    weights = []
+    for k in t.cartan:
+        row = t.bracket_row(k, field.characteristic)
+        acc = field.zero
+        for v, e in mono:
+            targets = row.get(v, ())
+            for w, c in targets:
+                if w != v:
+                    return None
+                acc = field.add(
+                    acc,
+                    field.mul(field.coerce(e), c if field.characteristic else field.coerce(c)),
+                )
+        weights.append(acc)
+    return tuple(weights)
 
 
 def P(t, text, field=QQ):

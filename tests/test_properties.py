@@ -1,16 +1,20 @@
 """Property tests: TermDict arithmetic of Polynomial and PBWElement against a
-plain-dict model over QQ and prime fields, the polynomial text format, and
-symmetrize against the rewriting reference."""
+plain-dict model over QQ and prime fields, the polynomial text format,
+symmetrize and the commutator fast path against their references, and the
+exit-code contract of ``verify`` on mutated table files."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
 
-from liecenter import liealg  # noqa: E402
+from liecenter import cli, liealg  # noqa: E402
 from liecenter.exactalg import (  # noqa: E402
     GF,
     QQ,
@@ -24,6 +28,8 @@ from liecenter.exactalg import (  # noqa: E402
 from liecenter.pbw import (  # noqa: E402
     CharacteristicObstruction,
     PBWElement,
+    commutator_u,
+    commutator_with_basis,
     mono_of_word,
     symmetrize,
 )
@@ -111,7 +117,7 @@ def test_format_parse_round_trip(field, items):
 
 # symmetrize: random polynomials of degree <= 5 over two catalog tables, with
 # the zero polynomial, constants, repeated letters and mixed degrees
-TABLES = {"g2-borel": liealg.g2_borel, "c3-borel": lambda: liealg.cn_borel(3)[0]}
+TABLES = {"g2-borel": liealg.g2_borel, "c3-borel": lambda: liealg.cn_borel(3)}
 TABLE_NAMES = pytest.mark.parametrize("name", sorted(TABLES))
 
 
@@ -120,16 +126,16 @@ def table(name):
     return TABLES[name]()
 
 
-def table_words(name, min_size=0):
+def table_words(name, min_size=0, max_size=5):
     letters = st.integers(0, table(name).dim - 1)
-    return st.lists(letters, min_size=min_size, max_size=5).map(sorted).map(mono_of_word)
+    return st.lists(letters, min_size=min_size, max_size=max_size).map(sorted).map(mono_of_word)
 
 
-def table_polynomials(name, field):
+def table_polynomials(name, field, cls=Polynomial, max_degree=5):
     # denominators prime to 3 and 5, so each draw is defined over GF(3), GF(5)
     scalars = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 4]))
-    terms = st.lists(st.tuples(table_words(name), scalars), max_size=4)
-    return terms.map(lambda items: Polynomial.from_terms(table(name).registry, field, items))
+    terms = st.lists(st.tuples(table_words(name, max_size=max_degree), scalars), max_size=4)
+    return terms.map(lambda items: cls.from_terms(table(name).registry, field, items))
 
 
 @TABLE_NAMES
@@ -153,3 +159,63 @@ def test_symmetrize_obstructed_at_small_characteristic(name, p, data):
     assume(f.total_degree() >= p)
     with pytest.raises(CharacteristicObstruction):
         symmetrize(table(name), f)
+
+
+# commutator_with_basis: [x_g, e] for every basis generator g against the
+# full products of commutator_u, on random PBW elements of filtration degree <= 4
+
+
+@TABLE_NAMES
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@SETTINGS
+@given(data=st.data())
+def test_commutator_with_basis_matches_commutator_u(name, field, data):
+    t = table(name)
+    e = data.draw(table_polynomials(name, field, PBWElement, max_degree=4))
+    for g in range(t.dim):
+        x = PBWElement.variable(t.registry, field, g)
+        assert commutator_with_basis(t, g, e) == commutator_u(t, x, e), t.label(g)
+
+
+# the input contract: a mutated G2 table file either verifies (0), fails a
+# claim (1) or is rejected as a configuration error (2), never an internal
+# error (3)
+
+G2_DATA = liealg.table_to_dict(liealg.g2_borel())
+G2_LABELS = G2_DATA["basis"]
+bracket_values = st.lists(
+    st.tuples(st.sampled_from(["1", "-1", "2", "1/2", "0", "3"]), st.sampled_from(G2_LABELS)),
+    max_size=2,
+).map(lambda terms: [list(term) for term in terms])
+
+
+@st.composite
+def mutated_g2(draw):
+    data = json.loads(json.dumps(G2_DATA))
+    brackets = data["brackets"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["change", "add", "drop", "primes", "cartan"]))
+        if kind == "change" and brackets:
+            draw(st.sampled_from(brackets))["value"] = draw(bracket_values)
+        elif kind == "add":
+            pair = draw(st.lists(st.sampled_from(G2_LABELS), min_size=2, max_size=2, unique=True))
+            lhs, rhs = sorted(pair, key=G2_LABELS.index)
+            brackets.append({"lhs": lhs, "rhs": rhs, "value": draw(bracket_values)})
+        elif kind == "drop" and brackets:
+            brackets.remove(draw(st.sampled_from(brackets)))
+        elif kind == "primes":
+            data["excluded_primes"] = draw(st.lists(st.sampled_from([2, 3, 5, 7]), max_size=3))
+        elif kind == "cartan":
+            data["cartan"] = draw(st.lists(st.sampled_from(G2_LABELS), max_size=3, unique=True))
+    return data
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_g2(), char=st.sampled_from(["0", "5", "7"]))
+def test_mutated_table_file_exits_0_1_or_2(tmp_path, data, char):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--algebra", str(path), "--char", char, "--max-degree", "2"])
+    assert code in (0, 1, 2), err.getvalue()
