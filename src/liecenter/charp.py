@@ -11,7 +11,6 @@ instantiated literally over F_3 through the Frobenius expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -21,6 +20,7 @@ from .exactalg import (
     GF,
     Polynomial,
     QQ,
+    eigenvalue,
     field_of_characteristic,
     frobenius_expand,
     jacobian_det,
@@ -63,60 +63,30 @@ def c1_label(t: StructureTable) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorEntry:
-    name: str
-    kind: str  # p-power | exempt-variable | cartan-p-power
-
-
-@dataclass
-class GeneratorSet:
+def sp_generators(
+    t: StructureTable, p: int, level: str = "nilradical"
+) -> list[tuple[str, Polynomial]]:
     """The p-power generator list of the invariant subalgebra at the
-    nilradical or Borel level."""
-
-    algebra: str
-    level: str
-    p: int
-    table: StructureTable
-    entries: tuple[GeneratorEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def polynomials(self, field: Field) -> list[tuple[str, Polynomial]]:
-        out = []
-        for entry in self.entries:
-            if entry.kind == "exempt-variable":
-                out.append(
-                    (entry.name, Polynomial.variable(self.table.registry, field, entry.name))
-                )
-            else:
-                label = entry.name.split("^")[0]
-                var = Polynomial.variable(self.table.registry, field, label)
-                out.append((entry.name, var ** self.p))
-        return out
-
-
-def sp_generators(t: StructureTable, p: int, level: str = "nilradical") -> GeneratorSet:
-    """p-th powers of the generators plus the degree-one invariant itself;
-    at the Borel level the Cartan p-th powers are appended."""
+    nilradical or Borel level, as (name, polynomial) pairs over GF(p): the
+    p-th powers of the nilradical generators with the degree-one invariant
+    itself in place of its p-th power; at the Borel level the Cartan p-th
+    powers are appended."""
     t.check_characteristic(p)
     if level not in ("nilradical", "borel"):
         raise ValueError(f"unknown level {level!r}")
     if level == "borel" and not t.cartan:
         raise ValueError(f"{t.name} has no Cartan part; cannot build Borel-level set")
+    field = GF(p)
     exempt = c1_label(t)
-    entries = []
-    for i in t.nilradical:
-        label = t.label(i)
-        if label == exempt:
-            continue
-        entries.append(GeneratorEntry(f"{label}^{p}", "p-power"))
-    entries.append(GeneratorEntry(exempt, "exempt-variable"))
+
+    def power(i: int) -> tuple[str, Polynomial]:
+        return f"{t.label(i)}^{p}", Polynomial.variable(t.registry, field, i) ** p
+
+    out = [power(i) for i in t.nilradical if t.label(i) != exempt]
+    out.append((exempt, Polynomial.variable(t.registry, field, exempt)))
     if level == "borel":
-        for j in t.cartan:
-            entries.append(GeneratorEntry(f"{t.label(j)}^{p}", "cartan-p-power"))
-    return GeneratorSet(t.name, level, p, t, tuple(entries))
+        out.extend(power(j) for j in t.cartan)
+    return out
 
 
 def invariant_generators(
@@ -130,7 +100,7 @@ def invariant_generators(
     if not p:
         return gens
     sp = sp_generators(t, p, "borel" if t.cartan else "nilradical")
-    return sp.polynomials(field) + [g for g in gens if g[0] != "c1"]
+    return sp + [g for g in gens if g[0] != "c1"]
 
 
 # ---------------------------------------------------------------------------
@@ -690,14 +660,8 @@ def theorem_generator_audit(
         eigen_ok = True
         nonzero_weight = False
         for k in t.cartan:
-            com = commutator_with_basis(t, k, lift)
-            if com.is_zero:
-                continue
-            lam = None
-            probe = next(iter(lift.terms))
-            if probe in com.terms:
-                lam = field.div(com.terms[probe], lift.terms[probe])
-            if lam is None or not (com - lift.scale(lam)).is_zero:
+            lam = eigenvalue(lift, commutator_with_basis(t, k, lift))
+            if lam is None:
                 eigen_ok = False
                 break
             if lam != field.zero:

@@ -4,8 +4,9 @@ deterministic report emission.
 Exit codes: 0 when every claim passes, 1 when any claim fails, 2 for
 configuration errors (unknown algebra, inadmissible characteristic, a suite
 that does not apply, malformed files, an output path that cannot be
-written), 3 for an internal error, reported as one ``internal error:`` line
-on stderr instead of a traceback.
+written, a standard output whose reader has closed it), 3 for an internal
+error, reported as one ``internal error:`` line on stderr instead of a
+traceback.
 """
 
 from __future__ import annotations
@@ -389,12 +390,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "invariants":
-            return cmd_invariants(args)
-        return cmd_report(args)
+            code = cmd_verify(args)
+        elif args.command == "invariants":
+            code = cmd_invariants(args)
+        else:
+            code = cmd_report(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # like an unwritable --out; the descriptor then points at the null
+        # device, so the interpreter's own flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         # exit 1 means a failed claim, so a crash must not end with it

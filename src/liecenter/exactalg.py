@@ -425,6 +425,21 @@ class TermDict:
         return f"<{type(self).__name__} {self}>"
 
 
+def eigenvalue(f: TermDict, g: TermDict):
+    """The scalar lam with g = lam*f, or None when g is no multiple of f; f
+    must be nonzero.  Any term of f serves as the probe: lam is unique when
+    it exists."""
+    field = f.field
+    if g.is_zero:
+        return field.zero
+    probe = next(iter(f.terms))
+    top = g.terms.get(probe)
+    if top is None:
+        return None
+    lam = field.div(top, f.terms[probe])
+    return lam if (g - f.scale(lam)).is_zero else None
+
+
 # ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 For G2 and F4 the central elements c_i and the auxiliary u/v/w elements are
 built from explicit formulas; for Cn they are determinants of nested
-right-upper blocks of a 2n x 2n arrangement of the basis.  The module also
-provides the independent brute-force oracle: the space of homogeneous
-invariants of a fixed degree computed by exact linear algebra, decomposed
-into multidegree blocks derived from the structure table itself.
+right-upper blocks of one fixed 2n x 2n anti-diagonally symmetric
+arrangement of the basis, with the shared entries halved.  No family is
+checked when it is built: the verification suites below do that.  The
+module also provides the independent brute-force oracle: the space of
+homogeneous invariants of a fixed degree computed by exact linear algebra,
+decomposed into multidegree blocks derived from the structure table itself.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .exactalg import (
 )
 from ._f4_data import F4_HS, F4_XS
 from .liealg import _G2_LABELS, StructureTable, cn_basis_labels
-from .poisson import ad_apply, cartan_eigenvalue, is_invariant
+from .poisson import ad_apply, cartan_eigenvalue
 
 
 class OracleCapExceeded(ValueError):
@@ -58,7 +60,6 @@ class InvariantFamily:
     chain_weights: tuple = ()
     triangle_cases: tuple[TriangleCase, ...] = ()
     notes: tuple[str, ...] = ()
-    extras: dict = dc_field(default_factory=dict)
     _cache: dict = dc_field(default_factory=dict, repr=False)
 
     def elements(self, field: Field = QQ) -> dict[str, Polynomial]:
@@ -258,83 +259,41 @@ def anti_index(l: int, s: int) -> int:
     return l - s + 1
 
 
-@dataclass(frozen=True)
-class BlockMatrixM:
-    """The 2n x 2n arrangement of the nilradical basis, anti-diagonally
-    symmetric, from whose nested right-upper blocks the c_i are taken."""
-
-    n: int
-    convention: str
-    entries: tuple  # entries[r][c] are polynomials over QQ
-
-    def block(self, i: int) -> list[list[Polynomial]]:
-        """The i-th right-upper block (rows 1..i, last i columns), 1-based."""
-        size = 2 * self.n
-        return [
-            [self.entries[r][c] for c in range(size - i, size)] for r in range(i)
-        ]
-
-
-def _build_m_matrix(t: StructureTable, n: int, convention: str) -> BlockMatrixM:
+def _build_m_matrix(t: StructureTable, n: int) -> list[list[Polynomial]]:
+    """The 2n x 2n anti-diagonally symmetric arrangement of the nilradical
+    basis over QQ, 1-based: b{i} at (i, 2n+1-i) on the anti-diagonal, and
+    a{i}_{j} at (i, j) and c{i}_{j}/2 at (i, 2n+1-j), each also at its
+    mirror.  Halved, the shared c-entries make every block determinant
+    invariant; the literal labels do not."""
     size = 2 * n
-    reg = t.registry
-    zero = Polynomial.zero(reg, QQ)
-    grid = [[zero for _ in range(size)] for _ in range(size)]
+    zero = Polynomial.zero(t.registry, QQ)
+    grid = [[zero] * size for _ in range(size)]
 
-    def var(label: str) -> Polynomial:
-        return Polynomial.variable(reg, QQ, label)
+    def place(r: int, c: int, label: str, scale: str = "1") -> None:
+        entry = Polynomial.variable(t.registry, QQ, label).scale(scale)
+        grid[r - 1][c - 1] = grid[anti_index(size, c) - 1][anti_index(size, r) - 1] = entry
 
     for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if i != j:
-                a = var(f"a{i}_{j}")
-                grid[i - 1][j - 1] = a
-                grid[anti_index(size, j) - 1][anti_index(size, i) - 1] = a
-            if i == j:
-                b = var(f"b{i}")
-                if convention == "double-diagonal":
-                    b = b.scale(2)
-                grid[i - 1][anti_index(size, i) - 1] = b
-            else:
-                c = var(f"c{i}_{j}")
-                if convention == "halve-shared":
-                    c = c.scale("1/2")
-                grid[i - 1][anti_index(size, j) - 1] = c
-                grid[j - 1][anti_index(size, i) - 1] = c
-    return BlockMatrixM(n, convention, tuple(tuple(row) for row in grid))
-
-
-CN_CONVENTIONS = ("literal", "halve-shared", "double-diagonal")
+        place(i, anti_index(size, i), f"b{i}")
+        for j in range(i + 1, n + 1):
+            place(i, j, f"a{i}_{j}")
+            place(i, anti_index(size, j), f"c{i}_{j}", "1/2")
+    return grid
 
 
 def cn_invariants(t: StructureTable) -> InvariantFamily:
-    """Build the Cn determinant invariants, selecting the entry-scaling
-    convention empirically: candidates are evaluated in a fixed order and the
-    first one whose determinants are all nilradical-invariant wins."""
+    """The Cn determinant invariants: c_i is the determinant of the i-th
+    right-upper block (rows 1..i, last i columns) of ``_build_m_matrix``.
+    The c_i depend on the basis labels only, never on the brackets; the
+    invariance, weights and audit suites verify them."""
     n = _cn_rank(t)
-    verdicts: dict[str, bool] = {}
-    chosen = None
-    chosen_cs: dict[str, Polynomial] = {}
-    chosen_matrix = None
-    for convention in CN_CONVENTIONS:
-        matrix = _build_m_matrix(t, n, convention)
-        cs = {f"c{i}": poly_det(matrix.block(i)) for i in range(1, n + 1)}
-        ok = all(
-            is_invariant(t, f, t.nilradical)[0] and not f.is_zero
-            for f in cs.values()
-        )
-        verdicts[convention] = ok
-        if ok and chosen is None:
-            chosen, chosen_cs, chosen_matrix = convention, cs, matrix
-    if chosen is None:
-        raise ValueError(
-            f"no entry-scaling convention makes the c_i invariant for {t.name}"
-        )
+    grid = _build_m_matrix(t, n)
+    cs = {f"c{i}": poly_det([row[2 * n - i:] for row in grid[:i]]) for i in range(1, n + 1)}
 
     def build(field: Field) -> dict[str, Polynomial]:
         return {
             name: Polynomial.from_terms(t.registry, field, poly.terms.items())
-            for name, poly in chosen_cs.items()
+            for name, poly in cs.items()
         }
 
     weight_expectations = tuple(
@@ -349,8 +308,7 @@ def cn_invariants(t: StructureTable) -> InvariantFamily:
         builder=build,
         weight_expectations=weight_expectations,
         nonzero_pairings=tuple((f"c{i}", f"h{i}") for i in range(1, n + 1)),
-        notes=(f"entry-scaling convention: {chosen}",),
-        extras={"matrix": chosen_matrix, "convention_verdicts": verdicts},
+        notes=("entry-scaling convention: halve-shared",),
     )
 
 

@@ -16,6 +16,7 @@ from .exactalg import (
     Field,
     Polynomial,
     QQ,
+    eigenvalue,
     mono_div_var,
     mono_mul_var,
 )
@@ -98,16 +99,7 @@ def cartan_eigenvalue(t: StructureTable, k: Union[int, str], f: Polynomial):
     """The scalar lam with {h_k, f} = lam*f, or None if f is no eigenvector."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no weight")
-    g = ad_apply(t, k, f)
-    field = f.field
-    if g.is_zero:
-        return field.zero
-    lead = f.leading_monomial()
-    top = g.terms.get(lead)
-    if top is None:
-        return None
-    lam = field.div(top, f.terms[lead])
-    return lam if (g - f.scale(lam)).is_zero else None
+    return eigenvalue(f, ad_apply(t, k, f))
 
 
 def weight_of(t: StructureTable, f: Polynomial) -> tuple[Optional[tuple], Optional[int]]:

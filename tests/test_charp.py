@@ -11,7 +11,7 @@ from liecenter.charp import (
     stretch_exponents,
     theorem_generator_audit,
 )
-from liecenter.exactalg import GF, QQ, parse_polynomial
+from liecenter.exactalg import GF, QQ, Polynomial, parse_polynomial
 from liecenter.invariants import catalog_entry
 from liecenter.pbw import gr_leading, is_central_u
 
@@ -30,11 +30,12 @@ class TestGeneratorSets:
 
     def test_g2_entries(self, g2n):
         gs = sp_generators(g2n, 5, "nilradical")
-        names = [e.name for e in gs.entries]
+        names = [name for name, _ in gs]
         assert names == ["x1^5", "x2^5", "x3^5", "x4^5", "x5^5", "x6"]
-        kinds = {e.name: e.kind for e in gs.entries}
-        assert kinds["x6"] == "exempt-variable"
-        assert kinds["x1^5"] == "p-power"
+        polys = dict(gs)
+        x1, x6 = (Polynomial.variable(g2n.registry, GF(5), v) for v in ("x1", "x6"))
+        assert polys["x6"] == x6
+        assert polys["x1^5"] == x1**5
 
     def test_inadmissible_primes(self, g2n, f4n):
         with pytest.raises(ValueError):
@@ -47,8 +48,7 @@ class TestGeneratorSets:
             sp_generators(g2n, 5, "borel")
 
     def test_payload_polynomials(self, g2n):
-        gs = sp_generators(g2n, 5, "nilradical")
-        polys = dict(gs.polynomials(GF(5)))
+        polys = dict(sp_generators(g2n, 5, "nilradical"))
         assert polys["x1^5"] == parse_polynomial(g2n.registry, GF(5), "x1^5")
         assert polys["x6"] == parse_polynomial(g2n.registry, GF(5), "x6")
 

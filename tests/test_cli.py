@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -97,6 +100,21 @@ class TestVerifyExitCodes:
         code, out, _ = run_cli(
             capsys, "verify", "--algebra", str(path),
             "--suites", "jacobi,invariance,triangle",
+        )
+        assert code == 1
+        assert "[PASS] jacobi" in out
+        assert "[FAIL] invariance" in out
+
+
+    def test_cn_bracket_breaking_invariance_fails_a_claim(self, capsys, tmp_path, c2b):
+        # the c_i are built from the basis labels alone, so a bracket that
+        # breaks their invariance is a failed claim, not a configuration
+        # error; this edit also leaves every Jacobi triple intact
+        bad = with_bracket(c2b, "a1_2", "b2", "2*c1_2")
+        path = tmp_path / "bad.json"
+        save_table(bad, str(path))
+        code, out, _ = run_cli(
+            capsys, "verify", "--algebra", str(path), "--suites", "jacobi,invariance",
         )
         assert code == 1
         assert "[PASS] jacobi" in out
@@ -253,6 +271,30 @@ class TestMalformedInputs:
         assert code == 3
         assert out == ""
         assert err == "internal error: RuntimeError: injected\n"
+
+
+class TestClosedStdout:
+    """A reader that closes standard output early, as ``| head -1`` does, is
+    a configuration error like an unwritable --out, not an internal one."""
+
+    def test_broken_pipe_exits_2(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "wb") as target:
+
+            class ClosedPipe(io.StringIO):
+                def write(self, text):
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = cli.main(["verify", "--algebra", "g2-nil", "--suites", "jacobi"])
+            # the descriptor now points at the null device
+            os.write(target.fileno(), b"lost")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "internal error" not in err
+        assert (tmp_path / "stdout").read_bytes() == b""
 
 
 class TestDeterminism:

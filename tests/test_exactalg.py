@@ -9,6 +9,7 @@ from liecenter.exactalg import (
     Polynomial,
     RegistryMismatch,
     VarRegistry,
+    eigenvalue,
     format_polynomial,
     frobenius_expand,
     jacobian_det,
@@ -16,6 +17,8 @@ from liecenter.exactalg import (
     parse_polynomial,
     ppattern_membership,
 )
+
+from liecenter.pbw import PBWElement
 
 from conftest import is_homogeneous
 
@@ -225,3 +228,19 @@ class TestPolynomialBasics:
             VarRegistry(["x1", "x1"])
         with pytest.raises(ValueError):
             VarRegistry(["1bad"])
+
+
+class TestEigenvalue:
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+    def test_polynomial(self, field):
+        f = P("3*x1*x6 - x3^2", field)
+        assert eigenvalue(f, f.scale("-2/3")) == field.coerce("-2/3")
+        assert eigenvalue(f, Polynomial.zero(REG6, field)) == field.zero
+        assert eigenvalue(f, f + P("x3^2", field)) is None  # shares a term only
+        assert eigenvalue(f, P("x2", field)) is None  # shares no term
+
+    def test_pbw_element(self):
+        x1, x2 = (PBWElement.variable(REG6, QQ, v) for v in ("x1", "x2"))
+        e = x1 + x2.scale(2)
+        assert eigenvalue(e, e.scale(3)) == 3
+        assert eigenvalue(e, x1) is None

@@ -94,6 +94,64 @@ class TestF4Family:
         )
 
 
+# The three entry scalings of the Cn arrangement, kept as the reference that
+# the fixed arrangement of invariants._build_m_matrix is checked against:
+# the literal labels, the shared c-entries halved, or the b-diagonal doubled.
+CN_CONVENTIONS = ("literal", "halve-shared", "double-diagonal")
+
+
+def reference_m_matrix(t, n, convention):
+    size = 2 * n
+    reg = t.registry
+    zero = Polynomial.zero(reg, QQ)
+    grid = [[zero for _ in range(size)] for _ in range(size)]
+
+    def var(label):
+        return Polynomial.variable(reg, QQ, label)
+
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if i != j:
+                a = var(f"a{i}_{j}")
+                grid[i - 1][j - 1] = a
+                grid[anti_index(size, j) - 1][anti_index(size, i) - 1] = a
+            if i == j:
+                b = var(f"b{i}")
+                if convention == "double-diagonal":
+                    b = b.scale(2)
+                grid[i - 1][anti_index(size, i) - 1] = b
+            else:
+                c = var(f"c{i}_{j}")
+                if convention == "halve-shared":
+                    c = c.scale("1/2")
+                grid[i - 1][anti_index(size, j) - 1] = c
+                grid[j - 1][anti_index(size, i) - 1] = c
+    return grid
+
+
+def reference_block(grid, i):
+    """The i-th right-upper block (rows 1..i, last i columns), 1-based."""
+    size = len(grid)
+    return [[grid[r][c] for c in range(size - i, size)] for r in range(i)]
+
+
+def reference_selection(t):
+    """Each convention's verdict (all block determinants nonzero and
+    nilradical-invariant) and the determinants of the first one that passes,
+    in the order of CN_CONVENTIONS."""
+    n = invariants._cn_rank(t)
+    verdicts, chosen = {}, None
+    for convention in CN_CONVENTIONS:
+        grid = reference_m_matrix(t, n, convention)
+        cs = {f"c{i}": poly_det(reference_block(grid, i)) for i in range(1, n + 1)}
+        verdicts[convention] = all(
+            is_invariant(t, f, t.nilradical)[0] and not f.is_zero for f in cs.values()
+        )
+        if verdicts[convention] and chosen is None:
+            chosen = cs
+    return verdicts, chosen
+
+
 class TestCnFamily:
     def test_anti_index(self):
         assert anti_index(6, 2) == 5
@@ -104,12 +162,32 @@ class TestCnFamily:
         assert fam.element("c1") == Polynomial.variable(t.registry, QQ, "b1")
 
     def test_convention_selection(self, c2b):
-        t = c2b
-        fam = invariants.cn_invariants(t)
-        verdicts = fam.extras["convention_verdicts"]
+        verdicts, chosen = reference_selection(c2b)
         assert verdicts["literal"] is False
         assert verdicts["halve-shared"] is True
         assert verdicts["double-diagonal"] is True
+        fam = invariants.cn_invariants(c2b)
+        assert {name: fam.element(name) for name in fam.central} == chosen
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matrix_matches_reference(self, n):
+        t = liealg.cn_borel(n)
+        assert invariants._build_m_matrix(t, n) == reference_m_matrix(t, n, "halve-shared")
+
+    @pytest.mark.parametrize("level", ["borel", "nil"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_elements_match_reference_selection(self, n, level):
+        t = liealg.cn_borel(n)
+        if level == "nil":
+            t = liealg.nilradical_table(t)
+        _, chosen = reference_selection(t)
+        fam = invariants.cn_invariants(t)
+        assert fam.central == tuple(chosen)
+        for field in (QQ, GF(5)):
+            for name, poly in chosen.items():
+                assert fam.element(name, field) == Polynomial.from_terms(
+                    t.registry, field, poly.terms.items()
+                )
 
     def test_n2_c2_value(self, c2b):
         t = c2b
@@ -122,8 +200,8 @@ class TestCnFamily:
 
     def test_literal_determinant_not_invariant(self, c2b):
         t = c2b
-        m = invariants._build_m_matrix(t, 2, "literal")
-        det = poly_det(m.block(2))
+        m = reference_m_matrix(t, 2, "literal")
+        det = poly_det(reference_block(m, 2))
         ok, bad = is_invariant(t, det, t.nilradical)
         assert not ok
         assert t.label(bad) == "a1_2"
@@ -132,8 +210,8 @@ class TestCnFamily:
     def test_scaling_independence(self, n):
         t = liealg.cn_borel(n)
         for i in range(1, n + 1):
-            d1 = poly_det(invariants._build_m_matrix(t, n, "halve-shared").block(i))
-            d2 = poly_det(invariants._build_m_matrix(t, n, "double-diagonal").block(i))
+            d1 = poly_det(reference_block(reference_m_matrix(t, n, "halve-shared"), i))
+            d2 = poly_det(reference_block(reference_m_matrix(t, n, "double-diagonal"), i))
             lead = d1.leading_monomial()
             ratio = d2.terms[lead] / d1.terms[lead]
             assert ratio != 0
@@ -156,15 +234,13 @@ class TestCnFamily:
             assert weights == tuple(2 if k <= i else 0 for k in range(1, n + 1))
 
     def test_matrix_antidiagonal_symmetry(self, c3b):
-        t = c3b
-        fam = invariants.cn_invariants(t)
-        m = fam.extras["matrix"]
-        size = 2 * m.n
+        m = invariants._build_m_matrix(c3b, 3)
+        size = len(m)
         for i in range(1, size + 1):
             for j in range(1, size + 1):
                 assert (
-                    m.entries[i - 1][j - 1]
-                    == m.entries[anti_index(size, j) - 1][anti_index(size, i) - 1]
+                    m[i - 1][j - 1]
+                    == m[anti_index(size, j) - 1][anti_index(size, i) - 1]
                 )
 
     @pytest.mark.parametrize("char", [0, 3, 5])

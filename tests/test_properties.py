@@ -177,45 +177,63 @@ def test_commutator_with_basis_matches_commutator_u(name, field, data):
         assert commutator_with_basis(t, g, e) == commutator_u(t, x, e), t.label(g)
 
 
-# the input contract: a mutated G2 table file either verifies (0), fails a
-# claim (1) or is rejected as a configuration error (2), never an internal
-# error (3)
+# the input contract: a mutated G2 or C2 Borel table file either verifies
+# (0), fails a claim (1) or is rejected as a configuration error (2), never
+# an internal error (3)
 
-G2_DATA = liealg.table_to_dict(liealg.g2_borel())
-G2_LABELS = G2_DATA["basis"]
-bracket_values = st.lists(
-    st.tuples(st.sampled_from(["1", "-1", "2", "1/2", "0", "3"]), st.sampled_from(G2_LABELS)),
-    max_size=2,
-).map(lambda terms: [list(term) for term in terms])
+BASE_TABLES = {
+    "g2-borel": liealg.table_to_dict(liealg.g2_borel()),
+    "c2-borel": liealg.table_to_dict(liealg.cn_borel(2)),
+}
+
+
+def bracket_values(labels):
+    return st.lists(
+        st.tuples(st.sampled_from(["1", "-1", "2", "1/2", "0", "3"]), st.sampled_from(labels)),
+        max_size=2,
+    ).map(lambda terms: [list(term) for term in terms])
 
 
 @st.composite
-def mutated_g2(draw):
-    data = json.loads(json.dumps(G2_DATA))
+def mutated(draw, base):
+    data = json.loads(json.dumps(BASE_TABLES[base]))
+    labels = data["basis"]
     brackets = data["brackets"]
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["change", "add", "drop", "primes", "cartan"]))
         if kind == "change" and brackets:
-            draw(st.sampled_from(brackets))["value"] = draw(bracket_values)
+            draw(st.sampled_from(brackets))["value"] = draw(bracket_values(labels))
         elif kind == "add":
-            pair = draw(st.lists(st.sampled_from(G2_LABELS), min_size=2, max_size=2, unique=True))
-            lhs, rhs = sorted(pair, key=G2_LABELS.index)
-            brackets.append({"lhs": lhs, "rhs": rhs, "value": draw(bracket_values)})
+            pair = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
+            lhs, rhs = sorted(pair, key=labels.index)
+            brackets.append({"lhs": lhs, "rhs": rhs, "value": draw(bracket_values(labels))})
         elif kind == "drop" and brackets:
             brackets.remove(draw(st.sampled_from(brackets)))
         elif kind == "primes":
             data["excluded_primes"] = draw(st.lists(st.sampled_from([2, 3, 5, 7]), max_size=3))
         elif kind == "cartan":
-            data["cartan"] = draw(st.lists(st.sampled_from(G2_LABELS), max_size=3, unique=True))
+            data["cartan"] = draw(st.lists(st.sampled_from(labels), max_size=3, unique=True))
     return data
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=mutated_g2(), char=st.sampled_from(["0", "5", "7"]))
-def test_mutated_table_file_exits_0_1_or_2(tmp_path, data, char):
+def verify_exit_code(tmp_path, data, char):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(data))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["verify", "--algebra", str(path), "--char", char, "--max-degree", "2"])
-    assert code in (0, 1, 2), err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated("g2-borel"), char=st.sampled_from(["0", "5", "7"]))
+def test_mutated_table_file_exits_0_1_or_2(tmp_path, data, char):
+    code, err = verify_exit_code(tmp_path, data, char)
+    assert code in (0, 1, 2), err
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated("c2-borel"), char=st.sampled_from(["0", "5", "7"]))
+def test_mutated_c2_table_file_exits_0_1_or_2(tmp_path, data, char):
+    code, err = verify_exit_code(tmp_path, data, char)
+    assert code in (0, 1, 2), err
