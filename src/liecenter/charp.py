@@ -11,7 +11,6 @@ instantiated literally over F_3 through the Frobenius expansion.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import report as rep
@@ -24,6 +23,7 @@ from .exactalg import (
     field_of_characteristic,
     frobenius_expand,
     jacobian_det,
+    mono_to_str,
     parse_polynomial,
     poly_det,
     ppattern_membership,
@@ -131,7 +131,7 @@ def frobenius_membership_suite(
                 f"{prefix}.{name}.power-member",
                 f"{name}^{p} has {p}-divisible exponents outside {exempt[0]}",
                 ok,
-                witness=None if ok else _mono_str(t, witness),
+                witness=None if ok else mono_to_str(t.registry, witness),
             )
         )
         member, witness = ppattern_membership(c, p, exempt)
@@ -140,16 +140,12 @@ def frobenius_membership_suite(
                 f"{prefix}.{name}.non-member",
                 f"{name} itself violates the {p}-power pattern (witness recorded)",
                 rep.VERIFIED if (not member and witness is not None) else rep.FAILED,
-                witness=None if witness is None else _mono_str(t, witness),
+                witness=None if witness is None else mono_to_str(t.registry, witness),
             )
         )
     if fam.family == "f4":
         claims.extend(_f4_layered_claims(t, fam, p))
     return claims
-
-
-def _mono_str(t: StructureTable, mono) -> str:
-    return str(Polynomial(t.registry, QQ, {mono: Fraction(1)}))
 
 
 def _f4_layered_claims(t: StructureTable, fam: InvariantFamily, p: int) -> list[rep.Claim]:
@@ -188,7 +184,7 @@ def _f4_layered_claims(t: StructureTable, fam: InvariantFamily, p: int) -> list[
                 f"{prefix}.{aux}p-pattern",
                 f"{aux}^{p} is a polynomial in the {p}-th powers of the generators",
                 ok,
-                witness=None if ok else _mono_str(t, witness),
+                witness=None if ok else mono_to_str(t.registry, witness),
             )
         )
     return claims
@@ -232,6 +228,18 @@ def stretch_exponents(f: Polynomial, p: int, field: Field) -> Polynomial:
     )
 
 
+def _signed_claim(
+    claim_id: str, statement: str, got: Polynomial, stated: Polynomial, word: str
+) -> rep.Claim:
+    """Verified when got equals the stated polynomial, noted when it is its
+    negative (the recorded global sign), failed otherwise."""
+    if got == stated:
+        return rep.verified(claim_id, statement, note="sign +1")
+    if got == -stated:
+        return rep.noted(claim_id, statement, f"sign -1 relative to the stated {word}")
+    return rep.failed(claim_id, statement, residual=str(got - stated))
+
+
 _F4_JACOBIANS = (
     (("x16", "x9", "x2"), "2", (("c1", 3), ("c2", 1), ("c3", 1))),
     (("x16", "x9", "x6"), "-2", (("c1", 3), ("c2", 1), ("v3", 1))),
@@ -273,12 +281,7 @@ def jacobian_identity_suite(
                 f"det d(t_i^p - c_i^p)/d({','.join(vars_)}^p) = {rhs_str} "
                 f"(p-th powers dropped) up to a recorded sign"
             )
-            if lhs == rhs:
-                claims.append(rep.verified(claim_id, statement, note="sign +1"))
-            elif lhs == -rhs:
-                claims.append(rep.noted(claim_id, statement, "sign -1 relative to the stated product"))
-            else:
-                claims.append(rep.failed(claim_id, statement, residual=str(lhs - rhs)))
+            claims.append(_signed_claim(claim_id, statement, lhs, rhs, "product"))
             # literal instantiation over F_p
             field = GF(p)
             lit_rows = [
@@ -291,7 +294,7 @@ def jacobian_identity_suite(
                 for i in (2, 3, 4)
             ]
             lit = poly_det(lit_rows)
-            expected_lit = stretch_exponents(lhs.scale(-1), p, field).scale(-1)
+            expected_lit = stretch_exponents(lhs, p, field)
             claims.append(
                 rep.check(
                     f"{claim_id}.f{p}",
@@ -313,21 +316,10 @@ def jacobian_identity_suite(
                 f"d(t^p - c2^p)/d({var}^p) = {stated} with p-th powers dropped, "
                 f"up to a recorded sign"
             )
-            if got == expected_raw:
-                claims.append(rep.verified(claim_id, statement, note="sign +1"))
-            elif got == -expected_raw:
-                claims.append(
-                    rep.noted(claim_id, statement, "sign -1 relative to the stated value")
-                )
-            else:
-                claims.append(
-                    rep.failed(claim_id, statement, residual=str(got - expected_raw))
-                )
+            claims.append(_signed_claim(claim_id, statement, got, expected_raw, "value"))
             field = GF(p)
             lit = partial_wrt_ppower(frobenius_expand(fam.element("c2", field), p), var, p)
-            expected = stretch_exponents(
-                Polynomial.from_terms(t.registry, field, got.terms.items()), p, field
-            )
+            expected = stretch_exponents(got, p, field)
             claims.append(
                 rep.check(
                     f"{claim_id}.f{p}",

@@ -121,6 +121,8 @@ def _load_corrections(path: Optional[str]) -> tuple[list, Optional[str]]:
 
 def resolve_algebra(args) -> tuple[StructureTable, Optional[str]]:
     selector = args.algebra
+    if args.n is not None and selector not in ("cn-borel", "cn-nil"):
+        raise ConfigError("--n applies to the cn-borel and cn-nil algebras only")
     corrections, sha = _load_corrections(args.corrections)
     try:
         if selector in ("g2-borel", "g2-nil", "f4-borel", "f4-nil"):
@@ -235,26 +237,26 @@ def _suite_callables(t: StructureTable, args) -> dict[str, Callable[[], list]]:
 def cmd_verify(args) -> int:
     t, sha = resolve_algebra(args)
     check_char(t, args.char)
-    available = _suite_callables(t, args)
+    available = requested = _suite_callables(t, args)
     if args.suites:
-        names = [s.strip() for s in args.suites.split(",") if s.strip()]
-        if not names:
+        requested = [s.strip() for s in args.suites.split(",") if s.strip()]
+        if not requested:
             raise ConfigError("--suites is empty")
-        unknown = [n for n in names if n not in SUITE_ORDER]
+        unknown = [n for n in requested if n not in SUITE_ORDER]
         if unknown:
             raise ConfigError(f"unknown suites: {', '.join(unknown)}")
-        inapplicable = [n for n in names if n not in available]
+        inapplicable = [n for n in requested if n not in available]
         if inapplicable:
             raise ConfigError(
                 f"suites not applicable to {t.name} at characteristic {args.char}: "
                 + ", ".join(inapplicable)
             )
-    else:
-        names = [n for n in SUITE_ORDER if n in available]
+    # run order, each suite once: the report records what ran
+    names = [n for n in SUITE_ORDER if n in requested]
     if args.out:
         _check_writable(args.out)
     try:
-        suites = [rep.SuiteResult(n, available[n]()) for n in SUITE_ORDER if n in names]
+        suites = [rep.SuiteResult(n, available[n]()) for n in names]
     except OracleCapExceeded as exc:
         raise ConfigError(str(exc)) from exc
     config = {

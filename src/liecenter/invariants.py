@@ -47,13 +47,13 @@ TriangleCase = tuple[str, str, Optional[str]]  # (v-name, x-label, expected c or
 
 @dataclass
 class InvariantFamily:
-    """The named elements of one catalog algebra, rebuildable over any
-    admissible coefficient field."""
+    """The named elements of one catalog algebra, built once over QQ; other
+    fields get the reductions of the QQ elements."""
 
     family: str  # the catalog family: g2, f4 or cn
     table: StructureTable
     central: tuple[str, ...]
-    builder: Callable[[Field], dict[str, Polynomial]]
+    builder: Callable[[], dict[str, Polynomial]]  # the elements over QQ
     weight_expectations: tuple = ()
     nonzero_pairings: tuple = ()
     chain: dict = dc_field(default_factory=dict)
@@ -66,7 +66,10 @@ class InvariantFamily:
         key = field.characteristic
         if key not in self._cache:
             self.table.check_characteristic(key)
-            self._cache[key] = self.builder(field)
+            self._cache[key] = self.builder() if not key else {
+                name: Polynomial.from_terms(poly.registry, field, poly.terms.items())
+                for name, poly in self.elements().items()
+            }
         return self._cache[key]
 
     def element(self, name: str, field: Field = QQ) -> Polynomial:
@@ -76,9 +79,9 @@ class InvariantFamily:
 # -- G2 ----------------------------------------------------------------------
 
 
-def _g2_defs(registry: VarRegistry, field: Field) -> dict[str, Polynomial]:
+def _g2_defs(registry: VarRegistry) -> dict[str, Polynomial]:
     def P(text: str) -> Polynomial:
-        return parse_polynomial(registry, field, text)
+        return parse_polynomial(registry, QQ, text)
 
     return {
         "c1": P("x6"),
@@ -99,7 +102,7 @@ def g2_invariants(t: StructureTable) -> InvariantFamily:
         family="g2",
         table=t,
         central=("c1", "c2"),
-        builder=lambda field: _g2_defs(t.registry, field),
+        builder=lambda: _g2_defs(t.registry),
         weight_expectations=(
             ("c1", "h1", "1", None),
             ("c1", "h2", "-2", None),
@@ -120,9 +123,9 @@ def g2_invariants(t: StructureTable) -> InvariantFamily:
 # -- F4 ----------------------------------------------------------------------
 
 
-def _f4_defs(registry: VarRegistry, field: Field) -> dict[str, Polynomial]:
+def _f4_defs(registry: VarRegistry) -> dict[str, Polynomial]:
     def P(text: str) -> Polynomial:
-        return parse_polynomial(registry, field, text)
+        return parse_polynomial(registry, QQ, text)
 
     e: dict[str, Polynomial] = {}
     e["c1"] = P("x24")
@@ -221,7 +224,7 @@ def f4_invariants(t: StructureTable) -> InvariantFamily:
         family="f4",
         table=t,
         central=("c1", "c2", "c3", "c4"),
-        builder=lambda field: _f4_defs(t.registry, field),
+        builder=lambda: _f4_defs(t.registry),
         weight_expectations=(
             ("c1", "h1", "1", None),
             ("c1", "h2", "0", None),
@@ -289,13 +292,6 @@ def cn_invariants(t: StructureTable) -> InvariantFamily:
     n = _cn_rank(t)
     grid = _build_m_matrix(t, n)
     cs = {f"c{i}": poly_det([row[2 * n - i:] for row in grid[:i]]) for i in range(1, n + 1)}
-
-    def build(field: Field) -> dict[str, Polynomial]:
-        return {
-            name: Polynomial.from_terms(t.registry, field, poly.terms.items())
-            for name, poly in cs.items()
-        }
-
     weight_expectations = tuple(
         (f"c{i}", f"h{k}", "2" if k <= i else "0", None)
         for i in range(1, n + 1)
@@ -305,7 +301,7 @@ def cn_invariants(t: StructureTable) -> InvariantFamily:
         family="cn",
         table=t,
         central=tuple(f"c{i}" for i in range(1, n + 1)),
-        builder=build,
+        builder=lambda: cs,
         weight_expectations=weight_expectations,
         nonzero_pairings=tuple((f"c{i}", f"h{i}") for i in range(1, n + 1)),
         notes=("entry-scaling convention: halve-shared",),

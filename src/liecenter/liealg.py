@@ -2,8 +2,9 @@
 
 A :class:`StructureTable` stores the brackets of ordered basis pairs (i < j)
 as linear combinations of basis elements with rational coefficients; the
-table is characteristic-free and coefficients are reduced into a prime field
-on demand.  The catalog provides the Borel subalgebras of G2 (dimension 8),
+table is characteristic-free, and :meth:`StructureTable.bracket_row` is the
+one place its coefficients are reduced into a prime field, by the field's
+``coerce``.  The catalog provides the Borel subalgebras of G2 (dimension 8),
 F4 (dimension 28) and Cn (dimension n^2+n, generated programmatically from a
 2n x 2n matrix realization), plus their nilradicals.  The Cn brackets are
 sparse matrix commutators by the rule E_ij E_kl = delta_jk E_il; each is
@@ -31,6 +32,7 @@ from .exactalg import (
     Polynomial,
     VarRegistry,
     add_into,
+    field_of_characteristic,
     parse_polynomial,
 )
 
@@ -72,7 +74,8 @@ class StructureTable:
         self.excluded_primes = frozenset(excluded_primes)
         self.corrections = tuple(corrections)
         # everything derived from the table, computed once per table and
-        # keyed by kind: ("row", char, i) bracket rows, ("pbw", char) the
+        # keyed by kind: ("row", char, i) bracket rows reduced into the field
+        # of char, which the PBW and Poisson kernels read, ("pbw", char) the
         # letter-product dict, ("oracle", char, degree, gens, cap) invariant
         # spaces, ("symmetrize", polynomial) lifts
         self.memo: dict = {}
@@ -112,31 +115,20 @@ class StructureTable:
         return lincomb_to_poly(self, self.bracket_coords(i, j), field)
 
     def bracket_row(self, i: int, char: int) -> dict:
-        """Cached map j -> ((k, coeff), ...) of [basis_i, basis_j] over the
-        field of the given characteristic, for every j with nonzero bracket."""
+        """Cached map j -> ((k, coeff), ...) of [basis_i, basis_j], for every
+        j with nonzero bracket, reduced into the field of ``char`` by its
+        ``coerce`` (so a prime dividing a denominator raises ZeroDivisionError)."""
         key = ("row", char, i)
-        row = self.memo.get(key)
-        if row is not None:
-            return row
-        row = {}
-        for j in range(self.dim):
-            coords = self.bracket_coords(i, j)
-            if not coords:
-                continue
-            if char:
-                reduced = []
-                for k, c in coords.items():
-                    den = c.denominator % char
-                    if den == 0:
-                        raise ZeroDivisionError(
-                            f"structure constant {c} not reducible mod {char}"
-                        )
-                    reduced.append((k, c.numerator * pow(den, char - 2, char) % char))
-                row[j] = tuple((k, c) for k, c in reduced if c)
-            else:
-                row[j] = tuple(coords.items())
-        self.memo[key] = row
-        return row
+        if key not in self.memo:
+            field = field_of_characteristic(char)
+            row = {}
+            for j in range(self.dim):
+                coords = self.bracket_coords(i, j).items()
+                reduced = add_into({}, ((k, field.coerce(c)) for k, c in coords), field)
+                if reduced:
+                    row[j] = tuple(reduced.items())
+            self.memo[key] = row
+        return self.memo[key]
 
     # -- derived tables --------------------------------------------------------
 

@@ -119,12 +119,9 @@ def _mul_mono_letter(t: StructureTable, field: Field, mono: Monomial, v: int):
                 acc.pop(m2, None)
             else:
                 acc[m2] = c
-    for k, ck in t.bracket_coords(u, v).items():
-        ckf = field.coerce(ck)
-        if ckf == zero:
-            continue
+    for k, ck in t.bracket_row(u, char).get(v, ()):
         for m2, c2 in _mul_mono_letter(t, field, mprime, k):
-            c = field.mul(ckf, c2)
+            c = field.mul(ck, c2)
             prev = acc.get(m2)
             c = c if prev is None else field.add(prev, c)
             if c == zero:
@@ -215,18 +212,19 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
     gi = t.registry.resolve(g)
     field = e.field
     t.check_characteristic(field.characteristic)
+    row = t.bracket_row(gi, field.characteristic)
     total: dict = {}
     for mono, coeff in e.terms.items():
         word = word_of(mono)
         for pos in range(len(word)):
-            targets = t.bracket_coords(gi, word[pos])
+            targets = row.get(word[pos])
             if not targets:
                 continue
             prefix = mono_of_word(word[:pos])
             # prefix * [x_g, x_letter], then the rest of the word
             current: dict = {}
-            for k, ck in targets.items():
-                scale = field.mul(coeff, field.coerce(ck))
+            for k, ck in targets:
+                scale = field.mul(coeff, ck)
                 add_into(current, _mul_mono_letter(t, field, prefix, k), field, scale)
             add_into(total, _mul_word(t, field, current, word[pos + 1 :]).items(), field)
     return PBWElement(e.registry, field, total)
@@ -309,13 +307,12 @@ def gr_leading(e: PBWElement) -> Polynomial:
 
 
 def reduce_u(e: PBWElement, field: Field) -> Optional[PBWElement]:
-    """Reduce a rational element into a prime field, or None when some
-    coefficient denominator is divisible by the characteristic."""
-    p = field.characteristic
-    for c in e.terms.values():
-        if Fraction(c).denominator % p == 0:
-            return None
-    return PBWElement.from_terms(e.registry, field, e.terms.items())
+    """Reduce a rational element into a prime field by the field's ``coerce``,
+    or None when some coefficient denominator is divisible by the prime."""
+    try:
+        return PBWElement.from_terms(e.registry, field, e.terms.items())
+    except ZeroDivisionError:
+        return None
 
 
 # ---------------------------------------------------------------------------

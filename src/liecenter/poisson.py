@@ -45,7 +45,7 @@ def ad_apply(t: StructureTable, i: Union[int, str], f: Polynomial) -> Polynomial
             # accumulated inline, not through add_into: the hottest loop of the suites
             for w, cw in targets:
                 m2 = mono_mul_var(base, w)
-                c = field.mul(factor, cw if field.characteristic else field.coerce(cw))
+                c = field.mul(factor, cw)
                 acc = terms.get(m2)
                 c = c if acc is None else field.add(acc, c)
                 if c == zero:

@@ -357,6 +357,42 @@ class TestReports:
         assert code == 2
 
 
+class TestConfigDescribesTheRun:
+    """The report's config records what ran, not what was typed."""
+
+    def test_suites_in_run_order_once_each(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--algebra", "g2-nil", "--suites", "invariance,jacobi,jacobi",
+            "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["config"]["suites"] == ["jacobi", "invariance"]
+        assert [suite["name"] for suite in data["suites"]] == ["jacobi", "invariance"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--algebra", "g2-nil", "--suites", "jacobi", "--n", "4"),
+            ("verify", "--algebra", "f4-borel", "--suites", "jacobi", "--n", "1"),
+            ("invariants", "--algebra", "g2-borel", "--n", "2"),
+        ],
+    )
+    def test_n_outside_cn_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "--n" in err and out == ""
+
+    def test_n_with_a_table_file_exits_2(self, capsys, tmp_path, g2b):
+        path = tmp_path / "g2.json"
+        save_table(g2b, str(path))
+        code, _, err = run_cli(
+            capsys, "verify", "--algebra", str(path), "--suites", "jacobi", "--n", "2"
+        )
+        assert code == 2
+        assert "--n" in err
+
+
 class TestUnwritableOutput:
     """An --out path that cannot be written is a configuration error (exit 2,
     one error line naming the path), not an internal one."""

@@ -94,6 +94,99 @@ class TestF4Family:
         )
 
 
+# The G2 and F4 formulas parsed and multiplied out over each field in turn,
+# kept as the reference that the reductions of the QQ elements are checked
+# against.
+
+
+def reference_g2_defs(registry, field):
+    def P(text):
+        return parse_polynomial(registry, field, text)
+
+    return {
+        "c1": P("x6"),
+        "c2": P("3*x1*x6 - 3*x2*x5 + x3^2"),
+        "v2": P("-1/3*x3"),
+        "v3": P("1/3*x2"),
+        "v4": P("x5"),
+        "v5": P("-x4"),
+    }
+
+
+def reference_f4_defs(registry, field):
+    def P(text):
+        return parse_polynomial(registry, field, text)
+
+    e = {}
+    e["c1"] = P("x24")
+    e["c2"] = P("2*x16*x24 - 2*x18*x23 - x20*x22 + x21^2")
+    e["v4"] = P("-2*x13*x24 + 2*x15*x23 + x17*x22 - x19*x21")
+    e["u9"] = P("x9*x24 - x11*x23 + x14*x22 - 1/2*x19^2")
+    e["c3"] = e["c2"] * e["u9"] + (e["v4"] * e["v4"]).scale("1/2")
+    e["v7"] = P("2*x10*x24 - 2*x12*x23 + x19*x20 - x17*x21")
+    e["u6"] = P("x6*x24 - x8*x23 + x14*x21 - 1/2*x17*x19")
+    e["v3"] = -(e["c2"] * e["u6"]) + (e["v4"] * e["v7"]).scale("1/2")
+    e["u2"] = P("x2*x24 - x5*x23 - 1/2*x14*x20 + 1/4*x17^2")
+    e["w3"] = e["u9"] * e["v7"] + e["u6"] * e["v4"]
+    e["c4"] = (
+        -(e["u2"] * e["c3"])
+        + (e["u6"] * e["v3"]).scale("1/2")
+        + (e["v7"] * e["w3"]).scale("1/4")
+    )
+    e["v23"] = P("x1")
+    e["v22"] = P("x5")
+    e["v21"] = P("x8")
+    e["v20"] = P("-1/2*x11")
+    e["v19"] = P("x12")
+    e["v18"] = P("-x14")
+    e["v17"] = P("-x15")
+    e["v15"] = P("x17")
+    e["v14"] = P("x18")
+    e["v12"] = P("-x19")
+    e["v11"] = P("1/2*x20")
+    e["v8"] = P("-x21")
+    e["v5"] = P("-x22")
+    e["v1"] = P("-x23")
+    e["v13"] = P("2*x4*x24 - 2*x17*x18 + 2*x15*x20 - 2*x12*x21")
+    e["v10"] = P("-2*x7*x24 + 2*x18*x19 + 2*x12*x22 - 2*x15*x21")
+    e["u3"] = P("-x3*x24 - x11*x21 + x8*x22 - x15*x19")
+    e["v6"] = -(e["c2"] * e["u3"]) + (e["v4"] * e["v10"]).scale("1/2")
+    return e
+
+
+class TestReducedFamilies:
+    """Over GF(p) a family is the reduction of its QQ elements; it must equal
+    the family built over GF(p) from the start."""
+
+    @pytest.mark.parametrize("level", ["borel", "nil"])
+    @pytest.mark.parametrize("name", ["g2", "f4"])
+    def test_matches_per_field_reference(self, name, level):
+        t = {"g2": liealg.g2_borel, "f4": liealg.f4_borel}[name]()
+        if level == "nil":
+            t = liealg.nilradical_table(t)
+        reference = {"g2": reference_g2_defs, "f4": reference_f4_defs}[name]
+        fam = invariants.build_family(t)
+        primes = [p for p in (3, 5, 7) if not invariants.inadmissible_reason(t, p)]
+        assert primes == ([5, 7] if name == "g2" else [3, 5, 7])
+        for field in [GF(p) for p in primes] + [QQ]:
+            assert fam.elements(field) == reference(t.registry, field)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cn_unchanged(self, n):
+        t = liealg.cn_borel(n)
+        grid = reference_m_matrix(t, n, "halve-shared")
+        fam = invariants.cn_invariants(t)
+        for p in (3, 5, 7):
+            field = GF(p)
+            expected = {
+                f"c{i}": Polynomial.from_terms(
+                    t.registry, field, poly_det(reference_block(grid, i)).terms.items()
+                )
+                for i in range(1, n + 1)
+            }
+            assert fam.elements(field) == expected
+
+
 # The three entry scalings of the Cn arrangement, kept as the reference that
 # the fixed arrangement of invariants._build_m_matrix is checked against:
 # the literal labels, the shared c-entries halved, or the b-diagonal doubled.

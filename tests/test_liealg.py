@@ -417,3 +417,79 @@ class TestNilradicalTable:
         x12 = f4n.registry.index("x12")
         x17 = f4n.registry.index("x17")
         assert row[x12] == ((x17, 1),)  # -1/2 = 1 mod 3
+
+
+# -- reference for the reduced bracket rows ------------------------------------
+
+
+def reference_bracket_row(t, i, char):
+    """[basis_i, basis_j] for every j, each coordinate reduced mod char by a
+    hand-rolled modular inverse of its denominator, with the coordinates and
+    then the brackets that vanish there dropped: the reference for
+    ``StructureTable.bracket_row``."""
+    row = {}
+    for j in range(t.dim):
+        coords = t.bracket_coords(i, j)
+        if char:
+            reduced = []
+            for k, c in coords.items():
+                den = c.denominator % char
+                if den == 0:
+                    raise ZeroDivisionError(f"structure constant {c} not reducible mod {char}")
+                reduced.append((k, c.numerator * pow(den, char - 2, char) % char))
+            entry = tuple((k, c) for k, c in reduced if c)
+        else:
+            entry = tuple((k, c) for k, c in coords.items() if c)
+        if entry:
+            row[j] = entry
+    return row
+
+
+ROW_TABLES = {
+    "g2": liealg.g2_borel,
+    "f4": liealg.f4_borel,
+    "c2": lambda: liealg.cn_borel(2),
+    "c3": lambda: liealg.cn_borel(3),
+    "c4": lambda: liealg.cn_borel(4),
+}
+
+
+class TestBracketRows:
+    @pytest.mark.parametrize("level", ["borel", "nil"])
+    @pytest.mark.parametrize("name", sorted(ROW_TABLES))
+    def test_matches_reference(self, name, level):
+        from liecenter.invariants import inadmissible_reason
+
+        t = ROW_TABLES[name]()
+        if level == "nil":
+            t = liealg.nilradical_table(t)
+        chars = [0] + [p for p in (3, 5, 7) if not inadmissible_reason(t, p)]
+        assert len(chars) >= 3
+        for char in chars:
+            for i in range(t.dim):
+                assert t.bracket_row(i, char) == reference_bracket_row(t, i, char)
+
+    def test_constant_vanishing_mod_p_is_dropped(self, g2b):
+        # G2 has the structure constant 3; the rows themselves are defined
+        # mod 3 even though the G2 family excludes that characteristic
+        rows = [g2b.bracket_row(i, 3) for i in range(g2b.dim)]
+        assert rows == [reference_bracket_row(g2b, i, 3) for i in range(g2b.dim)]
+        assert any(
+            len(row.get(j, ())) < len(g2b.bracket_coords(i, j))
+            for i, row in enumerate(rows)
+            for j in range(g2b.dim)
+        )
+
+    def test_denominator_divisible_by_p_raises(self):
+        t = liealg.table_from_dict(
+            {
+                "name": "heisenberg-third",
+                "basis": ["x", "y", "z"],
+                "cartan": [],
+                "brackets": [{"lhs": "x", "rhs": "y", "value": [["1/3", "z"]]}],
+            }
+        )
+        assert t.bracket_row(0, 5) == {1: ((2, 2),)}  # 1/3 = 2 mod 5
+        with pytest.raises(ZeroDivisionError, match="divisible by 3"):
+            t.bracket_row(0, 3)
+        assert ("row", 3, 0) not in t.memo

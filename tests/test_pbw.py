@@ -326,6 +326,31 @@ class TestReduceAndLifts:
         e = lift(g2n, "1/5*x1")
         assert reduce_u(e, GF(5)) is None
 
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1/2*x1*x2 + 3*x3",
+            "1/3*x1 + x2",
+            "1/5*x1^2 - 1/4*x6",
+            "1/15*x1*x2",
+            "5/3*x4 + 3/5*x5",
+            "7/4*x1*x3^2 - 9*x2",
+        ],
+    )
+    def test_reduce_u_none_exactly_when_p_divides_a_denominator(self, g2n, p, text):
+        e = lift(g2n, text)
+        r = reduce_u(e, GF(p))
+        if any(c.denominator % p == 0 for c in e.terms.values()):
+            assert r is None
+            return
+        expected = {}
+        for m, c in e.terms.items():
+            residue = c.numerator * pow(c.denominator, -1, p) % p
+            if residue:
+                expected[m] = residue
+        assert r is not None and r.field == GF(p) and r.terms == expected
+
     def test_z_lift_audit_g2(self, g2n, g2n_fam):
         claims = z_lift_audit(g2n, g2n_fam, QQ)
         assert all(c.passed for c in claims)
