@@ -11,7 +11,8 @@ instantiated literally over F_3 through the Frobenius expansion.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from functools import cache
+from typing import Callable, Optional, Sequence, Union
 
 from . import report as rep
 from .exactalg import (
@@ -63,19 +64,12 @@ def c1_label(t: StructureTable) -> str:
 # ---------------------------------------------------------------------------
 
 
-def sp_generators(
-    t: StructureTable, p: int, level: str = "nilradical"
-) -> list[tuple[str, Polynomial]]:
-    """The p-power generator list of the invariant subalgebra at the
-    nilradical or Borel level, as (name, polynomial) pairs over GF(p): the
-    p-th powers of the nilradical generators with the degree-one invariant
-    itself in place of its p-th power; at the Borel level the Cartan p-th
-    powers are appended."""
+def sp_generators(t: StructureTable, p: int) -> list[tuple[str, Polynomial]]:
+    """The p-power generator list of the invariant subalgebra at t's level,
+    as (name, polynomial) pairs over GF(p): the p-th powers of the
+    nilradical generators with the degree-one invariant itself in place of
+    its p-th power, then the p-th powers of t's Cartan part, if any."""
     t.check_characteristic(p)
-    if level not in ("nilradical", "borel"):
-        raise ValueError(f"unknown level {level!r}")
-    if level == "borel" and not t.cartan:
-        raise ValueError(f"{t.name} has no Cartan part; cannot build Borel-level set")
     field = GF(p)
     exempt = c1_label(t)
 
@@ -84,8 +78,7 @@ def sp_generators(
 
     out = [power(i) for i in t.nilradical if t.label(i) != exempt]
     out.append((exempt, Polynomial.variable(t.registry, field, exempt)))
-    if level == "borel":
-        out.extend(power(j) for j in t.cartan)
+    out.extend(power(j) for j in t.cartan)
     return out
 
 
@@ -99,8 +92,7 @@ def invariant_generators(
     p = field.characteristic
     if not p:
         return gens
-    sp = sp_generators(t, p, "borel" if t.cartan else "nilradical")
-    return sp + [g for g in gens if g[0] != "c1"]
+    return sp_generators(t, p) + [g for g in gens if g[0] != "c1"]
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +106,18 @@ def frobenius_membership_suite(
     """For every invariant c_i with i >= 2: c_i^p lies in the p-power
     subalgebra (pattern membership) while c_i itself does not, with a
     deterministic witness monomial; for F4 the layered compositions of
-    c_3^p and c_4^p are verified by exact subtraction."""
+    c_3^p and c_4^p are verified by exact subtraction.  Each Frobenius
+    expansion is computed once."""
     t.check_characteristic(p)
     field = GF(p)
+    F = cache(lambda name: frobenius_expand(fam.element(name, field), p))
     exempt = (c1_label(t),)
     claims = []
     prefix = f"{t.name}.frobenius.p{p}"
     for name in fam.central:
         if name == "c1":
             continue
-        c = fam.element(name, field)
-        cp = frobenius_expand(c, p)
-        ok, witness = ppattern_membership(cp, p, exempt)
+        ok, witness = ppattern_membership(F(name), p, exempt)
         claims.append(
             rep.check(
                 f"{prefix}.{name}.power-member",
@@ -134,7 +126,7 @@ def frobenius_membership_suite(
                 witness=None if ok else mono_to_str(t.registry, witness),
             )
         )
-        member, witness = ppattern_membership(c, p, exempt)
+        member, witness = ppattern_membership(fam.element(name, field), p, exempt)
         claims.append(
             rep.Claim(
                 f"{prefix}.{name}.non-member",
@@ -144,13 +136,15 @@ def frobenius_membership_suite(
             )
         )
     if fam.family == "f4":
-        claims.extend(_f4_layered_claims(t, fam, p))
+        claims.extend(_f4_layered_claims(t, F, p))
     return claims
 
 
-def _f4_layered_claims(t: StructureTable, fam: InvariantFamily, p: int) -> list[rep.Claim]:
+def _f4_layered_claims(
+    t: StructureTable, F: Callable[[str], Polynomial], p: int
+) -> list[rep.Claim]:
+    """The layered claims, with F the family's Frobenius expansion by name."""
     field = GF(p)
-    F = lambda name: frobenius_expand(fam.element(name, field), p)
     claims = []
     prefix = f"{t.name}.frobenius.p{p}"
     half_p = field.pow(field.coerce("1/2"), p)
@@ -178,7 +172,7 @@ def _f4_layered_claims(t: StructureTable, fam: InvariantFamily, p: int) -> list[
         )
     )
     for aux in ("u9", "v4", "u6", "v3", "u2", "v7", "w3"):
-        ok, witness = ppattern_membership(frobenius_expand(fam.element(aux, field), p), p, ())
+        ok, witness = ppattern_membership(F(aux), p, ())
         claims.append(
             rep.check(
                 f"{prefix}.{aux}p-pattern",
@@ -266,8 +260,11 @@ def jacobian_identity_suite(
     then instantiated literally over F_p via Frobenius expansion.
     """
     claims = []
+    field = GF(p)
     if fam.family == "f4":
         cs = [fam.element(f"c{i}") for i in (2, 3, 4)]
+        # each c_i^p once, for every identity and variable
+        frob = [frobenius_expand(fam.element(f"c{i}", field), p) for i in (2, 3, 4)]
         for vars_, coef, factors in _F4_JACOBIANS:
             rhs = Polynomial.constant(t.registry, QQ, coef)
             for fname, power in factors:
@@ -283,17 +280,7 @@ def jacobian_identity_suite(
             )
             claims.append(_signed_claim(claim_id, statement, lhs, rhs, "product"))
             # literal instantiation over F_p
-            field = GF(p)
-            lit_rows = [
-                [
-                    -partial_wrt_ppower(
-                        frobenius_expand(fam.element(f"c{i}", field), p), v, p
-                    )
-                    for v in vars_
-                ]
-                for i in (2, 3, 4)
-            ]
-            lit = poly_det(lit_rows)
+            lit = poly_det([[-partial_wrt_ppower(f, v, p) for v in vars_] for f in frob])
             expected_lit = stretch_exponents(lhs, p, field)
             claims.append(
                 rep.check(
@@ -306,6 +293,7 @@ def jacobian_identity_suite(
             )
     if fam.family == "g2":
         c2 = fam.element("c2")
+        c2p = frobenius_expand(fam.element("c2", field), p)
         # stated values of d(t^p - c2^p)/d(x^p); the raw partial of c2 is
         # minus that value with the p-th powers dropped
         for var, stated in (("x1", "-3*x6"), ("x2", "-3*x5")):
@@ -317,8 +305,7 @@ def jacobian_identity_suite(
                 f"up to a recorded sign"
             )
             claims.append(_signed_claim(claim_id, statement, got, expected_raw, "value"))
-            field = GF(p)
-            lit = partial_wrt_ppower(frobenius_expand(fam.element("c2", field), p), var, p)
+            lit = partial_wrt_ppower(c2p, var, p)
             expected = stretch_exponents(got, p, field)
             claims.append(
                 rep.check(
@@ -448,7 +435,7 @@ def theorem_generator_audit(
                 rep.check(
                     f"{prefix}.gen-count",
                     f"the p-power generator list has {len(t.nilradical)} entries",
-                    len(sp_generators(t, char, "nilradical")) == len(t.nilradical),
+                    len(sp_generators(t, char)) == len(t.nilradical),
                 )
             )
         _audit_invariant_generators(t, claims, prefix, gens, t.nilradical, "nilradical")
@@ -572,7 +559,7 @@ def theorem_generator_audit(
             rep.check(
                 f"{prefix}.gen-count",
                 f"the Borel-level p-power list has {expected_count} entries",
-                len(sp_generators(t, char, "borel")) == expected_count,
+                len(sp_generators(t, char)) == expected_count,
             )
         )
     _audit_invariant_generators(t, claims, prefix, gens, nil_idx, "nilradical")

@@ -126,7 +126,8 @@ def resolve_algebra(args) -> tuple[StructureTable, Optional[str]]:
     corrections, sha = _load_corrections(args.corrections)
     try:
         if selector in ("g2-borel", "g2-nil", "f4-borel", "f4-nil"):
-            t = (liealg.g2_borel if selector[:2] == "g2" else liealg.f4_borel)(corrections)
+            t = (liealg.g2_borel if selector[:2] == "g2" else liealg.f4_borel)()
+            t = liealg.apply_corrections(t, corrections) if corrections else t
             return (t if selector.endswith("borel") else liealg.nilradical_table(t)), sha
         if selector in ("cn-borel", "cn-nil"):
             if corrections:
@@ -138,7 +139,7 @@ def resolve_algebra(args) -> tuple[StructureTable, Optional[str]]:
         if os.path.exists(selector):
             if corrections:
                 raise ConfigError("corrections overlays apply to the g2/f4 tables only")
-            return liealg.load_table(selector, validate=False), sha
+            return liealg.load_table(selector), sha
     except TableDataError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown algebra selector {selector!r}")

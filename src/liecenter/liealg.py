@@ -10,9 +10,11 @@ F4 (dimension 28) and Cn (dimension n^2+n, generated programmatically from a
 sparse matrix commutators by the rule E_ij E_kl = delta_jk E_il; each is
 checked to lie in the basis span before it is stored.
 
-Every shipped table passes :func:`jacobi_check`; the catalog builders always
-validate and accept an optional corrections overlay that replaces individual
-printed entries while retaining the original for audit.
+Every table is built by one constructor from index-keyed, parsed brackets.
+Catalog tables are cached and pass :func:`jacobi_check`;
+:func:`apply_corrections` overlays printed entries on a validated copy,
+retaining each replaced value for audit.  Table files load unvalidated: the
+``jacobi`` suite reports a broken one as a failed claim.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .exactalg import (
 )
 
 LinComb = dict[int, Fraction]  # basis index -> rational coefficient
+Entry = tuple[tuple[int, Fraction], ...]  # a stored bracket, in basis order
 
 
 class TableDataError(ValueError):
@@ -60,7 +63,7 @@ class StructureTable:
         self,
         name: str,
         registry: VarRegistry,
-        brackets: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]],
+        brackets: dict[tuple[int, int], Entry],
         cartan: Sequence[int],
         nilradical: Sequence[int],
         excluded_primes: Iterable[int] = (2,),
@@ -241,11 +244,11 @@ def ad_power_identity(t: StructureTable, i: Union[int, str], p: int) -> AdPowerR
 
 
 # ---------------------------------------------------------------------------
-# Builders: parsing helpers, corrections overlay
+# Builders: parsing helpers, the one table constructor, corrections overlay
 # ---------------------------------------------------------------------------
 
 
-def _parse_lincomb(registry: VarRegistry, text: str) -> tuple[tuple[int, Fraction], ...]:
+def _parse_lincomb(registry: VarRegistry, text: str) -> Entry:
     try:
         poly = parse_polynomial(registry, QQ, text)
     except (KeyError, ValueError, ZeroDivisionError) as exc:
@@ -259,59 +262,32 @@ def _parse_lincomb(registry: VarRegistry, text: str) -> tuple[tuple[int, Fractio
     return tuple(out)
 
 
-def _apply_corrections(
-    registry: VarRegistry,
-    raw: dict[tuple[str, str], str],
-    corrections: Sequence[dict],
-) -> tuple[dict[tuple[str, str], str], list[Correction]]:
-    applied = []
-    data = dict(raw)
-    for corr in corrections:
-        lhs, rhs, value = corr["lhs"], corr["rhs"], corr["value"]
-        if lhs not in registry or rhs not in registry:
-            raise TableDataError(f"correction names unknown basis label: {corr}")
-        original = data.get((lhs, rhs), "0")
-        data[(lhs, rhs)] = value
-        applied.append(Correction(lhs, rhs, value, original))
-    return data, applied
-
-
-def _build_table(
-    name: str,
-    labels: Sequence[str],
-    cartan_labels: Sequence[str],
-    raw: dict[tuple[str, str], str],
-    excluded_primes: Iterable[int],
-    corrections: Sequence[dict] = (),
-) -> StructureTable:
-    registry = VarRegistry(labels)
-    raw, applied = _apply_corrections(registry, raw, corrections)
-    brackets = {}
-    for (lhs, rhs), text in raw.items():
-        i, j = registry.index(lhs), registry.index(rhs)
-        if i >= j:
-            raise TableDataError(f"bracket key ({lhs},{rhs}) not in increasing order")
-        brackets[(i, j)] = _parse_lincomb(registry, text)
-    return _assemble_table(name, registry, cartan_labels, brackets, excluded_primes, applied)
+def _bracket_entry(
+    registry: VarRegistry, lhs: str, rhs: str, text: str
+) -> tuple[tuple[int, int], Entry]:
+    """The index key and parsed value of one printed bracket [lhs, rhs] = text."""
+    i, j = registry.index(lhs), registry.index(rhs)
+    if i >= j:
+        raise TableDataError(f"bracket key ({lhs},{rhs}) not in increasing order")
+    return (i, j), _parse_lincomb(registry, text)
 
 
 def _assemble_table(
     name: str,
     registry: VarRegistry,
     cartan_labels: Sequence[str],
-    brackets: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]],
+    brackets: dict[tuple[int, int], Entry],
     excluded_primes: Iterable[int],
     applied: Sequence[Correction] = (),
     validate: bool = True,
 ) -> StructureTable:
-    """A table from brackets already keyed and sorted by basis index; empty
-    brackets are dropped, and ``validate`` checks Jacobi and the ideal."""
+    """The one table constructor, from brackets keyed and sorted by basis
+    index: empty brackets are dropped, and ``validate`` checks Jacobi and the
+    ideal for catalog and corrected tables."""
     brackets = {key: value for key, value in brackets.items() if value}
     cartan = [registry.index(h) for h in cartan_labels]
     nil = [i for i in range(len(registry)) if i not in set(cartan)]
-    table = StructureTable(
-        name, registry, brackets, cartan, nil, excluded_primes, applied
-    )
+    table = StructureTable(name, registry, brackets, cartan, nil, excluded_primes, applied)
     if validate:
         report = jacobi_check(table)
         if not report.ok:
@@ -324,6 +300,25 @@ def _assemble_table(
         if problems:
             raise TableDataError(f"{name}: {problems[0]}")
     return table
+
+
+def apply_corrections(t: StructureTable, entries: Sequence[dict]) -> StructureTable:
+    """A validated copy of ``t`` in which each entry {lhs, rhs, value}
+    replaces that bracket, recorded with the canonical text of the value it
+    replaced ("0" if none) as ``original``; ``t`` itself is untouched."""
+    brackets = dict(t.brackets)
+    applied = list(t.corrections)
+    for corr in entries:
+        lhs, rhs, value = corr["lhs"], corr["rhs"], corr["value"]
+        if lhs not in t.registry or rhs not in t.registry:
+            raise TableDataError(f"correction names unknown basis label: {corr}")
+        key, entry = _bracket_entry(t.registry, lhs, rhs, value)
+        # an emptied entry keeps its place until assembly drops it
+        original = str(lincomb_to_poly(t, dict(brackets.get(key, ()))))
+        brackets[key] = entry
+        applied.append(Correction(lhs, rhs, value, original))
+    cartan = [t.label(h) for h in t.cartan]
+    return _assemble_table(t.name, t.registry, cartan, brackets, t.excluded_primes, applied)
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +346,12 @@ _G2_BRACKETS = {
 }
 
 
-def g2_borel(corrections: Sequence[dict] = ()) -> StructureTable:
-    """The 8-dimensional Borel subalgebra of type G2 (h1, h2, x1..x6)."""
-    if not corrections:
-        return _g2_borel_cached()
-    return _build_table(
-        "g2-borel", _G2_LABELS, ("h1", "h2"), _G2_BRACKETS, (2, 3), corrections
-    )
-
-
 @lru_cache(maxsize=1)
-def _g2_borel_cached() -> StructureTable:
-    return _build_table("g2-borel", _G2_LABELS, ("h1", "h2"), _G2_BRACKETS, (2, 3))
+def g2_borel() -> StructureTable:
+    """The 8-dimensional Borel subalgebra of type G2 (h1, h2, x1..x6)."""
+    registry = VarRegistry(_G2_LABELS)
+    brackets = dict(_bracket_entry(registry, *key, text) for key, text in _G2_BRACKETS.items())
+    return _assemble_table("g2-borel", registry, ("h1", "h2"), brackets, (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -370,61 +359,48 @@ def _g2_borel_cached() -> StructureTable:
 # ---------------------------------------------------------------------------
 
 
-def _f4_raw_brackets() -> dict[tuple[str, str], str]:
-    """Merge the printed low/high column blocks, cross-checking antisymmetry.
+def _f4_brackets(registry: VarRegistry) -> dict[tuple[int, int], Entry]:
+    """Merge the printed low/high column blocks, each cell parsed once, and
+    cross-check antisymmetry.
 
     Both (xi, xj) and (xj, xi) are printed; they must be exact negatives,
     and the diagonal must vanish.  Root additivity is checked as well: each
     nonzero [xi, xj] must be a multiple of the generator whose root is the
     sum of the two roots.
     """
-    labels = _f4_data.F4_HS + _f4_data.F4_XS
-    registry = VarRegistry(labels)
-    columns = {f"x{c}": c for c in range(1, 25)}
-    cell: dict[tuple[str, str], str] = {}
+    cell: dict[tuple[str, str], Entry] = {}
     for data, offset in ((_f4_data.F4_TABLE_LOW, 1), (_f4_data.F4_TABLE_HIGH, 13)):
         for row_label, entries in data.items():
             if len(entries) != 12:
                 raise TableDataError(f"F4 row {row_label} has {len(entries)} entries")
             for c, text in enumerate(entries):
-                cell[(row_label, f"x{offset + c}")] = text
+                cell[(row_label, f"x{offset + c}")] = _parse_lincomb(registry, text)
 
     roots = {f"x{i + 1}": r for i, r in enumerate(_f4_data.F4_ROOTS)}
-    raw: dict[tuple[str, str], str] = {}
-    for (row, col), text in cell.items():
-        value = _parse_lincomb(registry, text)
-        if row in columns:  # x-row: verify against the mirrored printed cell
+    brackets = {}
+    for (row, col), value in cell.items():
+        if row in roots:  # x-row: verify against the mirrored printed cell
             if row == col and value:
-                raise TableDataError(f"F4 diagonal [{row},{row}] nonzero: {text}")
-            mirror = _parse_lincomb(registry, cell[(col, row)])
-            if tuple((k, -c) for k, c in mirror) != value:
+                raise TableDataError(f"F4 diagonal [{row},{row}] is nonzero")
+            if tuple((k, -c) for k, c in cell[(col, row)]) != value:
                 raise TableDataError(
                     f"F4 printed cells [{row},{col}] and [{col},{row}] are not antisymmetric"
                 )
-        if value and row in roots and col in roots:
-            target = tuple(a + b for a, b in zip(roots[row], roots[col]))
-            if len(value) != 1 or roots.get(registry.name(value[0][0])) != target:
-                raise TableDataError(f"F4 bracket [{row},{col}] is not root-additive")
+            if value:
+                target = tuple(a + b for a, b in zip(roots[row], roots[col]))
+                if len(value) != 1 or roots.get(registry.name(value[0][0])) != target:
+                    raise TableDataError(f"F4 bracket [{row},{col}] is not root-additive")
         i, j = registry.index(row), registry.index(col)
         if i < j and value:
-            raw[(row, col)] = text
-    return raw
-
-
-def f4_borel(corrections: Sequence[dict] = ()) -> StructureTable:
-    """The 28-dimensional Borel subalgebra of type F4 (h1..h4, x1..x24)."""
-    if not corrections:
-        return _f4_borel_cached()
-    labels = _f4_data.F4_HS + _f4_data.F4_XS
-    return _build_table(
-        "f4-borel", labels, _f4_data.F4_HS, _f4_raw_brackets(), (2,), corrections
-    )
+            brackets[(i, j)] = value
+    return brackets
 
 
 @lru_cache(maxsize=1)
-def _f4_borel_cached() -> StructureTable:
-    labels = _f4_data.F4_HS + _f4_data.F4_XS
-    return _build_table("f4-borel", labels, _f4_data.F4_HS, _f4_raw_brackets(), (2,))
+def f4_borel() -> StructureTable:
+    """The 28-dimensional Borel subalgebra of type F4 (h1..h4, x1..x24)."""
+    registry = VarRegistry(_f4_data.F4_HS + _f4_data.F4_XS)
+    return _assemble_table("f4-borel", registry, _f4_data.F4_HS, _f4_brackets(registry), (2,))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +488,8 @@ def nilradical_table(t: StructureTable) -> StructureTable:
                 (old_to_new[k], c) for k, c in entry
             )
     name = t.name.replace("-borel", "-nil") if "-borel" in t.name else t.name + "-nil"
-    return StructureTable(
-        name, registry, brackets, (), range(len(nil)), t.excluded_primes, t.corrections
+    return _assemble_table(
+        name, registry, (), brackets, t.excluded_primes, t.corrections, validate=False
     )
 
 
@@ -539,9 +515,11 @@ def table_to_dict(t: StructureTable) -> dict:
     }
 
 
-def table_from_dict(data: dict, validate: bool = True) -> StructureTable:
-    """Build a table from its file form, raising :class:`TableDataError`
-    naming the field for any malformed input."""
+def table_from_dict(data: dict) -> StructureTable:
+    """Build an unvalidated table from its file form, raising
+    :class:`TableDataError` naming the field for any malformed input: among
+    them a repeated bracket key and a coefficient that is neither a JSON
+    integer nor a string ``Fraction`` parses exactly."""
     if not isinstance(data, dict):
         raise TableDataError("a table file holds one JSON object")
     if not isinstance(data.get("name"), str):
@@ -563,31 +541,39 @@ def table_from_dict(data: dict, validate: bool = True) -> StructureTable:
             raise TableDataError(f"{where} names unknown basis label {label!r}")
         return registry.index(label)
 
+    def exact(c, where: str) -> Fraction:
+        # a JSON float is already rounded, and a boolean is no coefficient
+        if isinstance(c, bool) or not isinstance(c, (int, str)):
+            raise TableDataError(f"{where} has coefficient {c!r}, not an integer or a string")
+        return Fraction(c)
+
     for h in cartan:
         known(h, "table field 'cartan'")
-    brackets: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+    brackets: dict[tuple[int, int], Entry] = {}
     for n, item in enumerate(items):
         where = f"table field 'brackets' entry {n}"
         try:
             i, j = known(item["lhs"], where), known(item["rhs"], where)
-            terms = [(known(lab, where), Fraction(c)) for c, lab in item["value"]]
+            terms = [(known(lab, where), exact(c, where)) for c, lab in item["value"]]
         except TableDataError:
             raise
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise TableDataError(f"{where} is malformed: {exc!r}") from None
         if i >= j:
             raise TableDataError("bracket keys must be in basis order")
+        if (i, j) in brackets:
+            raise TableDataError(f"{where} repeats the bracket [{item['lhs']},{item['rhs']}]")
         # duplicate labels sum, zeros drop, basis order as a parsed value has
         brackets[(i, j)] = tuple(sorted(add_into({}, terms, QQ).items()))
     return _assemble_table(
-        data["name"], registry, cartan, brackets, tuple(primes), validate=validate
+        data["name"], registry, cartan, brackets, tuple(primes), validate=False
     )
 
 
-def load_table(path: str, validate: bool = True) -> StructureTable:
+def load_table(path: str) -> StructureTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise TableDataError(f"cannot read table file {path}: {exc}") from None
-    return table_from_dict(data, validate=validate)
+    return table_from_dict(data)

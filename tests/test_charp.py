@@ -18,18 +18,18 @@ from liecenter.pbw import gr_leading, is_central_u
 
 class TestGeneratorSets:
     def test_counts(self, g2b, g2n, f4b, f4n):
-        assert len(sp_generators(g2n, 5, "nilradical")) == 6
-        assert len(sp_generators(g2b, 5, "borel")) == 8
-        assert len(sp_generators(f4n, 3, "nilradical")) == 24
-        assert len(sp_generators(f4b, 3, "borel")) == 28
+        assert len(sp_generators(g2n, 5)) == 6
+        assert len(sp_generators(g2b, 5)) == 8
+        assert len(sp_generators(f4n, 3)) == 24
+        assert len(sp_generators(f4b, 3)) == 28
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_cn_counts(self, n):
         t = liealg.cn_borel(n)
-        assert len(sp_generators(t, 3, "borel")) == n * n + n
+        assert len(sp_generators(t, 3)) == n * n + n
 
     def test_g2_entries(self, g2n):
-        gs = sp_generators(g2n, 5, "nilradical")
+        gs = sp_generators(g2n, 5)
         names = [name for name, _ in gs]
         assert names == ["x1^5", "x2^5", "x3^5", "x4^5", "x5^5", "x6"]
         polys = dict(gs)
@@ -39,16 +39,12 @@ class TestGeneratorSets:
 
     def test_inadmissible_primes(self, g2n, f4n):
         with pytest.raises(ValueError):
-            sp_generators(f4n, 2, "nilradical")
+            sp_generators(f4n, 2)
         with pytest.raises(ValueError):
-            sp_generators(g2n, 3, "nilradical")
-
-    def test_borel_level_needs_cartan(self, g2n):
-        with pytest.raises(ValueError):
-            sp_generators(g2n, 5, "borel")
+            sp_generators(g2n, 3)
 
     def test_payload_polynomials(self, g2n):
-        polys = dict(sp_generators(g2n, 5, "nilradical"))
+        polys = dict(sp_generators(g2n, 5))
         assert polys["x1^5"] == parse_polynomial(g2n.registry, GF(5), "x1^5")
         assert polys["x6"] == parse_polynomial(g2n.registry, GF(5), "x6")
 

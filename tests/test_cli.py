@@ -184,6 +184,25 @@ class TestTableFiles:
         assert code == 2
         assert "invariance" in err
 
+    def test_repeated_bracket_exits_2(self, capsys, tmp_path, g2b):
+        # a wrong [h1, x1] stated before the real one must not pass unseen
+        data = liealg.table_to_dict(g2b)
+        data["brackets"].insert(0, {"lhs": "h1", "rhs": "x1", "value": [["5", "x1"]]})
+        code, out, err = run_cli(
+            capsys, "verify", "--algebra", self._write(tmp_path, data), "--suites", "jacobi"
+        )
+        assert (code, out) == (2, "")
+        assert "'brackets' entry 1 repeats the bracket [h1,x1]" in err
+
+    @pytest.mark.parametrize("coefficient", [0.1, True])
+    def test_inexact_coefficient_exits_2(self, capsys, tmp_path, coefficient):
+        # 0.1 arrives as 3602879701896397/36028797018963968, True as 1
+        data = self._foreign()
+        data["brackets"][0]["value"] = [[coefficient, "y3"]]
+        code, out, err = run_cli(capsys, "verify", "--algebra", self._write(tmp_path, data))
+        assert (code, out) == (2, "")
+        assert "'brackets' entry 0 has coefficient" in err
+
     @pytest.mark.parametrize(
         "edit, field",
         [

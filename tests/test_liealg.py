@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from liecenter import liealg
+from liecenter import _f4_data, liealg
 from liecenter._f4_data import F4_CARTAN_MATRIX, F4_ROOTS
 from liecenter.exactalg import GF, QQ, VarRegistry, parse_polynomial
 from liecenter.liealg import (
     AdPowerResult,
+    Correction,
     StructureTable,
     TableDataError,
     ad_power_identity,
@@ -338,10 +339,158 @@ class TestCnRealization:
             liealg.cn_borel(0)
 
 
+# -- reference for the catalog builders: the printed-text path ---------------
+
+
+def reference_f4_raw_brackets():
+    """The printed F4 cells merged as text, with the antisymmetry and root
+    additivity cross-checks, each cell parsed as often as it is compared."""
+    registry = VarRegistry(_f4_data.F4_HS + _f4_data.F4_XS)
+    cell = {}
+    for data, offset in ((_f4_data.F4_TABLE_LOW, 1), (_f4_data.F4_TABLE_HIGH, 13)):
+        for row_label, entries in data.items():
+            assert len(entries) == 12
+            for c, text in enumerate(entries):
+                cell[(row_label, f"x{offset + c}")] = text
+    roots = {f"x{i + 1}": r for i, r in enumerate(F4_ROOTS)}
+    raw = {}
+    for (row, col), text in cell.items():
+        value = liealg._parse_lincomb(registry, text)
+        if row in roots:
+            assert not (row == col and value)
+            mirror = liealg._parse_lincomb(registry, cell[(col, row)])
+            assert tuple((k, -c) for k, c in mirror) == value
+        if value and row in roots and col in roots:
+            target = tuple(a + b for a, b in zip(roots[row], roots[col]))
+            assert len(value) == 1 and roots.get(registry.name(value[0][0])) == target
+        if registry.index(row) < registry.index(col) and value:
+            raw[(row, col)] = text
+    return raw
+
+
+def reference_build(name, labels, cartan_labels, raw, excluded_primes, corrections=()):
+    """The overlay applied to the printed texts, then one parse per kept
+    text: the string path that ``g2_borel``, ``f4_borel`` and
+    ``apply_corrections`` replace.  Each correction records the text it
+    replaced."""
+    registry = VarRegistry(labels)
+    data, applied = dict(raw), []
+    for corr in corrections:
+        lhs, rhs, value = corr["lhs"], corr["rhs"], corr["value"]
+        if lhs not in registry or rhs not in registry:
+            raise TableDataError(f"correction names unknown basis label: {corr}")
+        applied.append(Correction(lhs, rhs, value, data.get((lhs, rhs), "0")))
+        data[(lhs, rhs)] = value
+    brackets = {}
+    for (lhs, rhs), text in data.items():
+        i, j = registry.index(lhs), registry.index(rhs)
+        if i >= j:
+            raise TableDataError(f"bracket key ({lhs},{rhs}) not in increasing order")
+        brackets[(i, j)] = liealg._parse_lincomb(registry, text)
+    return liealg._assemble_table(name, registry, cartan_labels, brackets, excluded_primes, applied)
+
+
+def reference_g2(corrections=()):
+    return reference_build(
+        "g2-borel", liealg._G2_LABELS, ("h1", "h2"), liealg._G2_BRACKETS, (2, 3), corrections
+    )
+
+
+def reference_f4(corrections=()):
+    return reference_build(
+        "f4-borel", _f4_data.F4_HS + _f4_data.F4_XS, _f4_data.F4_HS,
+        reference_f4_raw_brackets(), (2,), corrections,
+    )
+
+
+def assert_same_table(t, ref):
+    assert (t.name, t.registry) == (ref.name, ref.registry)
+    assert (t.cartan, t.nilradical) == (ref.cartan, ref.nilradical)
+    assert list(t.brackets.items()) == list(ref.brackets.items())  # dict order too
+    assert t.excluded_primes == ref.excluded_primes
+    assert t.corrections == ref.corrections
+
+
+def fix(lhs, rhs, value):
+    return {"lhs": lhs, "rhs": rhs, "value": value}
+
+
+# the printed texts are canonical, so a replaced text is its canonical form
+G2_OVERLAYS = {
+    "none": [],
+    "applied": [fix("x1", "x2", "2*x3")],
+    "corrected-twice": [fix("x1", "x2", "4*x3"), fix("x1", "x2", "2*x3")],
+    "zero-then-restored": [fix("h1", "x1", "0"), fix("h1", "x1", "-x1")],
+    "zero-on-absent": [fix("x1", "x5", "0"), fix("h1", "x3", "0")],
+}
+F4_OVERLAYS = {
+    "none": [],
+    "applied": [fix("h1", "x1", "2*x1")],
+    "corrected-twice": [fix("x1", "x2", "-x5"), fix("x1", "x2", "x5")],
+    "zero-then-restored": [fix("x1", "x2", "0"), fix("x1", "x2", "x5")],
+    "zero-on-absent": [fix("x1", "x3", "0")],
+}
+
+
+class TestCatalogBuilders:
+    """The index-keyed builders and ``apply_corrections`` against the
+    printed-text reference."""
+
+    def test_g2_matches_reference(self, g2b):
+        assert_same_table(g2b, reference_g2())
+
+    def test_f4_matches_reference(self, f4b):
+        assert_same_table(f4b, reference_f4())
+
+    @pytest.mark.parametrize("overlay", sorted(G2_OVERLAYS))
+    def test_g2_overlay_matches_reference(self, overlay):
+        entries = G2_OVERLAYS[overlay]
+        assert_same_table(liealg.apply_corrections(liealg.g2_borel(), entries), reference_g2(entries))
+
+    @pytest.mark.parametrize("overlay", sorted(F4_OVERLAYS))
+    def test_f4_overlay_matches_reference(self, overlay):
+        entries = F4_OVERLAYS[overlay]
+        assert_same_table(liealg.apply_corrections(liealg.f4_borel(), entries), reference_f4(entries))
+
+    def test_originals_recorded(self):
+        twice = liealg.apply_corrections(liealg.g2_borel(), G2_OVERLAYS["corrected-twice"])
+        assert [c.original for c in twice.corrections] == ["2*x3", "4*x3"]
+        zero = liealg.apply_corrections(liealg.g2_borel(), G2_OVERLAYS["zero-on-absent"])
+        assert [c.original for c in zero.corrections] == ["0", "0"]
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            pytest.param([fix("x1", "nope", "0")], "unknown basis label", id="unknown-label"),
+            pytest.param([fix("x2", "x1", "2*x3")], "not in increasing order", id="out-of-order"),
+            pytest.param([fix("x1", "x2", "x3 +")], "cannot be parsed", id="dangling-sign"),
+            pytest.param([fix("x1", "x2", "x3^2")], "not linear", id="not-linear"),
+            pytest.param([fix("h1", "x1", "x1")], "Jacobi fails", id="jacobi-breaking"),
+        ],
+    )
+    def test_overlay_errors_match_reference(self, entries, message):
+        with pytest.raises(TableDataError, match=message) as got:
+            liealg.apply_corrections(liealg.g2_borel(), entries)
+        with pytest.raises(TableDataError) as ref:
+            reference_g2(entries)
+        assert str(got.value) == str(ref.value)
+
+    def test_catalog_table_untouched(self):
+        t = liealg.g2_borel()
+        brackets, memo = list(t.brackets.items()), dict(t.memo)
+        for entries in (*G2_OVERLAYS.values(), [fix("h1", "x1", "x1")]):
+            try:
+                liealg.apply_corrections(t, entries)
+            except TableDataError:
+                pass
+        assert liealg.g2_borel() is t and not t.corrections
+        assert list(t.brackets.items()) == brackets and t.memo == memo
+
+
 class TestCorrectionsOverlay:
     def test_correction_applied_and_recorded(self):
-        t = liealg.g2_borel(
-            corrections=[{"lhs": "x1", "rhs": "x2", "value": "2*x3"}]
+        t = liealg.apply_corrections(
+            liealg.g2_borel(), [{"lhs": "x1", "rhs": "x2", "value": "2*x3"}]
         )
         assert len(t.corrections) == 1
         corr = t.corrections[0]
@@ -350,11 +499,15 @@ class TestCorrectionsOverlay:
 
     def test_bad_correction_label(self):
         with pytest.raises(TableDataError):
-            liealg.g2_borel(corrections=[{"lhs": "x1", "rhs": "nope", "value": "0"}])
+            liealg.apply_corrections(
+                liealg.g2_borel(), [{"lhs": "x1", "rhs": "nope", "value": "0"}]
+            )
 
     def test_invalidating_correction_caught(self):
         with pytest.raises(TableDataError):
-            liealg.g2_borel(corrections=[{"lhs": "h1", "rhs": "x1", "value": "x1"}])
+            liealg.apply_corrections(
+                liealg.g2_borel(), [{"lhs": "h1", "rhs": "x1", "value": "x1"}]
+            )
 
 
 class TestTableFiles:
@@ -396,14 +549,41 @@ class TestTableFiles:
         with pytest.raises(TableDataError):
             liealg.load_table(str(path))
 
-    def test_invalid_table_rejected_on_load(self, tmp_path, g2b):
+    def test_invalid_table_loads_unvalidated(self, tmp_path, g2b):
+        # a table file is checked by the jacobi suite, which fails a claim
         bad = with_bracket(g2b, "h1", "x1", "x1")
         path = tmp_path / "bad.json"
         save_table(bad, str(path))
-        with pytest.raises(TableDataError):
-            liealg.load_table(str(path))  # validate=True by default
-        loaded = liealg.load_table(str(path), validate=False)
-        assert not jacobi_check(loaded).ok
+        assert not jacobi_check(liealg.load_table(str(path))).ok
+
+    def test_repeated_bracket_rejected(self, g2b):
+        # the real [h1, x1] = -x1 comes second; the first entry must not be
+        # silently replaced by it, nor it by the first
+        data = liealg.table_to_dict(g2b)
+        data["brackets"].insert(0, {"lhs": "h1", "rhs": "x1", "value": [["5", "x1"]]})
+        with pytest.raises(TableDataError, match=r"entry 1 repeats the bracket \[h1,x1\]"):
+            liealg.table_from_dict(data)
+
+    @staticmethod
+    def _heisenberg(coefficient):
+        return {
+            "name": "heisenberg",
+            "basis": ["x", "y", "z"],
+            "cartan": [],
+            "brackets": [{"lhs": "x", "rhs": "y", "value": [[coefficient, "z"]]}],
+        }
+
+    @pytest.mark.parametrize("coefficient", [0.1, 1.0, True, None, [1]])
+    def test_inexact_coefficient_rejected(self, coefficient):
+        with pytest.raises(TableDataError, match="entry 0"):
+            liealg.table_from_dict(self._heisenberg(coefficient))
+
+    @pytest.mark.parametrize(
+        "coefficient, value", [("1/2", Fraction(1, 2)), ("-3", -3), (2, 2), ("0.25", Fraction(1, 4))]
+    )
+    def test_exact_coefficient_accepted(self, coefficient, value):
+        t = liealg.table_from_dict(self._heisenberg(coefficient))
+        assert t.bracket_coords(0, 1) == {2: value}
 
 
 class TestNilradicalTable:
