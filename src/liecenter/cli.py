@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from itertools import count
 from typing import Callable, Optional
 
@@ -268,7 +269,12 @@ def cmd_verify(args) -> int:
         "max_degree": args.max_degree,
         "corrections": args.corrections,
     }
-    report = rep.VerificationReport(config=config, suites=suites, corrections_sha256=sha)
+    report = rep.VerificationReport(
+        config=config,
+        suites=suites,
+        corrections_sha256=sha,
+        corrections=[asdict(c) for c in t.corrections],
+    )
     _emit(report, args.format, args.out)
     return 0 if report.ok else 1
 

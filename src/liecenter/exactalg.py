@@ -455,11 +455,6 @@ class Polynomial(TermDict):
             return other
         return Polynomial.constant(self.registry, self.field, other)
 
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=mono_sort_key)
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda t: mono_sort_key(t[0]), reverse=True)
 

@@ -30,7 +30,7 @@ from .exactalg import (
     poly_det,
 )
 from ._f4_data import F4_HS, F4_XS
-from .liealg import _G2_LABELS, StructureTable, cn_basis_labels
+from .liealg import _G2_LABELS, StructureTable, cn_basis_labels, lie_generators
 from .poisson import ad_apply, cartan_eigenvalue
 
 
@@ -574,7 +574,10 @@ def brute_force_invariant_space(
     ad x_i, i in gens, solved exactly blockwise per derived multidegree.
 
     This is the independent oracle: it never consults the invariant
-    families, only the structure table.  Over the rationals each block is
+    families, only the structure table.  Constraint rows are built for the
+    Lie generating subset of ``gens`` only (:func:`liealg.lie_generators`):
+    it kills the same polynomials, so the null space, and with it the row
+    space, is that of all of ``gens``.  Over the rationals each block is
     first rank-tested modulo a fixed large prime; full modular column rank
     proves an empty kernel, and only the remaining blocks are eliminated
     exactly over Q.  Constraint rows are taken in the order they are built:
@@ -583,11 +586,12 @@ def brute_force_invariant_space(
     smaller cap still raises.
     """
     t.check_characteristic(field.characteristic)
-    gens = list(gens)
     char = field.characteristic
-    memo_key = ("oracle", char, degree, tuple(gens), max_entries)
+    gens = tuple(gens)
+    memo_key = ("oracle", char, degree, gens, max_entries)
     if memo_key in t.memo:
         return list(t.memo[memo_key])
+    gens = lie_generators(t, gens, char)
     monos = homogeneous_monomials(t.dim, degree)
     gradings = derive_multigrading(t)
     blocks: dict[tuple, list[Monomial]] = {}

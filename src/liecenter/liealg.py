@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from . import _f4_data
+from . import _f4_data, linalg
 from .exactalg import (
     GF,
     QQ,
@@ -80,7 +80,8 @@ class StructureTable:
         # keyed by kind: ("row", char, i) bracket rows reduced into the field
         # of char, which the PBW and Poisson kernels read, ("pbw", char) the
         # letter-product dict, ("oracle", char, degree, gens, cap) invariant
-        # spaces, ("symmetrize", polynomial) lifts
+        # spaces, ("symmetrize", polynomial) lifts, ("lie-generators", char,
+        # gens) generating subsets of gens
         self.memo: dict = {}
 
     @property
@@ -207,6 +208,71 @@ def check_nilradical_ideal(t: StructureTable) -> list[str]:
             if i < j and t.brackets.get((i, j)):
                 problems.append(f"[{t.label(i)},{t.label(j)}] != 0 inside the Cartan")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Lie generating sets
+# ---------------------------------------------------------------------------
+
+
+def lie_generators(t: StructureTable, gens: Iterable[int], char: int) -> tuple[int, ...]:
+    """A subsequence of ``gens`` whose iterated brackets span every basis
+    vector of ``gens`` over the field of ``char``.
+
+    ``ad`` is a Lie algebra homomorphism into the derivations of the
+    symmetric and of the enveloping algebra, in every characteristic, so an
+    element killed by the subsequence is killed by all of ``gens``.  The
+    subsequence is the Cartan part of ``gens`` plus, in index order, each
+    other element outside the span of the brackets among those others and of
+    the elements kept before it.  It is kept only after an exact closure
+    check in the field and only for a table satisfying the Jacobi identity,
+    which the homomorphism needs; otherwise ``gens`` is returned unchanged.
+    Computed once per table.
+    """
+    gens = tuple(gens)
+    key = ("lie-generators", char, gens)
+    if key not in t.memo:
+        t.memo[key] = _lie_generators(t, gens, char)
+    return t.memo[key]
+
+
+def _lie_generators(t: StructureTable, gens: tuple[int, ...], char: int) -> tuple[int, ...]:
+    t.check_characteristic(char)
+    field = field_of_characteristic(char)
+    one = field.one
+
+    def ad(i: int, vec: dict) -> dict:
+        """[basis_i, vec] over the field, from the reduced bracket rows."""
+        row = t.bracket_row(i, char)
+        out: dict = {}
+        for k, c in vec.items():
+            add_into(out, row.get(k, ()), field, c)
+        return out
+
+    rest = sorted({i for i in gens if i not in t.cartan})
+    chosen = {i for i in gens if i in t.cartan}
+    derived = (ad(i, {j: one}) for i, j in combinations(rest, 2))
+    span = linalg.echelon(derived, field)
+    for i in rest:
+        grown = linalg.echelon([*span.values(), {i: one}], field)
+        if len(grown) > len(span):
+            chosen.add(i)
+            span = grown
+    if len(chosen) == len(set(gens)):
+        return gens
+    # the closure: [chosen, S_k] lies in S_(k+1), so bracketing the chosen
+    # elements with the directions each step adds reaches the generated span
+    span = linalg.echelon(({i: one} for i in chosen), field)
+    new = list(span.values())
+    while new:
+        brackets = (ad(i, v) for i in chosen for v in new)
+        grown = linalg.echelon([*span.values(), *brackets], field)
+        new = [row for pc, row in grown.items() if pc not in span]
+        span = grown
+    closed = len(linalg.echelon([*span.values(), *({i: one} for i in gens)], field)) == len(span)
+    if not (closed and jacobi_check(t).ok):
+        return gens
+    return tuple(i for i in gens if i in chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +562,6 @@ def nilradical_table(t: StructureTable) -> StructureTable:
 # ---------------------------------------------------------------------------
 # Algebra-table file format
 # ---------------------------------------------------------------------------
-
-
-def table_to_dict(t: StructureTable) -> dict:
-    return {
-        "name": t.name,
-        "excluded_primes": sorted(t.excluded_primes),
-        "basis": list(t.registry.names),
-        "cartan": [t.label(i) for i in t.cartan],
-        "brackets": [
-            {
-                "lhs": t.label(i),
-                "rhs": t.label(j),
-                "value": [[str(c), t.label(k)] for k, c in entry],
-            }
-            for (i, j), entry in sorted(t.brackets.items())
-        ],
-    }
 
 
 def table_from_dict(data: dict) -> StructureTable:

@@ -35,7 +35,7 @@ from .exactalg import (
     mono_div_var,
     mono_mul_var,
 )
-from .liealg import StructureTable, ad_power_identity
+from .liealg import StructureTable, ad_power_identity, lie_generators
 
 
 class CharacteristicObstruction(ValueError):
@@ -233,11 +233,15 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
 def is_central_u(
     t: StructureTable, e: PBWElement, gens: Iterable[int]
 ) -> tuple[bool, Optional[int]]:
-    """True iff [x_i, e] = 0 for every generator index (generators suffice)."""
-    for i in gens:
-        if not commutator_with_basis(t, i, e).is_zero:
-            return False, i
-    return True, None
+    """True iff [x_i, e] = 0 for every generator index; otherwise the first
+    failing generator is returned.  Decided over a Lie generating subset of
+    ``gens``, which commutes with e exactly when all of ``gens`` does."""
+    gens = tuple(gens)
+    subset = lie_generators(t, gens, e.field.characteristic)
+    if all(commutator_with_basis(t, i, e).is_zero for i in subset):
+        return True, None
+    # the subset lies in gens, so some generator fails
+    return False, next(i for i in gens if not commutator_with_basis(t, i, e).is_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .exactalg import (
     mono_div_var,
     mono_mul_var,
 )
-from .liealg import StructureTable
+from .liealg import StructureTable, lie_generators
 
 
 def ad_apply(t: StructureTable, i: Union[int, str], f: Polynomial) -> Polynomial:
@@ -88,11 +88,14 @@ def is_invariant(
     t: StructureTable, f: Polynomial, gens: Iterable[int]
 ) -> tuple[bool, Optional[int]]:
     """True iff {x_i, f} = 0 for every generator index; otherwise the first
-    failing generator is returned."""
-    for i in gens:
-        if not ad_apply(t, i, f).is_zero:
-            return False, i
-    return True, None
+    failing generator is returned.  Decided over a Lie generating subset of
+    ``gens``, which kills f exactly when all of ``gens`` does."""
+    gens = tuple(gens)
+    subset = lie_generators(t, gens, f.field.characteristic)
+    if all(ad_apply(t, i, f).is_zero for i in subset):
+        return True, None
+    # the subset lies in gens, so some generator fails
+    return False, next(i for i in gens if not ad_apply(t, i, f).is_zero)
 
 
 def cartan_eigenvalue(t: StructureTable, k: Union[int, str], f: Polynomial):

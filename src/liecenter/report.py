@@ -113,11 +113,16 @@ class SuiteResult:
         return cls(data["name"], [Claim.from_dict(c) for c in data["claims"]])
 
 
+CORRECTION_FIELDS = ("lhs", "rhs", "value", "original")
+
+
 @dataclass
 class VerificationReport:
     config: dict
     suites: list[SuiteResult] = field(default_factory=list)
     corrections_sha256: Optional[str] = None
+    # the overlaid bracket entries, each {lhs, rhs, value, original}
+    corrections: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -132,12 +137,15 @@ class VerificationReport:
         return total
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "config": self.config,
             "corrections_sha256": self.corrections_sha256,
             "summary": self.summary(),
             "suites": [s.to_dict() for s in self.suites],
         }
+        if self.corrections:  # absent, not empty, so reports without an overlay keep their bytes
+            out["corrections"] = self.corrections
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -146,10 +154,20 @@ class VerificationReport:
     def from_dict(cls, data: dict) -> "VerificationReport":
         if not isinstance(data["config"], dict):
             raise ValueError("report field 'config' must be an object")
+        corrections = data.get("corrections", [])
+        if not isinstance(corrections, list) or not all(
+            isinstance(c, dict) and all(isinstance(c.get(k), str) for k in CORRECTION_FIELDS)
+            for c in corrections
+        ):
+            raise ValueError(
+                "report field 'corrections' must be a list of objects with string "
+                + ", ".join(repr(k) for k in CORRECTION_FIELDS)
+            )
         return cls(
             config=data["config"],
             suites=[SuiteResult.from_dict(s) for s in data["suites"]],
             corrections_sha256=data.get("corrections_sha256"),
+            corrections=corrections,
         )
 
     def to_markdown(self) -> str:
@@ -159,6 +177,10 @@ class VerificationReport:
             lines.append(f"- `{key}`: `{self.config[key]}`")
         if self.corrections_sha256:
             lines.append(f"- corrections overlay sha256: `{self.corrections_sha256}`")
+        for c in self.corrections:
+            lines.append(
+                f"- correction: `[{c['lhs']}, {c['rhs']}] = {c['value']}`, was `{c['original']}`"
+            )
         lines.append("")
         summary = self.summary()
         lines.append("## Summary")

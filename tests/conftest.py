@@ -3,7 +3,7 @@ import json
 import pytest
 
 from liecenter import invariants, liealg
-from liecenter.exactalg import mono_degree
+from liecenter.exactalg import mono_degree, mono_sort_key
 
 
 @pytest.fixture(scope="session")
@@ -87,14 +87,39 @@ def nonzero_bracket_items(t):
     return out
 
 
+def table_to_dict(t):
+    """The table-file form of a table, which ``liealg.table_from_dict`` reads."""
+    return {
+        "name": t.name,
+        "excluded_primes": sorted(t.excluded_primes),
+        "basis": list(t.registry.names),
+        "cartan": [t.label(i) for i in t.cartan],
+        "brackets": [
+            {
+                "lhs": t.label(i),
+                "rhs": t.label(j),
+                "value": [[str(c), t.label(k)] for k, c in entry],
+            }
+            for (i, j), entry in sorted(t.brackets.items())
+        ],
+    }
+
+
 def save_table(t, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(liealg.table_to_dict(t), fh, indent=2, sort_keys=True)
+        json.dump(table_to_dict(t), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def is_homogeneous(p):
     return len({mono_degree(m) for m in p.terms}) <= 1
+
+
+def leading_monomial(p):
+    """The greatest monomial of a nonzero polynomial in the graded order."""
+    if not p.terms:
+        raise ValueError("zero polynomial has no leading monomial")
+    return max(p.terms, key=mono_sort_key)
 
 
 def abelian_table(dim=4):

@@ -9,7 +9,7 @@ import pytest
 
 from liecenter import cli, invariants, liealg
 
-from conftest import save_table, with_bracket
+from conftest import save_table, table_to_dict, with_bracket
 
 
 def run_cli(capsys, *args):
@@ -139,7 +139,7 @@ class TestTableFiles:
         }
 
     def test_catalog_basis_under_any_name(self, capsys, tmp_path, g2b):
-        data = liealg.table_to_dict(g2b)
+        data = table_to_dict(g2b)
         data["name"] = "my-algebra"
         code, out, _ = run_cli(
             capsys, "verify", "--algebra", self._write(tmp_path, data),
@@ -167,7 +167,7 @@ class TestTableFiles:
         ],
     )
     def test_characteristic_of_file(self, capsys, tmp_path, g2b, char, edit, code, message):
-        data = liealg.table_to_dict(g2b)
+        data = table_to_dict(g2b)
         edit(data)
         got, out, err = run_cli(
             capsys, "verify", "--algebra", self._write(tmp_path, data), "--char", char
@@ -186,7 +186,7 @@ class TestTableFiles:
 
     def test_repeated_bracket_exits_2(self, capsys, tmp_path, g2b):
         # a wrong [h1, x1] stated before the real one must not pass unseen
-        data = liealg.table_to_dict(g2b)
+        data = table_to_dict(g2b)
         data["brackets"].insert(0, {"lhs": "h1", "rhs": "x1", "value": [["5", "x1"]]})
         code, out, err = run_cli(
             capsys, "verify", "--algebra", self._write(tmp_path, data), "--suites", "jacobi"
@@ -363,6 +363,45 @@ class TestReports:
         assert data["config"]["algebra"] == "g2-borel"
         assert data["corrections_sha256"] and len(data["corrections_sha256"]) == 64
 
+    def test_corrections_audit_trail(self, capsys, tmp_path):
+        # each overlaid entry reaches the report with the value it replaced,
+        # and survives re-rendering; a report without an overlay has no key
+        corrections, out_path = tmp_path / "over.json", tmp_path / "report.json"
+        corrections.write_text(json.dumps({"entries": [
+            {"lhs": "x1", "rhs": "x2", "value": "4*x3"},
+            {"lhs": "x1", "rhs": "x2", "value": "2*x3"}]}))
+        code, _, _ = run_cli(
+            capsys, "verify", "--algebra", "g2-nil", "--suites", "jacobi",
+            "--format", "json", "--corrections", str(corrections), "--out", str(out_path),
+        )
+        assert code == 0
+        assert json.loads(out_path.read_text())["corrections"] == [
+            {"lhs": "x1", "rhs": "x2", "value": "4*x3", "original": "2*x3"},
+            {"lhs": "x1", "rhs": "x2", "value": "2*x3", "original": "4*x3"},
+        ]
+        code, out, _ = run_cli(capsys, "report", "--in", str(out_path), "--format", "json")
+        assert (code, out) == (0, out_path.read_text())
+        code, out, _ = run_cli(capsys, "report", "--in", str(out_path), "--format", "markdown")
+        assert "- correction: `[x1, x2] = 4*x3`, was `2*x3`" in out
+        assert "- correction: `[x1, x2] = 2*x3`, was `4*x3`" in out
+        code, out, _ = run_cli(
+            capsys, "verify", "--algebra", "g2-nil", "--suites", "jacobi", "--format", "json"
+        )
+        assert "corrections" not in json.loads(out)
+
+    @pytest.mark.parametrize(
+        "corrections",
+        [{"lhs": "x1"}, "x1", {"lhs": "x1", "rhs": "x2", "value": "2*x3", "original": 0}],
+    )
+    def test_malformed_corrections_in_report_exits_2(self, capsys, tmp_path, corrections):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(
+            {"config": {}, "suites": [], "corrections": [corrections]}
+        ))
+        code, out, err = run_cli(capsys, "report", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert "'corrections'" in err
+
     def test_malformed_corrections(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -497,13 +536,14 @@ class TestInvariantsCommand:
         assert "degree 2: invariant dimension 2" in out
 
     def test_oracle_cap_keeps_solved_degrees(self, capsys):
-        # degree 4 over the f4 Borel algebra exceeds the solver cap
+        # degree 5 over the f4 Borel algebra exceeds the solver cap
         code, out, err = run_cli(
-            capsys, "invariants", "--algebra", "f4-borel", "--max-degree", "4", "--oracle"
+            capsys, "invariants", "--algebra", "f4-borel", "--max-degree", "5", "--oracle"
         )
         assert code == 2
         assert "exceeds" in err
         assert "degree 3: invariant dimension 2" in out
+        assert "degree 4: invariant dimension 4, generated dimension 4, equal" in out
 
 
 class TestConsoleScript:

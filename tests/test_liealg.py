@@ -15,7 +15,7 @@ from liecenter.liealg import (
     jacobi_check,
 )
 
-from conftest import abelian_table, save_table, with_bracket
+from conftest import abelian_table, save_table, table_to_dict, with_bracket
 
 
 # -- dense reference for the ad-power identities -------------------------------
@@ -533,13 +533,13 @@ class TestTableFiles:
         t = catalog_borel(name.replace("-nil", "-borel"))
         if name.endswith("-nil"):
             t = liealg.nilradical_table(t)
-        back = liealg.table_from_dict(liealg.table_to_dict(t))
+        back = liealg.table_from_dict(table_to_dict(t))
         assert (back.name, back.registry, back.brackets) == (t.name, t.registry, t.brackets)
         assert (back.cartan, back.nilradical) == (t.cartan, t.nilradical)
         assert back.excluded_primes == t.excluded_primes
 
     def test_rejects_out_of_order_keys(self, tmp_path, g2b):
-        data = liealg.table_to_dict(g2b)
+        data = table_to_dict(g2b)
         data["brackets"][0]["lhs"], data["brackets"][0]["rhs"] = (
             data["brackets"][0]["rhs"],
             data["brackets"][0]["lhs"],
@@ -559,7 +559,7 @@ class TestTableFiles:
     def test_repeated_bracket_rejected(self, g2b):
         # the real [h1, x1] = -x1 comes second; the first entry must not be
         # silently replaced by it, nor it by the first
-        data = liealg.table_to_dict(g2b)
+        data = table_to_dict(g2b)
         data["brackets"].insert(0, {"lhs": "h1", "rhs": "x1", "value": [["5", "x1"]]})
         with pytest.raises(TableDataError, match=r"entry 1 repeats the bracket \[h1,x1\]"):
             liealg.table_from_dict(data)

@@ -33,6 +33,7 @@ from liecenter.pbw import (  # noqa: E402
     mono_of_word,
     symmetrize,
 )
+from conftest import table_to_dict  # noqa: E402
 from test_pbw import reference_symmetrize  # noqa: E402
 
 REG = VarRegistry(["x1", "x2", "x3"])
@@ -182,8 +183,8 @@ def test_commutator_with_basis_matches_commutator_u(name, field, data):
 # an internal error (3)
 
 BASE_TABLES = {
-    "g2-borel": liealg.table_to_dict(liealg.g2_borel()),
-    "c2-borel": liealg.table_to_dict(liealg.cn_borel(2)),
+    "g2-borel": table_to_dict(liealg.g2_borel()),
+    "c2-borel": table_to_dict(liealg.cn_borel(2)),
 }
 
 

@@ -1,13 +1,19 @@
-"""Every function the benchmark's tracer wraps must still exist, so that a
-rename or deletion in the package fails here and not only under a traced
-benchmark run."""
+"""Every function the benchmark's tracer wraps must still exist, and its
+hooks must still read the arguments they are given, so that a rename, a
+deletion or a changed row format in the package fails here and not only
+under a traced benchmark run."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACE_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_CHILD = ROOT / "perfbench" / "trace_child.py"
 
 
 def load_trace_child():
@@ -37,3 +43,20 @@ def test_trace_target_resolves(target):
     owner, attr, function = trace_child._resolve(target)
     assert callable(function)
     assert getattr(owner, attr) is function
+
+
+def test_oracle_shape_hook_reads_the_solver_rows(tmp_path):
+    # the hook counts dense entries and nonzeros from the rows the oracle
+    # hands to linalg.saturates_mod; rows of another shape fail here
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACE_CHILD), str(spans),
+         "verify", "--algebra", "g2-nil", "--suites", "oracle"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(spans.read_text(encoding="utf-8"))["counts"]
+    dense = counts["invariants.oracle.dense_entries"]
+    assert dense > 0
+    assert 0 < counts["invariants.oracle.nonzeros"] <= dense
