@@ -147,7 +147,11 @@ def resolve_algebra(args) -> tuple[StructureTable, Optional[str]]:
 
 
 def check_char(t: StructureTable, char: int) -> None:
-    if char != 0 and (char == 2 or not is_prime(char)):
+    try:
+        prime = is_prime(char)
+    except ValueError as exc:
+        raise ConfigError(f"--char must be 0 or an odd prime, and {exc}") from exc
+    if char != 0 and (char == 2 or not prime):
         raise ConfigError(f"--char must be 0 or an odd prime, got {char}")
     reason = invariants.inadmissible_reason(t, char)
     if reason:

@@ -28,18 +28,37 @@ class RegistryMismatch(ValueError):
     """Arithmetic attempted between polynomials over different registries."""
 
 
+# As Miller-Rabin bases, the primes up to 41 decide primality exactly below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality test for n < ``MR_BOUND`` (about 3.3e24) by
+    deterministic Miller-Rabin; ValueError at or above the bound."""
+    if n >= MR_BOUND:
+        raise ValueError(f"primality is decided only below {MR_BOUND}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -113,7 +132,7 @@ class PrimeField:
                 raise ZeroDivisionError(
                     f"denominator {value.denominator} is divisible by {self.p}"
                 )
-            return value.numerator * pow(den, self.p - 2, self.p) % self.p
+            return value.numerator * pow(den, -1, self.p) % self.p
         if isinstance(value, str):
             return self.coerce(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
@@ -130,7 +149,7 @@ class PrimeField:
     def div(self, a, b):
         if b % self.p == 0:
             raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return a * pow(b, self.p - 2, self.p) % self.p
+        return a * pow(b, -1, self.p) % self.p
 
     def pow(self, a, n: int):
         return pow(a, n, self.p)

@@ -24,8 +24,6 @@ from .exactalg import (
     Monomial,
     Polynomial,
     VarRegistry,
-    mono_div_var,
-    mono_mul_var,
     parse_polynomial,
     poly_det,
 )
@@ -525,7 +523,15 @@ def derive_multigrading(t: StructureTable) -> list[tuple[int, ...]]:
 
     Any such grading splits the invariance system into independent blocks,
     because each ad x_i shifts a monomial's multidegree by w_i uniformly.
+    Computed once per table.
     """
+    key = ("multigrading",)
+    if key not in t.memo:
+        t.memo[key] = _derive_multigrading(t)
+    return list(t.memo[key])
+
+
+def _derive_multigrading(t: StructureTable) -> tuple[tuple[int, ...], ...]:
     dim = t.dim
     rows = []
     for (i, j), entry in sorted(t.brackets.items()):
@@ -538,7 +544,7 @@ def derive_multigrading(t: StructureTable) -> list[tuple[int, ...]]:
                 rows.append(row)
     if not rows:
         rows = [[0] * dim]
-    return [tuple(v) for v in linalg.nullspace_int(rows, dim)]
+    return tuple(tuple(v) for v in linalg.nullspace_int(rows, dim))
 
 
 def _mono_grade(mono: Monomial, gradings: Sequence[tuple[int, ...]]) -> tuple:
@@ -577,13 +583,23 @@ def brute_force_invariant_space(
     families, only the structure table.  Constraint rows are built for the
     Lie generating subset of ``gens`` only (:func:`liealg.lie_generators`):
     it kills the same polynomials, so the null space, and with it the row
-    space, is that of all of ``gens``.  Over the rationals each block is
-    first rank-tested modulo a fixed large prime; full modular column rank
-    proves an empty kernel, and only the remaining blocks are eliminated
-    exactly over Q.  Constraint rows are taken in the order they are built:
-    the pivot columns, and with them the basis, do not depend on it.  Each
-    space is solved once per table; the cap is part of the memo key, so a
-    smaller cap still raises.
+    space, is that of all of ``gens``.
+
+    Each column monomial is packed into the integer code sum(e_v * B**v)
+    with B = degree + 1.  Every exponent of a degree-d monomial is at most
+    d < B, so the code is its exponent vector written in base B, and
+    distinct monomials get distinct codes.  The image of a monomial under
+    x_v -> x_w then has code ``code - B**v + B**w``, and one row is kept per
+    (generator, image code), as a ``{column: coefficient}`` dict that is
+    reduced into the field once it is complete.  Rows that end all zero are
+    dropped, and the others are handed on as dense lists.
+
+    Over the rationals each block is first rank-tested modulo a fixed large
+    prime; full modular column rank proves an empty kernel, and only the
+    remaining blocks are eliminated exactly over Q.  Constraint rows are
+    taken in the order they are built: the pivot columns, and with them the
+    basis, do not depend on it.  Each space is solved once per table; the
+    cap is part of the memo key, so a smaller cap still raises.
     """
     t.check_characteristic(field.characteristic)
     char = field.characteristic
@@ -592,59 +608,67 @@ def brute_force_invariant_space(
     if memo_key in t.memo:
         return list(t.memo[memo_key])
     gens = lie_generators(t, gens, char)
-    monos = homogeneous_monomials(t.dim, degree)
     gradings = derive_multigrading(t)
     blocks: dict[tuple, list[Monomial]] = {}
-    for m in monos:
+    for m in homogeneous_monomials(t.dim, degree):
         blocks.setdefault(_mono_grade(m, gradings), []).append(m)
 
     if char:
         rows_cache = {i: t.bracket_row(i, char) for i in gens}
     else:
         rows_cache = _integer_scaled_rows(t, gens)
+    place = [(degree + 1) ** v for v in range(t.dim)]
     basis: list[Polynomial] = []
     total_entries = 0
     for grade in sorted(blocks):
         cols = blocks[grade]
-        constraint_rows: dict[tuple, dict[int, int]] = {}
+        ncols = len(cols)
+        codes = [sum(e * place[v] for v, e in mono) for mono in cols]
+        dense = []
         for gi in gens:
             row_map = rows_cache[gi]
-            for cidx, mono in enumerate(cols):
+            by_target: dict[int, dict[int, int]] = {}
+            for cidx, (mono, code) in enumerate(zip(cols, codes)):
                 for v, e in mono:
                     targets = row_map.get(v)
                     if not targets:
                         continue
-                    base = mono_div_var(mono, v)
+                    base = code - place[v]
                     for w, cw in targets:
-                        target_mono = mono_mul_var(base, w)
-                        key = (gi, target_mono)
-                        row = constraint_rows.setdefault(key, {})
-                        if char:
-                            row[cidx] = (row.get(cidx, 0) + e * cw) % char
+                        target = base + place[w]
+                        row = by_target.get(target)
+                        if row is None:
+                            by_target[target] = {cidx: e * cw}
                         else:
                             row[cidx] = row.get(cidx, 0) + e * cw
-        dense = [
-            [row.get(c, 0) for c in range(len(cols))]
-            for row in constraint_rows.values()
-            if any(row.values())
-        ]
-        total_entries += len(dense) * len(cols)
+            for row in by_target.values():
+                line = [0] * ncols
+                nonzero = False
+                for c, x in row.items():
+                    if char:
+                        x %= char
+                    if x:
+                        line[c] = x
+                        nonzero = True
+                if nonzero:
+                    dense.append(line)
+        total_entries += len(dense) * ncols
         if total_entries > max_entries:
             raise OracleCapExceeded(
                 f"oracle system exceeds {max_entries} matrix entries"
             )
         if not dense:
-            null = [[1 if c == k else 0 for c in range(len(cols))] for k in range(len(cols))]
-        elif linalg.saturates_mod(dense, len(cols), char or linalg.FILTER_PRIME):
+            null = [[1 if c == k else 0 for c in range(ncols)] for k in range(ncols)]
+        elif linalg.saturates_mod(dense, ncols, char or linalg.FILTER_PRIME):
             null = []
         elif char:
-            null = linalg.nullspace_mod(dense, len(cols), char)
+            null = linalg.nullspace_mod(dense, ncols, char)
         else:
-            null = linalg.nullspace_int(dense, len(cols))
+            null = linalg.nullspace_int(dense, ncols)
         for vec in null:
             basis.append(
                 Polynomial.from_terms(
-                    t.registry, field, ((cols[c], vec[c]) for c in range(len(cols)))
+                    t.registry, field, ((cols[c], vec[c]) for c in range(ncols))
                 )
             )
     t.memo[memo_key] = tuple(basis)

@@ -81,7 +81,8 @@ class StructureTable:
         # of char, which the PBW and Poisson kernels read, ("pbw", char) the
         # letter-product dict, ("oracle", char, degree, gens, cap) invariant
         # spaces, ("symmetrize", polynomial) lifts, ("lie-generators", char,
-        # gens) generating subsets of gens
+        # gens) generating subsets of gens, ("multigrading",) the gradings
+        # that split the oracle into blocks, ("jacobi",) the Jacobi report
         self.memo: dict = {}
 
     @property
@@ -177,7 +178,15 @@ class JacobiReport:
 
 
 def jacobi_check(t: StructureTable) -> JacobiReport:
-    """Check [xi,[xj,xk]] + [xj,[xk,xi]] + [xk,[xi,xj]] = 0 over all triples."""
+    """Check [xi,[xj,xk]] + [xj,[xk,xi]] + [xk,[xi,xj]] = 0 over all triples.
+    Computed once per table: a second call returns the same report."""
+    key = ("jacobi",)
+    if key not in t.memo:
+        t.memo[key] = _jacobi_check(t)
+    return t.memo[key]
+
+
+def _jacobi_check(t: StructureTable) -> JacobiReport:
     report = JacobiReport(algebra=t.name, triples_checked=0)
     for i, j, k in combinations(range(t.dim), 3):
         report.triples_checked += 1

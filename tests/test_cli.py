@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from liecenter import cli, invariants, liealg
+from liecenter.exactalg import MR_BOUND
 
 from conftest import save_table, table_to_dict, with_bracket
 
@@ -31,6 +32,30 @@ class TestVerifyExitCodes:
         code, _, err = run_cli(capsys, "verify", "--algebra", "f4-nil", "--char", "2")
         assert code == 2
         assert "odd prime" in err
+
+    def test_large_prime_char_is_decided_quickly(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "liecenter.cli", "verify", "--algebra", "g2-nil",
+             "--char", "1000000000000000003", "--suites", "jacobi"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "[PASS] jacobi" in proc.stdout
+
+    def test_large_composite_char_rejected(self, capsys):
+        # 19 digits: 1000000007 * 1000000009
+        code, _, err = run_cli(
+            capsys, "verify", "--algebra", "g2-nil", "--char", "1000000016000000063"
+        )
+        assert code == 2
+        assert "odd prime" in err
+
+    def test_char_beyond_primality_bound_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--algebra", "g2-nil", "--char", str(MR_BOUND + 2)
+        )
+        assert code == 2
+        assert "decided only below" in err
 
     def test_excluded_characteristic(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--algebra", "g2-nil", "--char", "3")

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -11,13 +13,16 @@ from liecenter.exactalg import (
     VarRegistry,
     eigenvalue,
     format_polynomial,
+    MR_BOUND,
     frobenius_expand,
+    is_prime,
     jacobian_det,
     mono_from_pairs,
     parse_polynomial,
     ppattern_membership,
 )
 
+from liecenter.linalg import FILTER_PRIME
 from liecenter.pbw import PBWElement
 
 from conftest import is_homogeneous, leading_monomial
@@ -99,6 +104,47 @@ class TestFields:
     def test_residues_reduced(self):
         f = P("7*x1", GF(5))
         assert list(f.terms.values()) == [2]
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_div_is_the_fermat_inverse_for_every_residue(self, p):
+        for a in range(p):
+            for b in range(1, p):
+                assert GF(p).div(a, b) == a * pow(b, p - 2, p) % p
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            GF(p).div(1, p)
+
+    def test_div_is_the_fermat_inverse_at_the_filter_prime(self):
+        rng, p = random.Random(12), FILTER_PRIME
+        for _ in range(1000):
+            a, b = rng.randrange(p), rng.randrange(1, p)
+            assert GF(p).div(a, b) == a * pow(b, p - 2, p) % p
+            assert GF(p).coerce(Fraction(a, b)) == a * pow(b, p - 2, p) % p
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+class TestIsPrime:
+    def test_equals_trial_division_below_1e5(self):
+        assert [n for n in range(10**5) if is_prime(n)] == [
+            n for n in range(10**5) if trial_division_is_prime(n)
+        ]
+
+    @pytest.mark.parametrize("n", [561, 41041, 3215031751, 3825123056546413051])
+    def test_carmichael_numbers_and_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**31 - 19, 10**12 + 39, 10**18 + 3, 2**61 - 1])
+    def test_large_primes(self, n):
+        assert is_prime(n)
+
+    def test_undecided_at_the_bound(self):
+        assert not is_prime(MR_BOUND - 1)  # even
+        with pytest.raises(ValueError, match="decided only below"):
+            is_prime(MR_BOUND)
+        with pytest.raises(ValueError):
+            is_prime(MR_BOUND + 2)
 
 
 class TestPartials:

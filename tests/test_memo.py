@@ -1,6 +1,7 @@
 """The per-table memo (``StructureTable.memo``) against fresh computation.
 
-Oracle spaces and symmetrized lifts are computed once per table; a result
+Oracle spaces, symmetrized lifts, the derived multigrading and the Jacobi
+report are computed once per table; a result
 served from a warm memo must equal the one a newly built table computes.
 Each builder in ``CASES`` returns a new table, with an empty memo, on every
 call: ``nilradical_table`` and ``cn_borel`` build one each time, unlike the
@@ -13,6 +14,8 @@ from liecenter import charp, invariants, liealg
 from liecenter.exactalg import GF, QQ
 from liecenter.invariants import OracleCapExceeded, brute_force_invariant_space
 from liecenter.pbw import CharacteristicObstruction, symmetrize, z_lift_audit
+
+from conftest import save_table, with_bracket
 
 # algebra -> (new-table builder, admissible prime, highest oracle degree)
 CASES = {
@@ -77,3 +80,32 @@ def test_audit_after_oracle_and_lifts_matches_fresh_table(name, char):
     claims = charp.theorem_generator_audit(warm, warm_fam, char)
     assert claims == charp.theorem_generator_audit(fresh, invariants.build_family(fresh), char)
     assert all(c.passed for c in claims)
+
+
+def test_jacobi_report_is_computed_once_per_table(tmp_path):
+    nil = CASES["f4-nil"][0]()
+    report = liealg.jacobi_check(nil)
+    assert report.ok and report.triples_checked == 2024
+    assert liealg.jacobi_check(nil) is report
+    # the oracle's generating set reads the memoized report
+    assert liealg.lie_generators(nil, nil.nilradical, 0) != nil.nilradical
+    assert liealg.jacobi_check(nil) is report
+    # a table file or a corrections overlay is a new table, checked afresh
+    g2b = liealg.g2_borel()
+    path = tmp_path / "table.json"
+    save_table(with_bracket(g2b, "x1", "x3", "-3*x5"), path)
+    loaded = liealg.load_table(str(path))
+    assert not liealg.jacobi_check(loaded).ok
+    assert liealg.jacobi_check(g2b).ok
+    same = liealg.apply_corrections(g2b, [{"lhs": "x1", "rhs": "x3", "value": "3*x5"}])
+    assert liealg.jacobi_check(same) is not liealg.jacobi_check(g2b)
+    assert liealg.jacobi_check(same) == liealg.jacobi_check(g2b)
+
+
+def test_multigrading_is_derived_once_per_table():
+    t = CASES["c3-borel"][0]()
+    first = invariants.derive_multigrading(t)
+    assert invariants.derive_multigrading(t) == first
+    first.clear()  # a caller's copy does not reach the memo
+    assert invariants.derive_multigrading(t) == invariants.derive_multigrading(CASES["c3-borel"][0]())
+    assert len(invariants.derive_multigrading(t)) == 3

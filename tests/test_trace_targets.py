@@ -45,18 +45,40 @@ def test_trace_target_resolves(target):
     assert getattr(owner, attr) is function
 
 
-def test_oracle_shape_hook_reads_the_solver_rows(tmp_path):
-    # the hook counts dense entries and nonzeros from the rows the oracle
-    # hands to linalg.saturates_mod; rows of another shape fail here
+def traced_counts(tmp_path, *args):
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
-        [sys.executable, str(TRACE_CHILD), str(spans),
-         "verify", "--algebra", "g2-nil", "--suites", "oracle"],
+        [sys.executable, str(TRACE_CHILD), str(spans), "verify", *args],
         cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(spans.read_text(encoding="utf-8"))["counts"]
+    return json.loads(spans.read_text(encoding="utf-8"))["counts"]
+
+
+def oracle_counts(counts):
+    return tuple(
+        counts[name]
+        for name in (
+            "invariants.oracle.dense_entries",
+            "invariants.oracle.nonzeros",
+            "linalg.saturates_mod",
+            "linalg.saturates_mod.settled",
+        )
+    )
+
+
+def test_oracle_shape_hook_reads_the_solver_rows(tmp_path):
+    # the hook counts dense entries and nonzeros from the rows the oracle
+    # hands to linalg.saturates_mod; rows of another shape fail here, and
+    # the pinned counts keep a row rewrite from changing what they measure
+    counts = traced_counts(tmp_path, "--algebra", "g2-nil", "--suites", "oracle")
     dense = counts["invariants.oracle.dense_entries"]
     assert dense > 0
     assert 0 < counts["invariants.oracle.nonzeros"] <= dense
+    assert oracle_counts(counts) == (8307, 2310, 315, 306)
+
+
+def test_oracle_hook_counts_on_a_borel_table(tmp_path):
+    counts = traced_counts(tmp_path, "--algebra", "cn-borel", "--n", "3", "--suites", "oracle")
+    assert oracle_counts(counts) == (5867, 1365, 136, 133)
