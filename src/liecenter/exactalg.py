@@ -2,10 +2,11 @@
 
 Coefficients are either arbitrary-precision rationals (``fractions.Fraction``,
 always reduced with positive denominator) or residues of an odd prime field
-(plain ints in ``[0, p)``).  Polynomials are sparse dictionaries mapping
-monomials to nonzero coefficients, so equality of canonical forms is plain
-data equality and every identity check in this package is an exact
-zero-comparison.  No floating point is used anywhere.
+(plain ints in ``[0, p)``); the integer ring ``ZZ`` serves the
+enveloping-algebra kernels at characteristic 0.  Polynomials are sparse
+dictionaries mapping monomials to nonzero coefficients, so equality of
+canonical forms is plain data equality and every identity check in this
+package is an exact zero-comparison.  No floating point is used anywhere.
 
 A monomial is a tuple of ``(variable_index, exponent)`` pairs, sorted by
 index, with no zero exponents stored.
@@ -13,6 +14,7 @@ index, with no zero exponents stored.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -164,7 +166,24 @@ class PrimeField:
         return f"GF({self.p})"
 
 
+class IntegerRing:
+    """The integers, with plain ``int`` coefficients: the coefficient ring of
+    the characteristic-0 enveloping-algebra kernels, which run in a basis
+    with integer structure constants (``pbw``)."""
+
+    characteristic = 0
+    zero = 0
+    one = 1
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+
+    def __repr__(self):
+        return "ZZ"
+
+
 QQ = RationalField()
+ZZ = IntegerRing()
 
 _GF_CACHE: dict[int, PrimeField] = {}
 

@@ -13,7 +13,7 @@ decomposed into multidegree blocks derived from the structure table itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
@@ -547,28 +547,6 @@ def _derive_multigrading(t: StructureTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for v in linalg.nullspace_int(rows, dim))
 
 
-def _mono_grade(mono: Monomial, gradings: Sequence[tuple[int, ...]]) -> tuple:
-    return tuple(sum(e * g[v] for v, e in mono) for g in gradings)
-
-
-def _integer_scaled_rows(t: StructureTable, gens: Sequence[int]) -> dict:
-    """Bracket rows with all rational constants scaled to integers by one
-    global factor; a uniform scale leaves every kernel unchanged."""
-    scale = 1
-    for entry in t.brackets.values():
-        for _, c in entry:
-            d = c.denominator
-            scale = scale * d // gcd(scale, d)
-    out = {}
-    for i in gens:
-        row = t.bracket_row(i, 0)
-        out[i] = {
-            v: tuple((w, int(c * scale)) for w, c in targets)
-            for v, targets in row.items()
-        }
-    return out
-
-
 def brute_force_invariant_space(
     t: StructureTable,
     degree: int,
@@ -594,7 +572,10 @@ def brute_force_invariant_space(
     reduced into the field once it is complete.  Rows that end all zero are
     dropped, and the others are handed on as dense lists.
 
-    Over the rationals each block is first rank-tested modulo a fixed large
+    Over the rationals the rows are read from
+    :meth:`StructureTable.scaled_row`, the constants times their common
+    denominator D, which scales every constraint by D and leaves the null
+    space alone.  Each block is then first rank-tested modulo a fixed large
     prime; full modular column rank proves an empty kernel, and only the
     remaining blocks are eliminated exactly over Q.  Constraint rows are
     taken in the order they are built: the pivot columns, and with them the
@@ -609,14 +590,19 @@ def brute_force_invariant_space(
         return list(t.memo[memo_key])
     gens = lie_generators(t, gens, char)
     gradings = derive_multigrading(t)
+    var_grades = [tuple(g[v] for g in gradings) for v in range(t.dim)]
     blocks: dict[tuple, list[Monomial]] = {}
     for m in homogeneous_monomials(t.dim, degree):
-        blocks.setdefault(_mono_grade(m, gradings), []).append(m)
+        grade = [0] * len(gradings)
+        for v, e in m:
+            for j, g in enumerate(var_grades[v]):
+                grade[j] += e * g
+        blocks.setdefault(tuple(grade), []).append(m)
 
     if char:
         rows_cache = {i: t.bracket_row(i, char) for i in gens}
     else:
-        rows_cache = _integer_scaled_rows(t, gens)
+        rows_cache = {i: t.scaled_row(i) for i in gens}
     place = [(degree + 1) ** v for v in range(t.dim)]
     basis: list[Polynomial] = []
     total_entries = 0

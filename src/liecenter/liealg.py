@@ -24,6 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from . import _f4_data, linalg
@@ -78,11 +79,15 @@ class StructureTable:
         self.corrections = tuple(corrections)
         # everything derived from the table, computed once per table and
         # keyed by kind: ("row", char, i) bracket rows reduced into the field
-        # of char, which the PBW and Poisson kernels read, ("pbw", char) the
-        # letter-product dict, ("oracle", char, degree, gens, cap) invariant
-        # spaces, ("symmetrize", polynomial) lifts, ("lie-generators", char,
-        # gens) generating subsets of gens, ("multigrading",) the gradings
-        # that split the oracle into blocks, ("jacobi",) the Jacobi report
+        # of char, which the Poisson kernel and the PBW kernel at char > 0
+        # read, ("scale",) the lcm D of the bracket denominators and
+        # ("scaled-row", i) the integer rows of D*[x_i, -], which the oracle
+        # and the PBW kernel at char 0 read, ("pbw", char) the letter-product
+        # dict (at char 0, integer products in the basis y = D*x),
+        # ("oracle", char, degree, gens, cap) invariant spaces,
+        # ("symmetrize", polynomial) lifts, ("lie-generators", char, gens)
+        # generating subsets of gens, ("multigrading",) the gradings that
+        # split the oracle into blocks, ("jacobi",) the Jacobi report
         self.memo: dict = {}
 
     @property
@@ -133,6 +138,29 @@ class StructureTable:
                 if reduced:
                     row[j] = tuple(reduced.items())
             self.memo[key] = row
+        return self.memo[key]
+
+    def bracket_scale(self) -> int:
+        """D, the least common multiple of the bracket-constant denominators
+        (2 for F4, 1 for G2 and Cn): the constants of the basis y_i = D*x_i,
+        [y_i, y_j] = sum_k D*c_ijk y_k, are integers.  Computed on first use."""
+        key = ("scale",)
+        if key not in self.memo:
+            self.memo[key] = lcm(1, *(c.denominator for e in self.brackets.values() for _, c in e))
+        return self.memo[key]
+
+    def scaled_row(self, i: int) -> dict:
+        """Cached map j -> ((k, D*coeff), ...) of [basis_i, basis_j] with
+        integer entries, D = :meth:`bracket_scale`: the row of
+        :meth:`bracket_row` at char 0 times D, equivalently the row of
+        [y_i, -] in the basis y = D*x."""
+        key = ("scaled-row", i)
+        if key not in self.memo:
+            scale = self.bracket_scale()
+            self.memo[key] = {
+                j: tuple((k, c.numerator * (scale // c.denominator)) for k, c in targets)
+                for j, targets in self.bracket_row(i, 0).items()
+            }
         return self.memo[key]
 
     # -- derived tables --------------------------------------------------------

@@ -12,7 +12,6 @@ leading entry.
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from itertools import compress
 from math import gcd
@@ -26,26 +25,26 @@ def echelon(rows: Iterable[Mapping], field: Field, ncols: Optional[int] = None) 
     column to its pivot row: a ``{column: coefficient}`` dict holding 1 at
     the pivot and nonzero entries only at larger columns.
 
-    Each row is reduced against the pivots found so far in increasing
-    column order; if anything is left, its lowest column becomes a new pivot.
-    Columns may be any mutually comparable keys.  The elimination stops as
-    soon as ``ncols`` pivots are found.
+    Each row is reduced at its lowest column by the pivot there, as long as
+    there is one; the first lowest column without a pivot becomes a new
+    pivot.  So a row visits only the pivots it hits, and a pivot row may keep
+    entries at pivot columns found after it.  Columns may be any mutually
+    comparable keys.  The elimination stops as soon as ``ncols`` pivots are
+    found.
     """
     pivots: dict = {}
-    order: list = []  # the pivot columns, increasing
     for row in rows:
         r = add_into({}, ((c, field.coerce(x)) for c, x in row.items()), field)
-        for pc in order:
-            x = r.get(pc)
-            if x is not None:
-                add_into(r, pivots[pc].items(), field, field.neg(x))
-        if r:
+        while r:
             pc = min(r)
-            inv = field.div(field.one, r[pc])
-            pivots[pc] = {c: field.mul(x, inv) for c, x in r.items()}
-            insort(order, pc)
-            if len(order) == ncols:
+            pivot = pivots.get(pc)
+            if pivot is None:
+                inv = field.div(field.one, r[pc])
+                pivots[pc] = {c: field.mul(x, inv) for c, x in r.items()}
                 break
+            add_into(r, pivot.items(), field, field.neg(r[pc]))
+        if len(pivots) == ncols:
+            break
     return pivots
 
 

@@ -11,6 +11,18 @@ Symmetrization averages a monomial over its letter orderings by a recursion
 over sub-multisets, each step one memoized letter product, instead of
 straightening every ordering.
 
+At characteristic p the kernels run over GF(p).  At characteristic 0 they
+run on plain ints (``ZZ``) in the scaled basis y_i = D*x_i, where D
+(:meth:`StructureTable.bracket_scale`) is the lcm of the bracket-constant
+denominators: [y_i, y_j] = sum_k D*c_ijk y_k has integer constants, so every
+straightened product of y-words is integral, and the ``("pbw", 0)`` memo
+holds those integer products.  Each public function converts a rational
+element once on the way in, sum c_N x^N -> L * sum c_N D^-|N| y^N with L
+clearing every denominator, and each output term once on the way out, so it
+returns exactly the rational element of the x-basis computation.  A nonzero
+uniform scale changes no commutator's zero-ness, so a centrality verdict
+read from the integer form is the verdict of the element itself.
+
 A reference rewriting engine with an injectable (randomizable) choice of
 redex backs the confluence and symmetrization tests; the fast paths must
 agree with it.
@@ -19,6 +31,7 @@ agree with it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from . import report as rep
@@ -30,6 +43,7 @@ from .exactalg import (
     Polynomial,
     QQ,
     TermDict,
+    ZZ,
     add_into,
     mono_degree,
     mono_div_var,
@@ -83,8 +97,45 @@ def mono_of_word(word: Sequence[int]) -> Monomial:
 # ---------------------------------------------------------------------------
 
 
-def _mul_mono_letter(t: StructureTable, field: Field, mono: Monomial, v: int):
-    """Normal form of (normal monomial) * x_v as ((monomial, coeff), ...).
+def _kernel_row(t: StructureTable, ring, i: int) -> dict:
+    """The row of [x_i, -] in the kernel's basis: the integer y-basis row
+    over ``ZZ``, the reduced x-basis row over GF(p)."""
+    return t.scaled_row(i) if ring is ZZ else t.bracket_row(i, ring.characteristic)
+
+
+def _into_kernel(t: StructureTable, e: TermDict) -> tuple:
+    """(ring, terms, L): the kernel's form of ``e``.  Over QQ these are the
+    integers a_N = L*c_N*D^-|N| with L*e = sum a_N y^N, L clearing every
+    denominator; otherwise e's own ring, terms and L = 1."""
+    if e.field is not QQ:
+        return e.field, e.terms, 1
+    scale = t.bracket_scale()
+    dens = {m: c.denominator * scale ** mono_degree(m) for m, c in e.terms.items()}
+    common = lcm(1, *dens.values())
+    return ZZ, {m: c.numerator * (common // dens[m]) for m, c in e.terms.items()}, common
+
+
+def _out_of_kernel(t: StructureTable, field, terms: dict, den: int = 1, shift: int = 0) -> dict:
+    """The terms over ``field`` of sum b_K y^K / (den * D^shift), given the
+    kernel's terms b_K: over QQ each becomes b_K*D^|K| / (den*D^shift), one
+    division per term; over GF(p), where the kernel runs in the x basis,
+    each is divided by den.  Over ``ZZ``, the kernel's own basis, den is 1
+    and the terms are returned as they are."""
+    if field is QQ:
+        scale = t.bracket_scale()
+        den *= scale**shift
+        return {m: Fraction(b * scale ** mono_degree(m), den) for m, b in terms.items()}
+    if den == 1:
+        return terms
+    p = field.characteristic
+    inv = pow(den, -1, p)
+    return {m: b * inv % p for m, b in terms.items()}
+
+
+def _mul_mono_letter(t: StructureTable, ring, mono: Monomial, v: int):
+    """Normal form of (normal monomial) * x_v as ((monomial, coeff), ...)
+    over ``ring``: ``ZZ`` in the basis y = D*x at characteristic 0, GF(p) in
+    the x basis at characteristic p.
 
     Recursion: with u the greatest letter of the word and m' the word minus
     one u, if u <= v the letter appends; otherwise
@@ -92,14 +143,13 @@ def _mul_mono_letter(t: StructureTable, field: Field, mono: Monomial, v: int):
     strictly smaller degree except the top layer of m' x_v, whose greatest
     letter is at most u, so multiplying it by u is a plain append.
     """
-    char = field.characteristic
-    cache = t.memo.setdefault(("pbw", char), {})
+    cache = t.memo.setdefault(("pbw", ring.characteristic), {})
     key = (mono, v)
     hit = cache.get(key)
     if hit is not None:
         return hit
     if not mono or mono[-1][0] <= v:
-        result = ((mono_mul_var(mono, v), field.one),)
+        result = ((mono_mul_var(mono, v), ring.one),)
         cache[key] = result
         return result
     u = mono[-1][0]
@@ -109,21 +159,21 @@ def _mul_mono_letter(t: StructureTable, field: Field, mono: Monomial, v: int):
         mprime = mono[:-1]
     # accumulated inline, not through add_into: every memo miss runs this loop
     acc: dict = {}
-    zero = field.zero
-    for m1, c1 in _mul_mono_letter(t, field, mprime, v):
-        for m2, c2 in _mul_mono_letter(t, field, m1, u):
-            c = field.mul(c1, c2)
+    zero = ring.zero
+    for m1, c1 in _mul_mono_letter(t, ring, mprime, v):
+        for m2, c2 in _mul_mono_letter(t, ring, m1, u):
+            c = ring.mul(c1, c2)
             prev = acc.get(m2)
-            c = c if prev is None else field.add(prev, c)
+            c = c if prev is None else ring.add(prev, c)
             if c == zero:
                 acc.pop(m2, None)
             else:
                 acc[m2] = c
-    for k, ck in t.bracket_row(u, char).get(v, ()):
-        for m2, c2 in _mul_mono_letter(t, field, mprime, k):
-            c = field.mul(ck, c2)
+    for k, ck in _kernel_row(t, ring, u).get(v, ()):
+        for m2, c2 in _mul_mono_letter(t, ring, mprime, k):
+            c = ring.mul(ck, c2)
             prev = acc.get(m2)
-            c = c if prev is None else field.add(prev, c)
+            c = c if prev is None else ring.add(prev, c)
             if c == zero:
                 acc.pop(m2, None)
             else:
@@ -133,18 +183,19 @@ def _mul_mono_letter(t: StructureTable, field: Field, mono: Monomial, v: int):
     return result
 
 
-def _mul_word(t: StructureTable, field: Field, current: dict, letters: Iterable[int]) -> dict:
-    """Normal form of ``current`` * x_l1 * ... * x_lk, one letter at a time;
-    ``current`` maps normal monomials to coefficients and is not modified."""
-    zero = field.zero
-    mul = field.mul
-    add = field.add
+def _mul_word(t: StructureTable, ring, current: dict, letters: Iterable[int]) -> dict:
+    """Normal form of ``current`` * x_l1 * ... * x_lk over the kernel's
+    ``ring``, one letter at a time; ``current`` maps normal monomials to
+    coefficients and is not modified."""
+    zero = ring.zero
+    mul = ring.mul
+    add = ring.add
     for letter in letters:
         # accumulated inline, not through add_into: the hottest loop of
         # symmetrize and commutator_with_basis
         nxt: dict = {}
         for m, c in current.items():
-            for m2, c2 in _mul_mono_letter(t, field, m, letter):
+            for m2, c2 in _mul_mono_letter(t, ring, m, letter):
                 cc = mul(c, c2)
                 prev = nxt.get(m2)
                 cc = cc if prev is None else add(prev, cc)
@@ -157,14 +208,18 @@ def _mul_word(t: StructureTable, field: Field, current: dict, letters: Iterable[
 
 
 def pbw_mul(t: StructureTable, a: PBWElement, b: PBWElement) -> PBWElement:
-    """Associative product in the enveloping algebra, straightened."""
+    """Associative product in the enveloping algebra, straightened.  At
+    characteristic 0, L_a*a times L_b*b in the basis y = D*x is straightened
+    on ints and each term b_K y^K is mapped back once, to b_K*D^|K|/(L_a*L_b)."""
     a._check(b)
     field = a.field
     t.check_characteristic(field.characteristic)
+    ring, left, la = _into_kernel(t, a)
+    _, right, lb = _into_kernel(t, b)
     terms: dict = {}
-    for mb, cb in b.terms.items():
-        add_into(terms, _mul_word(t, field, a.terms, word_of(mb)).items(), field, cb)
-    return PBWElement(a.registry, field, terms)
+    for mb, cb in right.items():
+        add_into(terms, _mul_word(t, ring, left, word_of(mb)).items(), ring, cb)
+    return PBWElement(a.registry, field, _out_of_kernel(t, field, terms, la * lb))
 
 
 def straighten_word(
@@ -208,13 +263,19 @@ def commutator_u(t: StructureTable, a: PBWElement, b: PBWElement) -> PBWElement:
 def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) -> PBWElement:
     """[x_g, e] computed position-by-position: commuting a generator across
     a word inserts one bracket per letter, so no full product expansion is
-    needed.  Agrees with :func:`commutator_u` (property-tested)."""
+    needed.  Agrees with :func:`commutator_u` (property-tested).
+
+    At characteristic 0 the kernel computes [y_g, L*e] in the basis
+    y = D*x, and x_g = y_g/D divides each term by one more D.  An element
+    over ``ZZ`` is read as already in that basis, and [y_g, e] is returned
+    there unconverted; :func:`is_central_u` passes such elements."""
     gi = t.registry.resolve(g)
     field = e.field
     t.check_characteristic(field.characteristic)
-    row = t.bracket_row(gi, field.characteristic)
+    ring, terms, scale = _into_kernel(t, e)
+    row = _kernel_row(t, ring, gi)
     total: dict = {}
-    for mono, coeff in e.terms.items():
+    for mono, coeff in terms.items():
         word = word_of(mono)
         for pos in range(len(word)):
             targets = row.get(word[pos])
@@ -224,10 +285,9 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
             # prefix * [x_g, x_letter], then the rest of the word
             current: dict = {}
             for k, ck in targets:
-                scale = field.mul(coeff, ck)
-                add_into(current, _mul_mono_letter(t, field, prefix, k), field, scale)
-            add_into(total, _mul_word(t, field, current, word[pos + 1 :]).items(), field)
-    return PBWElement(e.registry, field, total)
+                add_into(current, _mul_mono_letter(t, ring, prefix, k), ring, ring.mul(coeff, ck))
+            add_into(total, _mul_word(t, ring, current, word[pos + 1 :]).items(), ring)
+    return PBWElement(e.registry, field, _out_of_kernel(t, field, total, scale, shift=1))
 
 
 def is_central_u(
@@ -235,9 +295,14 @@ def is_central_u(
 ) -> tuple[bool, Optional[int]]:
     """True iff [x_i, e] = 0 for every generator index; otherwise the first
     failing generator is returned.  Decided over a Lie generating subset of
-    ``gens``, which commutes with e exactly when all of ``gens`` does."""
+    ``gens``, which commutes with e exactly when all of ``gens`` does.  A
+    rational e is converted into the kernel's integer form once, for every
+    generator: that form is a nonzero multiple of e, with the same commutant."""
     gens = tuple(gens)
     subset = lie_generators(t, gens, e.field.characteristic)
+    if e.field is QQ:
+        ring, terms, _ = _into_kernel(t, e)
+        e = PBWElement(e.registry, ring, terms)
     if all(commutator_with_basis(t, i, e).is_zero for i in subset):
         return True, None
     # the subset lies in gens, so some generator fails
@@ -259,11 +324,16 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
     k! letter orderings, straightened to normal form.
 
     Grouping the orderings of a multiset M of degree k by their last letter
-    gives sym(M) = sum_a (mult_a(M)/k) sym(M - a) x_a with sym(empty) = 1,
-    one memoized letter product per term.  The averages are built level by
-    level over the sub-multisets of f's monomials, keeping only the previous
-    level.  Dividing by k <= deg f requires characteristic 0 or p > deg f.
-    Each lift is computed once per table.
+    gives the orderings' sum S(M) = k! sym(M) = sum_a mult_a(M) S(M - a) x_a
+    with S(empty) = 1, one memoized letter product and one integer
+    multiplicity per term.  The sums are built level by level over the
+    sub-multisets of f's monomials, keeping only the previous level, in the
+    kernel's ring: at characteristic 0 in the basis y = D*x on ints, where
+    f's degree-k part c_M x^M enters as a_M = L*c_M*D^-k and a term b_N y^N
+    of its S(M) leaves as c_M*b_N*D^(|N|-k)/k!; at characteristic p over
+    GF(p), divided by k! mod p.  Either way each output term is divided once
+    per degree.  Dividing by k! <= (deg f)! requires characteristic 0 or
+    p > deg f.  Each lift is computed once per table.
     """
     field = f.field
     char = field.characteristic
@@ -274,26 +344,29 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
     key = ("symmetrize", f)
     if key in t.memo:
         return t.memo[key]
+    ring, coeffs, common = _into_kernel(t, f)
     top = max(f.total_degree(), 0)
     levels: list = [set() for _ in range(top + 1)]
-    for mono in f.terms:
+    for mono in coeffs:
         levels[mono_degree(mono)].add(mono)
     for k in range(top, 0, -1):
         for mono in levels[k]:
             levels[k - 1].update(mono_div_var(mono, a) for a, _ in mono)
     total: dict = {}
-    averages = {MONO_ONE: {MONO_ONE: field.one}}
+    sums = {MONO_ONE: {MONO_ONE: ring.one}}
     for k in range(top + 1):
         if k:
-            prev, averages = averages, {}
+            prev, sums = sums, {}
             for mono in levels[k]:
-                acc = averages[mono] = {}
+                acc = sums[mono] = {}
                 for a, e in mono:
-                    step = _mul_word(t, field, prev[mono_div_var(mono, a)], (a,))
-                    add_into(acc, step.items(), field, field.coerce(Fraction(e, k)))
-        for mono, coeff in f.terms.items():
+                    step = _mul_word(t, ring, prev[mono_div_var(mono, a)], (a,))
+                    add_into(acc, step.items(), ring, e)
+        part: dict = {}
+        for mono, a in coeffs.items():
             if mono_degree(mono) == k:
-                add_into(total, averages[mono].items(), field, coeff)
+                add_into(part, sums[mono].items(), ring, a)
+        add_into(total, _out_of_kernel(t, field, part, common * factorial(k)).items(), field)
     t.memo[key] = PBWElement(f.registry, field, total)
     return t.memo[key]
 

@@ -111,6 +111,11 @@ def save_table(t, path):
         fh.write("\n")
 
 
+def mono_grade(mono, gradings):
+    """The multidegree of a monomial under each grading, summed term by term."""
+    return tuple(sum(e * g[v] for v, e in mono) for g in gradings)
+
+
 def is_homogeneous(p):
     return len({mono_degree(m) for m in p.terms}) <= 1
 

@@ -1,7 +1,11 @@
 """The sparse elimination kernel against the dense eliminations it replaced:
 fraction-free Bareiss over the integers and Gauss-Jordan over GF(p), kept
-here as the test-only reference."""
+here as the test-only reference.  ``all_pivot_echelon``, which reduces every
+row against every pivot found so far, is the reference for ``echelon``'s
+walk over only the pivots a row hits."""
 
+import random
+from bisect import insort
 from fractions import Fraction
 from math import gcd
 
@@ -10,8 +14,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from liecenter import linalg  # noqa: E402
-from liecenter.exactalg import GF, QQ  # noqa: E402
+from liecenter import invariants, liealg, linalg  # noqa: E402
+from liecenter.exactalg import GF, QQ, add_into  # noqa: E402
 from liecenter.invariants import homogeneous_monomials  # noqa: E402
 
 
@@ -206,3 +210,101 @@ def test_saturates_mod_is_full_reference_rank(p, m):
     full = reference_rank(rows, p) == ncols
     assert linalg.saturates_mod(rows, ncols, p) == full
     assert linalg.saturates_mod(shuffled, ncols, p) == full
+
+
+# -- the pivot walk ------------------------------------------------------------
+
+
+def all_pivot_echelon(rows, field, ncols=None):
+    """Echelon form with every row reduced against every pivot found so far,
+    in increasing column order: each pivot row is zero at every pivot column
+    but its own that existed when it was found."""
+    pivots = {}
+    order = []
+    for row in rows:
+        r = add_into({}, ((c, field.coerce(x)) for c, x in row.items()), field)
+        for pc in order:
+            x = r.get(pc)
+            if x is not None:
+                add_into(r, pivots[pc].items(), field, field.neg(x))
+        if r:
+            pc = min(r)
+            inv = field.div(field.one, r[pc])
+            pivots[pc] = {c: field.mul(x, inv) for c, x in r.items()}
+            insort(order, pc)
+            if len(order) == ncols:
+                break
+    return pivots
+
+
+def seeded_systems(seed, count=60):
+    """Sparse integer systems, up to 14 x 12 with entries in -3..3, about a
+    third of them with more rows than their rank."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ncols = rng.randint(1, 12)
+        rows = [
+            [rng.randint(-3, 3) if rng.random() < 0.3 else 0 for _ in range(ncols)]
+            for _ in range(rng.randint(1, 14))
+        ]
+        yield rows, ncols
+
+
+def recorded_blocks():
+    """The (rows, ncols) systems the oracle hands ``saturates_mod`` on g2-nil
+    up to degree 4, f4-nil up to degree 3 and c3-borel up to degree 3, over
+    QQ and GF(3)."""
+    cases = (
+        (lambda: liealg.nilradical_table(liealg.g2_borel()), 4, (0,)),
+        (lambda: liealg.nilradical_table(liealg.f4_borel()), 3, (0, 3)),
+        (lambda: liealg.cn_borel(3), 3, (0, 3)),
+    )
+    blocks = []
+    saturates_mod = linalg.saturates_mod
+
+    def record(rows, ncols, p):
+        blocks.append((rows, ncols))
+        return saturates_mod(rows, ncols, p)
+
+    linalg.saturates_mod = record
+    try:
+        for build, top, chars in cases:
+            for char in chars:
+                t = build()
+                field = GF(char) if char else QQ
+                for d in range(1, top + 1):
+                    invariants.brute_force_invariant_space(t, d, t.nilradical, field)
+    finally:
+        linalg.saturates_mod = saturates_mod
+    return blocks
+
+
+@pytest.fixture(scope="module")
+def catalog_blocks():
+    blocks = recorded_blocks()
+    assert len(blocks) > 100
+    return blocks
+
+
+def _check_against_all_pivot_walk(rows, ncols, monkeypatch):
+    sparse = linalg._sparse(rows)
+    for field in (QQ, GF(3), GF(7), GF(linalg.FILTER_PRIME)):
+        got = linalg.echelon(sparse, field)
+        want = all_pivot_echelon(sparse, field)
+        assert sorted(got) == sorted(want)
+        assert len(linalg.echelon(sparse, field, ncols)) == len(all_pivot_echelon(sparse, field, ncols))
+    fast = (linalg.nullspace_int(rows, ncols), linalg.nullspace_mod(rows, ncols, 3))
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "echelon", all_pivot_echelon)
+        slow = (linalg.nullspace_int(rows, ncols), linalg.nullspace_mod(rows, ncols, 3))
+    assert fast == slow
+
+
+def test_pivot_walk_matches_all_pivot_walk_on_seeded_systems(monkeypatch):
+    for rows, ncols in seeded_systems(2024):
+        _check_against_all_pivot_walk(rows, ncols, monkeypatch)
+
+
+def test_pivot_walk_matches_all_pivot_walk_on_catalog_blocks(catalog_blocks, monkeypatch):
+    for rows, ncols in catalog_blocks:
+        _check_against_all_pivot_walk(rows, ncols, monkeypatch)

@@ -7,11 +7,31 @@ every update into the field.  The oracle must hand ``linalg.saturates_mod``
 the same dense rows, in the same order, and return the same basis.
 """
 
+from math import gcd
+
 import pytest
 
 from liecenter import invariants, linalg, liealg
 from liecenter.exactalg import GF, QQ, Polynomial, mono_div_var, mono_mul_var
 from liecenter.invariants import brute_force_invariant_space, oracle_degree
+
+from conftest import mono_grade
+
+
+def integer_scaled_rows(t, gens):
+    """The rational bracket rows of ``gens`` times the lcm of every bracket
+    denominator: integer rows with the same null space."""
+    scale = 1
+    for entry in t.brackets.values():
+        for _, c in entry:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+    return {
+        i: {
+            v: tuple((w, int(c * scale)) for w, c in targets)
+            for v, targets in t.bracket_row(i, 0).items()
+        }
+        for i in gens
+    }
 
 
 def reference_invariant_space(t, degree, gens, field):
@@ -21,11 +41,11 @@ def reference_invariant_space(t, degree, gens, field):
     gradings = invariants.derive_multigrading(t)
     blocks = {}
     for mono in invariants.homogeneous_monomials(t.dim, degree):
-        blocks.setdefault(invariants._mono_grade(mono, gradings), []).append(mono)
+        blocks.setdefault(mono_grade(mono, gradings), []).append(mono)
     if char:
         rows_cache = {i: t.bracket_row(i, char) for i in gens}
     else:
-        rows_cache = invariants._integer_scaled_rows(t, gens)
+        rows_cache = integer_scaled_rows(t, gens)
     basis = []
     for grade in sorted(blocks):
         cols = blocks[grade]

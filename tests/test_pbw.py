@@ -1,12 +1,23 @@
 import itertools
+import os
 import random
+import weakref
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
 from liecenter import invariants, liealg, pbw
-from liecenter.exactalg import GF, MONO_ONE, QQ, add_into, parse_polynomial
+from liecenter.exactalg import (
+    GF,
+    MONO_ONE,
+    QQ,
+    add_into,
+    mono_degree,
+    mono_div_var,
+    mono_mul_var,
+    parse_polynomial,
+)
 from liecenter.pbw import (
     CharacteristicObstruction,
     PBWElement,
@@ -23,6 +34,123 @@ from liecenter.pbw import (
     word_of,
     z_lift_audit,
 )
+
+
+# -- the field letter kernel: the reference for the integer kernels ------------
+#
+# The enveloping-algebra kernels once ran over the coefficient field itself,
+# Fraction arithmetic at characteristic 0, in the basis x.  That kernel lives
+# on here, with a memo of its own, as the reference the integer kernels in
+# the scaled basis y = D*x must agree with.
+
+_FIELD_MEMO = weakref.WeakKeyDictionary()  # table -> {char: letter products}
+
+
+def field_mul_mono_letter(t, field, mono, v):
+    """Normal form of (normal monomial) * x_v over ``field`` in the basis x,
+    by the recursion of ``pbw._mul_mono_letter``."""
+    char = field.characteristic
+    cache = _FIELD_MEMO.setdefault(t, {}).setdefault(char, {})
+    key = (mono, v)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    if not mono or mono[-1][0] <= v:
+        result = ((mono_mul_var(mono, v), field.one),)
+        cache[key] = result
+        return result
+    u = mono[-1][0]
+    mprime = mono[:-1] + ((u, mono[-1][1] - 1),) if mono[-1][1] > 1 else mono[:-1]
+    acc = {}
+    zero = field.zero
+    for m1, c1 in field_mul_mono_letter(t, field, mprime, v):
+        for m2, c2 in field_mul_mono_letter(t, field, m1, u):
+            c = field.mul(c1, c2)
+            prev = acc.get(m2)
+            c = c if prev is None else field.add(prev, c)
+            if c == zero:
+                acc.pop(m2, None)
+            else:
+                acc[m2] = c
+    for k, ck in t.bracket_row(u, char).get(v, ()):
+        for m2, c2 in field_mul_mono_letter(t, field, mprime, k):
+            c = field.mul(ck, c2)
+            prev = acc.get(m2)
+            c = c if prev is None else field.add(prev, c)
+            if c == zero:
+                acc.pop(m2, None)
+            else:
+                acc[m2] = c
+    result = tuple(acc.items())
+    cache[key] = result
+    return result
+
+
+def field_mul_word(t, field, current, letters):
+    """Normal form of ``current`` * x_l1 * ... * x_lk over ``field``."""
+    zero = field.zero
+    for letter in letters:
+        nxt = {}
+        for m, c in current.items():
+            for m2, c2 in field_mul_mono_letter(t, field, m, letter):
+                cc = field.mul(c, c2)
+                prev = nxt.get(m2)
+                cc = cc if prev is None else field.add(prev, cc)
+                if cc == zero:
+                    nxt.pop(m2, None)
+                else:
+                    nxt[m2] = cc
+        current = nxt
+    return current
+
+
+def field_pbw_mul(t, a, b):
+    terms = {}
+    for mb, cb in b.terms.items():
+        add_into(terms, field_mul_word(t, a.field, a.terms, word_of(mb)).items(), a.field, cb)
+    return PBWElement(a.registry, a.field, terms)
+
+
+def field_commutator_with_basis(t, g, e):
+    field = e.field
+    row = t.bracket_row(g, field.characteristic)
+    total = {}
+    for mono, coeff in e.terms.items():
+        word = word_of(mono)
+        for pos in range(len(word)):
+            prefix = pbw.mono_of_word(word[:pos])
+            current = {}
+            for k, ck in row.get(word[pos], ()):
+                add_into(current, field_mul_mono_letter(t, field, prefix, k), field, field.mul(coeff, ck))
+            add_into(total, field_mul_word(t, field, current, word[pos + 1 :]).items(), field)
+    return PBWElement(e.registry, field, total)
+
+
+def field_symmetrize(t, f):
+    """sym(M) = sum_a (mult_a(M)/k) sym(M - a) x_a over the field, one
+    division per step, over all sub-multisets of f's monomials."""
+    field = f.field
+    top = max(f.total_degree(), 0)
+    levels = [set() for _ in range(top + 1)]
+    for mono in f.terms:
+        levels[mono_degree(mono)].add(mono)
+    for k in range(top, 0, -1):
+        for mono in levels[k]:
+            levels[k - 1].update(mono_div_var(mono, a) for a, _ in mono)
+    total = {}
+    averages = {MONO_ONE: {MONO_ONE: field.one}}
+    for k in range(top + 1):
+        if k:
+            prev, averages = averages, {}
+            for mono in levels[k]:
+                acc = averages[mono] = {}
+                for a, e in mono:
+                    step = field_mul_word(t, field, prev[mono_div_var(mono, a)], (a,))
+                    add_into(acc, step.items(), field, field.coerce(Fraction(e, k)))
+        for mono, coeff in f.terms.items():
+            if mono_degree(mono) == k:
+                add_into(total, averages[mono].items(), field, coeff)
+    return PBWElement(f.registry, field, total)
 
 
 def V(t, name, field=QQ):
@@ -205,7 +333,7 @@ def orderings_symmetrize(t, f):
         stab = prod(factorial(e) for _, e in mono)
         factor = field.mul(coeff, field.coerce(Fraction(stab, factorial(len(word)))))
         for perm in set(itertools.permutations(word)):
-            add_into(total, pbw._mul_word(t, field, {MONO_ONE: factor}, perm).items(), field)
+            add_into(total, field_mul_word(t, field, {MONO_ONE: factor}, perm).items(), field)
     return PBWElement(f.registry, field, total)
 
 
@@ -235,6 +363,62 @@ class TestSymmetrizeOrderings:
                 assert symmetrize(t, f) == orderings_symmetrize(t, f), (elt, field)
                 checked += 1
         assert checked > len(fam.central)
+
+
+INTEGER_KERNEL_TABLES = {
+    "g2": liealg.g2_borel,
+    "f4": liealg.f4_borel,
+    **{f"c{n}": (lambda n=n: liealg.cn_borel(n)) for n in (3, 4, 5)},
+}
+THIRDS_TABLE = os.path.join(os.path.dirname(__file__), "data", "thirds.json")
+
+
+def rational_element(rng, t, max_len=4, max_terms=4):
+    """A random element with coefficients of denominator up to 6."""
+    items = []
+    for _ in range(rng.randint(1, max_terms)):
+        word = sorted(rng.randrange(t.dim) for _ in range(rng.randint(0, max_len)))
+        items.append((pbw.mono_of_word(word), Fraction(rng.randint(-5, 5), rng.randint(1, 6))))
+    return PBWElement.from_terms(t.registry, QQ, items)
+
+
+class TestIntegerKernels:
+    """The characteristic-0 kernels, on ints in the basis y = D*x, against the
+    Fraction letter kernel in the basis x."""
+
+    def test_bracket_scale(self, g2b, f4b, c3b):
+        assert (g2b.bracket_scale(), f4b.bracket_scale(), c3b.bracket_scale()) == (1, 2, 1)
+        assert liealg.load_table(THIRDS_TABLE).bracket_scale() == 6
+
+    @pytest.mark.parametrize("level", ["nil", "borel"])
+    @pytest.mark.parametrize("name", INTEGER_KERNEL_TABLES)
+    def test_symmetrize_family_elements(self, name, level):
+        t = INTEGER_KERNEL_TABLES[name]()
+        if level == "nil":
+            t = liealg.nilradical_table(t)
+        fam = invariants.build_family(t)
+        elements = sorted(fam.elements(QQ))
+        for elt in elements:
+            f = fam.element(elt, QQ)
+            assert symmetrize(t, f) == field_symmetrize(t, f), elt
+        assert len(elements) >= len(fam.central)
+
+    @pytest.mark.parametrize("source", ["f4-borel", "thirds"])
+    def test_products_and_commutators(self, source, f4b):
+        t = f4b if source == "f4-borel" else liealg.load_table(THIRDS_TABLE)
+        rng = random.Random(31)
+        for _ in range(40):
+            a = rational_element(rng, t)
+            b = rational_element(rng, t, max_len=3)
+            assert pbw_mul(t, a, b) == field_pbw_mul(t, a, b)
+            g = rng.randrange(t.dim)
+            assert commutator_with_basis(t, g, a) == field_commutator_with_basis(t, g, a)
+
+    def test_thirds_symmetrize(self):
+        t = liealg.load_table(THIRDS_TABLE)
+        for text in ("a*b", "1/5*a^2*b*c - 2/3*h*a*b + b^2", "h*a*b*c + 7/2*a^3*b^2"):
+            f = parse_polynomial(t.registry, QQ, text)
+            assert symmetrize(t, f) == field_symmetrize(t, f) == reference_symmetrize(t, f), text
 
 
 class TestGrLeading:
