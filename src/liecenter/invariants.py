@@ -13,6 +13,7 @@ decomposed into multidegree blocks derived from the structure table itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations_with_replacement, groupby
 from math import isqrt
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -21,7 +22,6 @@ from . import report as rep
 from .exactalg import (
     QQ,
     Field,
-    Monomial,
     Polynomial,
     VarRegistry,
     parse_polynomial,
@@ -491,32 +491,6 @@ def verify_triangle_property(t: StructureTable, fam: InvariantFamily, field: Fie
 # ---------------------------------------------------------------------------
 
 
-def homogeneous_monomials(nvars: int, degree: int) -> list[Monomial]:
-    """All sparse monomials of the given total degree, in a fixed
-    deterministic order (lexicographic by dense exponent vector)."""
-    out: list[Monomial] = []
-
-    def rec(start: int, remaining: int, acc: list):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if start == nvars:
-            return
-        if start == nvars - 1:
-            acc.append((start, remaining))
-            out.append(tuple(acc))
-            acc.pop()
-            return
-        for e in range(remaining, 0, -1):
-            acc.append((start, e))
-            rec(start + 1, remaining - e, acc)
-            acc.pop()
-        rec(start + 1, remaining, acc)
-
-    rec(0, degree, [])
-    return out
-
-
 def derive_multigrading(t: StructureTable) -> list[tuple[int, ...]]:
     """Integer gradings of the basis compatible with every bracket:
     w_i + w_j = w_k whenever x_k appears in [x_i, x_j].
@@ -563,24 +537,34 @@ def brute_force_invariant_space(
     it kills the same polynomials, so the null space, and with it the row
     space, is that of all of ``gens``.
 
-    Each column monomial is packed into the integer code sum(e_v * B**v)
-    with B = degree + 1.  Every exponent of a degree-d monomial is at most
-    d < B, so the code is its exponent vector written in base B, and
-    distinct monomials get distinct codes.  The image of a monomial under
-    x_v -> x_w then has code ``code - B**v + B**w``, and one row is kept per
-    (generator, image code), as a ``{column: coefficient}`` dict that is
-    reduced into the field once it is complete.  Rows that end all zero are
-    dropped, and the others are handed on as dense lists.
+    The columns are the sorted variable-index tuples of
+    ``combinations_with_replacement(range(dim), degree)``, (0, 0, 2) for
+    x_0^2 x_2: lexicographic by dense exponent vector, largest first.  A
+    monomial packs into the code sum(e_v * B**v), B = degree + 1, its
+    exponent vector in base B (every e_v <= d < B), so x_v -> x_w maps
+    ``code`` to ``code - B**v + B**w``.  Its multidegree packs into one
+    integer too, first grading most significant: the digit of grading g is
+    shifted by lo = min(g) into [0, d*(max(g) - lo)] and has base
+    d*(max(g) - lo) + 1, so no digit carries and the packed integers sort
+    as the multidegree tuples do.
+
+    One scan of a block's columns fills the rows of every generator: each
+    occurrence of x_v in a column (e_v of them) adds the coefficient of x_w
+    in [x_i, x_v] to the row of generator i at the image code, mod p over
+    GF(p).  The rows are the dense lists handed on, one dict of them per
+    generator; those not all zero are taken generator by generator, each in
+    the order its image was first met, as one scan per generator would.
+    Index tuples become ``(v, e)`` monomials only for blocks with a kernel.
 
     Over the rationals the rows are read from
     :meth:`StructureTable.scaled_row`, the constants times their common
     denominator D, which scales every constraint by D and leaves the null
     space alone.  Each block is then first rank-tested modulo a fixed large
     prime; full modular column rank proves an empty kernel, and only the
-    remaining blocks are eliminated exactly over Q.  Constraint rows are
-    taken in the order they are built: the pivot columns, and with them the
-    basis, do not depend on it.  Each space is solved once per table; the
-    cap is part of the memo key, so a smaller cap still raises.
+    remaining blocks are eliminated exactly over Q.  The pivot columns, and
+    with them the basis, do not depend on the order of the rows.  Each
+    space is solved once per table; the cap is part of the memo key, so a
+    smaller cap still raises.
     """
     t.check_characteristic(field.characteristic)
     char = field.characteristic
@@ -589,55 +573,45 @@ def brute_force_invariant_space(
     if memo_key in t.memo:
         return list(t.memo[memo_key])
     gens = lie_generators(t, gens, char)
-    gradings = derive_multigrading(t)
-    var_grades = [tuple(g[v] for g in gradings) for v in range(t.dim)]
-    blocks: dict[tuple, list[Monomial]] = {}
-    for m in homogeneous_monomials(t.dim, degree):
-        grade = [0] * len(gradings)
-        for v, e in m:
-            for j, g in enumerate(var_grades[v]):
-                grade[j] += e * g
-        blocks.setdefault(tuple(grade), []).append(m)
+    dim = t.dim
+    place = [(degree + 1) ** v for v in range(dim)]
+    packed_grade = [0] * dim
+    for g in derive_multigrading(t):
+        lo = min(g)
+        base = degree * (max(g) - lo) + 1
+        packed_grade = [pg * base + w - lo for pg, w in zip(packed_grade, g)]
+    blocks: dict[int, list[tuple[int, ...]]] = {}
+    for idx in combinations_with_replacement(range(dim), degree):
+        blocks.setdefault(sum(map(packed_grade.__getitem__, idx)), []).append(idx)
 
-    if char:
-        rows_cache = {i: t.bracket_row(i, char) for i in gens}
-    else:
-        rows_cache = {i: t.scaled_row(i) for i in gens}
-    place = [(degree + 1) ** v for v in range(t.dim)]
+    row_maps = [t.bracket_row(i, char) if char else t.scaled_row(i) for i in gens]
+    acts = [
+        tuple(
+            (gpos, place[w] - place[v], cw)
+            for gpos, row_map in enumerate(row_maps)
+            for w, cw in row_map.get(v, ())
+        )
+        for v in range(dim)
+    ]
     basis: list[Polynomial] = []
     total_entries = 0
     for grade in sorted(blocks):
         cols = blocks[grade]
         ncols = len(cols)
-        codes = [sum(e * place[v] for v, e in mono) for mono in cols]
-        dense = []
-        for gi in gens:
-            row_map = rows_cache[gi]
-            by_target: dict[int, dict[int, int]] = {}
-            for cidx, (mono, code) in enumerate(zip(cols, codes)):
-                for v, e in mono:
-                    targets = row_map.get(v)
-                    if not targets:
-                        continue
-                    base = code - place[v]
-                    for w, cw in targets:
-                        target = base + place[w]
-                        row = by_target.get(target)
-                        if row is None:
-                            by_target[target] = {cidx: e * cw}
-                        else:
-                            row[cidx] = row.get(cidx, 0) + e * cw
-            for row in by_target.values():
-                line = [0] * ncols
-                nonzero = False
-                for c, x in row.items():
+        by_target: list[dict[int, list[int]]] = [{} for _ in gens]
+        for cidx, idx in enumerate(cols):
+            code = sum(map(place.__getitem__, idx))
+            for v in idx:
+                for gpos, shift, cw in acts[v]:
+                    lines = by_target[gpos]
+                    line = lines.get(code + shift)
+                    if line is None:
+                        line = lines[code + shift] = [0] * ncols
                     if char:
-                        x %= char
-                    if x:
-                        line[c] = x
-                        nonzero = True
-                if nonzero:
-                    dense.append(line)
+                        line[cidx] = (line[cidx] + cw) % char
+                    else:
+                        line[cidx] += cw
+        dense = [line for lines in by_target for line in lines.values() if any(line)]
         total_entries += len(dense) * ncols
         if total_entries > max_entries:
             raise OracleCapExceeded(
@@ -651,12 +625,10 @@ def brute_force_invariant_space(
             null = linalg.nullspace_mod(dense, ncols, char)
         else:
             null = linalg.nullspace_int(dense, ncols)
+        if null:
+            monos = [tuple((v, len(list(run))) for v, run in groupby(idx)) for idx in cols]
         for vec in null:
-            basis.append(
-                Polynomial.from_terms(
-                    t.registry, field, ((cols[c], vec[c]) for c in range(ncols))
-                )
-            )
+            basis.append(Polynomial.from_terms(t.registry, field, zip(monos, vec)))
     t.memo[memo_key] = tuple(basis)
     return basis
 

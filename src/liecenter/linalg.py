@@ -2,12 +2,15 @@
 
 Used by the brute-force invariant solver, the span comparisons and the
 derived-subalgebra audit.  Every rank, saturation test and null space comes
-from one elimination, :func:`echelon`, on rows that map columns to
-coefficients.  Its pivot columns are the reduced-row-echelon pivots of the
-row space, whatever the order of the rows, so the canonical null-space basis
-(one vector per free column) does not depend on that order either.  Rational
-basis vectors are rescaled to primitive integer vectors with positive
-leading entry.
+from one elimination, :func:`echelon`, on rows that map columns to field
+elements (ints or ``Fraction`` values over Q, ints in [0, p) over GF(p));
+zero entries are dropped.  Integer matrices are converted, mod p, row by row
+as the elimination reads them (:func:`_sparse`), so a saturation test that
+stops early converts only the rows it reads.  Its pivot columns are the
+reduced-row-echelon pivots of the row space, whatever the order of the rows,
+so the canonical null-space basis (one vector per free column) does not
+depend on that order either.  Rational basis vectors are rescaled to
+primitive integer vectors with positive leading entry.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactalg import GF, QQ, Field, add_into
+from .exactalg import GF, QQ, Field
 
 
 def echelon(rows: Iterable[Mapping], field: Field, ncols: Optional[int] = None) -> dict:
@@ -25,24 +28,40 @@ def echelon(rows: Iterable[Mapping], field: Field, ncols: Optional[int] = None) 
     column to its pivot row: a ``{column: coefficient}`` dict holding 1 at
     the pivot and nonzero entries only at larger columns.
 
-    Each row is reduced at its lowest column by the pivot there, as long as
-    there is one; the first lowest column without a pivot becomes a new
-    pivot.  So a row visits only the pivots it hits, and a pivot row may keep
-    entries at pivot columns found after it.  Columns may be any mutually
-    comparable keys.  The elimination stops as soon as ``ncols`` pivots are
-    found.
+    The entries must be field elements, as for :func:`exactalg.add_into`;
+    zero entries are dropped, and the rows themselves are not changed.  Each
+    row is reduced at its lowest column by the pivot there, as long as there
+    is one; the first lowest column without a pivot becomes a new pivot.  So
+    a row visits only the pivots it hits, and a pivot row may keep entries at
+    pivot columns found after it.  Columns may be any mutually comparable
+    keys.  The elimination stops as soon as ``ncols`` pivots are found.
     """
+    p = field.characteristic
+    one = field.one
     pivots: dict = {}
     for row in rows:
-        r = add_into({}, ((c, field.coerce(x)) for c, x in row.items()), field)
+        r = dict(row)
         while r:
             pc = min(r)
+            f = r[pc]
+            if not f:
+                del r[pc]
+                continue
             pivot = pivots.get(pc)
             if pivot is None:
-                inv = field.div(field.one, r[pc])
-                pivots[pc] = {c: field.mul(x, inv) for c, x in r.items()}
+                inv = field.div(one, f)
+                pivots[pc] = {c: field.mul(x, inv) for c, x in r.items() if x}
                 break
-            add_into(r, pivot.items(), field, field.neg(r[pc]))
+            # f and every pivot entry are nonzero, so an entry that cancels
+            # was already in r
+            for c, y in pivot.items():
+                x = r.get(c, 0) - f * y
+                if p:
+                    x %= p
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
         if len(pivots) == ncols:
             break
     return pivots
@@ -50,11 +69,17 @@ def echelon(rows: Iterable[Mapping], field: Field, ncols: Optional[int] = None) 
 
 def rank(rows: Iterable[Mapping], field: Field) -> int:
     """Rank over ``field`` of rows that map columns to coefficients."""
-    return len(echelon(rows, field))
+    coerce = field.coerce
+    return len(echelon(({c: coerce(x) for c, x in row.items()} for row in rows), field))
 
 
-def _sparse(rows: Sequence[Sequence]) -> list[dict]:
-    return [dict(compress(enumerate(row), row)) for row in rows]
+def _sparse(rows: Iterable[Sequence[int]], field: Field) -> Iterator[dict]:
+    """The integer rows as ``{column: entry}`` dicts of field elements, made
+    one at a time; entries that vanish only mod p stay, as zeros."""
+    p = field.characteristic
+    if p:
+        return ({c: x % p for c, x in compress(enumerate(row), row)} for row in rows)
+    return (dict(compress(enumerate(row), row)) for row in rows)
 
 
 def _primitive(vec: list[Fraction]) -> list[int]:
@@ -78,7 +103,7 @@ def _primitive(vec: list[Fraction]) -> list[int]:
 def _nullspace(rows: Sequence[Sequence], ncols: int, field: Field) -> list[list]:
     """One basis vector per free column, in column order: 1 at its own free
     column, 0 at the others, and the pivot entries by back-substitution."""
-    pivots = echelon(_sparse(rows), field)
+    pivots = echelon(_sparse(rows, field), field)
     descending = sorted(pivots, reverse=True)
     basis = []
     for fc in range(ncols):
@@ -122,4 +147,5 @@ FILTER_PRIME = 2147483629
 def saturates_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> bool:
     """True if the rows reach full column rank mod p; the elimination stops
     at saturation, so large full-rank systems cost little."""
-    return len(echelon(_sparse(rows), GF(p), ncols)) == ncols
+    field = GF(p)
+    return len(echelon(_sparse(rows, field), field, ncols)) == ncols

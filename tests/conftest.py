@@ -111,6 +111,33 @@ def save_table(t, path):
         fh.write("\n")
 
 
+def homogeneous_monomials(nvars, degree):
+    """All sparse monomials of the given total degree, lexicographic by dense
+    exponent vector, largest first: the reference enumeration for the
+    oracle's ``combinations_with_replacement`` index tuples."""
+    out = []
+
+    def rec(start, remaining, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if start == nvars:
+            return
+        if start == nvars - 1:
+            acc.append((start, remaining))
+            out.append(tuple(acc))
+            acc.pop()
+            return
+        for e in range(remaining, 0, -1):
+            acc.append((start, e))
+            rec(start + 1, remaining - e, acc)
+            acc.pop()
+        rec(start + 1, remaining, acc)
+
+    rec(0, degree, [])
+    return out
+
+
 def mono_grade(mono, gradings):
     """The multidegree of a monomial under each grading, summed term by term."""
     return tuple(sum(e * g[v] for v, e in mono) for g in gradings)

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement, groupby
+
 import pytest
 
 from liecenter import invariants, liealg
@@ -9,11 +11,10 @@ from liecenter.invariants import (
     compare_with_generated,
     degree_d_products,
     derive_multigrading,
-    homogeneous_monomials,
 )
 from liecenter.poisson import ad_apply, is_invariant, poisson_bracket
 
-from conftest import is_homogeneous, leading_monomial
+from conftest import homogeneous_monomials, is_homogeneous, leading_monomial
 
 
 class TestG2Family:
@@ -353,6 +354,14 @@ class TestOracle:
         assert len(monos) == 6
         assert len(set(monos)) == 6
         assert all(sum(e for _, e in m) == 2 for m in monos)
+
+    @pytest.mark.parametrize("nvars", range(1, 7))
+    @pytest.mark.parametrize("degree", range(5))
+    def test_index_tuples_follow_the_reference_enumeration(self, nvars, degree):
+        # the oracle's columns: sorted index tuples, (0, 0, 2) for x0^2 x2
+        tuples = combinations_with_replacement(range(nvars), degree)
+        monos = [tuple((v, len(list(run))) for v, run in groupby(idx)) for idx in tuples]
+        assert monos == homogeneous_monomials(nvars, degree)
 
     def test_multigrading_g2(self, g2n):
         gradings = derive_multigrading(g2n)

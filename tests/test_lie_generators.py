@@ -18,7 +18,7 @@ from liecenter.liealg import lie_generators
 from liecenter.pbw import commutator_with_basis, is_central_u, naive_lift, symmetrize
 from liecenter.poisson import ad_apply, is_invariant
 
-from conftest import mono_grade, table_to_dict, with_bracket
+from conftest import homogeneous_monomials, mono_grade, table_to_dict, with_bracket
 
 
 def reference_invariant_space(t, degree, gens, field):
@@ -28,7 +28,7 @@ def reference_invariant_space(t, degree, gens, field):
     char = field.characteristic
     gradings = invariants.derive_multigrading(t)
     blocks = {}
-    for mono in invariants.homogeneous_monomials(t.dim, degree):
+    for mono in homogeneous_monomials(t.dim, degree):
         blocks.setdefault(mono_grade(mono, gradings), []).append(mono)
     basis = []
     for grade in sorted(blocks):

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from liecenter import invariants, liealg, linalg  # noqa: E402
 from liecenter.exactalg import GF, QQ, add_into  # noqa: E402
-from liecenter.invariants import homogeneous_monomials  # noqa: E402
+
+from conftest import homogeneous_monomials  # noqa: E402
 
 
 # -- dense reference -----------------------------------------------------------
@@ -212,6 +213,56 @@ def test_saturates_mod_is_full_reference_rank(p, m):
     assert linalg.saturates_mod(shuffled, ncols, p) == full
 
 
+# -- the input contract --------------------------------------------------------
+
+# (field, p): the fields an integer matrix is reduced into; FILTER_PRIME is the
+# prime of the characteristic-0 saturation filter
+CONTRACT_FIELDS = [(GF(3), 3), (GF(7), 7), (GF(linalg.FILTER_PRIME), linalg.FILTER_PRIME)]
+
+
+def assert_no_zero_entries(pivots):
+    for row in pivots.values():
+        assert all(row.values()), row
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_explicit_zero_entries_give_the_pivots_of_cleaned_rows(m):
+    rows, _, _ = m
+    for field in (QQ, GF(3), GF(7), GF(linalg.FILTER_PRIME)):
+        reduced = [[field.coerce(x) for x in row] for row in rows]
+        with_zeros = [dict(enumerate(row)) for row in reduced]
+        cleaned = [{c: x for c, x in row.items() if x} for row in with_zeros]
+        got = linalg.echelon(with_zeros, field)
+        assert got == linalg.echelon(cleaned, field)
+        assert_no_zero_entries(got)
+        # the rows are read, not changed
+        assert with_zeros == [dict(enumerate(row)) for row in reduced]
+
+
+@st.composite
+def salted_matrices(draw):
+    """(rows, ncols, multiples): a matrix and, per entry, a multiple k in -2..2
+    of p to add to it, so that entries vanish or leave [0, p) mod p."""
+    rows, ncols, _ = draw(matrices())
+    k = st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols)
+    return rows, ncols, draw(st.lists(k, min_size=len(rows), max_size=len(rows)))
+
+
+@settings(deadline=None)
+@given(salted_matrices())
+def test_entries_that_vanish_mod_p_give_the_reference_verdicts(m):
+    rows, ncols, multiples = m
+    for field, p in CONTRACT_FIELDS:
+        salted = [[x + k * p for x, k in zip(row, ks)] for row, ks in zip(rows, multiples)]
+        got = linalg.echelon(list(linalg._sparse(salted, field)), field)
+        assert got == linalg.echelon(list(linalg._sparse(rows, field)), field)
+        assert_no_zero_entries(got)
+        assert len(got) == reference_rank(rows, p)
+        assert linalg.saturates_mod(salted, ncols, p) == (reference_rank(rows, p) == ncols)
+        assert linalg.nullspace_mod(salted, ncols, p) == reference_nullspace_mod(rows, ncols, p)
+
+
 # -- the pivot walk ------------------------------------------------------------
 
 
@@ -287,8 +338,8 @@ def catalog_blocks():
 
 
 def _check_against_all_pivot_walk(rows, ncols, monkeypatch):
-    sparse = linalg._sparse(rows)
     for field in (QQ, GF(3), GF(7), GF(linalg.FILTER_PRIME)):
+        sparse = list(linalg._sparse(rows, field))
         got = linalg.echelon(sparse, field)
         want = all_pivot_echelon(sparse, field)
         assert sorted(got) == sorted(want)

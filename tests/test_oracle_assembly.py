@@ -15,7 +15,7 @@ from liecenter import invariants, linalg, liealg
 from liecenter.exactalg import GF, QQ, Polynomial, mono_div_var, mono_mul_var
 from liecenter.invariants import brute_force_invariant_space, oracle_degree
 
-from conftest import mono_grade
+from conftest import homogeneous_monomials, mono_grade
 
 
 def integer_scaled_rows(t, gens):
@@ -40,7 +40,7 @@ def reference_invariant_space(t, degree, gens, field):
     gens = liealg.lie_generators(t, tuple(gens), char)
     gradings = invariants.derive_multigrading(t)
     blocks = {}
-    for mono in invariants.homogeneous_monomials(t.dim, degree):
+    for mono in homogeneous_monomials(t.dim, degree):
         blocks.setdefault(mono_grade(mono, gradings), []).append(mono)
     if char:
         rows_cache = {i: t.bracket_row(i, char) for i in gens}
