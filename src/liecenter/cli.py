@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
 import json
 import os
 import sys
@@ -103,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_corrections(path: Optional[str]) -> tuple[list, Optional[str]]:
     if path is None:
         return [], None
+    import hashlib  # maps OpenSSL's libcrypto, about 3.6 MiB that only an overlay needs
+
     try:
         with open(path, "rb") as fh:
             raw = fh.read()

@@ -82,8 +82,9 @@ class StructureTable:
         # of char, which the Poisson kernel and the PBW kernel at char > 0
         # read, ("scale",) the lcm D of the bracket denominators and
         # ("scaled-row", i) the integer rows of D*[x_i, -], which the oracle
-        # and the PBW kernel at char 0 read, ("pbw", char) the letter-product
-        # dict (at char 0, integer products in the basis y = D*x),
+        # and the PBW kernel at char 0 read, ("pbw", char) the letter
+        # products keyed by (sorted letter word, letter) (at char 0, integer
+        # products in the basis y = D*x),
         # ("oracle", char, degree, gens, cap) invariant spaces,
         # ("symmetrize", polynomial) lifts, ("lie-generators", char, gens)
         # generating subsets of gens, ("multigrading",) the gradings that

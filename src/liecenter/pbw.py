@@ -4,8 +4,13 @@ Elements are supported on ordered words in the basis, written as exponent
 monomials exactly like commutative polynomials; multiplication straightens
 out-of-order products with the rewriting rule x_u x_v = x_v x_u + [x_u, x_v]
 until every word is non-decreasing.  The rewriting terminates because each
-correction term has strictly smaller filtration degree; single-letter
-multiplications and symmetrized lifts are memoized on the table.
+correction term has strictly smaller filtration degree; the single-letter
+products that straighten and the symmetrized lifts are memoized on the table.
+
+The kernels key their terms by the sorted letter words themselves, (0, 0, 2)
+for x0^2 x2, so a product that needs no straightening is a tuple append.
+Elements are converted to words on the way in and back to exponent
+monomials on the way out, in one place each.
 
 Symmetrization averages a monomial over its letter orderings by a recursion
 over sub-multisets, each step one memoized letter product, instead of
@@ -19,9 +24,7 @@ straightened product of y-words is integral, and the ``("pbw", 0)`` memo
 holds those integer products.  Each public function converts a rational
 element once on the way in, sum c_N x^N -> L * sum c_N D^-|N| y^N with L
 clearing every denominator, and each output term once on the way out, so it
-returns exactly the rational element of the x-basis computation.  A nonzero
-uniform scale changes no commutator's zero-ness, so a centrality verdict
-read from the integer form is the verdict of the element itself.
+returns exactly the rational element of the x-basis computation.
 
 A reference rewriting engine with an injectable (randomizable) choice of
 redex backs the confluence and symmetrization tests; the fast paths must
@@ -38,7 +41,6 @@ from . import report as rep
 from .exactalg import (
     Field,
     GF,
-    MONO_ONE,
     Monomial,
     Polynomial,
     QQ,
@@ -46,8 +48,6 @@ from .exactalg import (
     ZZ,
     add_into,
     mono_degree,
-    mono_div_var,
-    mono_mul_var,
 )
 from .liealg import StructureTable, ad_power_identity, lie_generators
 
@@ -104,59 +104,54 @@ def _kernel_row(t: StructureTable, ring, i: int) -> dict:
 
 
 def _into_kernel(t: StructureTable, e: TermDict) -> tuple:
-    """(ring, terms, L): the kernel's form of ``e``.  Over QQ these are the
-    integers a_N = L*c_N*D^-|N| with L*e = sum a_N y^N, L clearing every
-    denominator; otherwise e's own ring, terms and L = 1."""
+    """(ring, terms, L): the kernel's form of ``e``, keyed by sorted letter
+    words.  Over QQ these are the integers a_N = L*c_N*D^-|N| with
+    L*e = sum a_N y^N, L clearing every denominator; otherwise e's own ring,
+    coefficients and L = 1."""
+    words = {word_of(m): c for m, c in e.terms.items()}
     if e.field is not QQ:
-        return e.field, e.terms, 1
+        return e.field, words, 1
     scale = t.bracket_scale()
-    dens = {m: c.denominator * scale ** mono_degree(m) for m, c in e.terms.items()}
+    dens = {w: c.denominator * scale ** len(w) for w, c in words.items()}
     common = lcm(1, *dens.values())
-    return ZZ, {m: c.numerator * (common // dens[m]) for m, c in e.terms.items()}, common
+    return ZZ, {w: c.numerator * (common // dens[w]) for w, c in words.items()}, common
 
 
 def _out_of_kernel(t: StructureTable, field, terms: dict, den: int = 1, shift: int = 0) -> dict:
-    """The terms over ``field`` of sum b_K y^K / (den * D^shift), given the
-    kernel's terms b_K: over QQ each becomes b_K*D^|K| / (den*D^shift), one
-    division per term; over GF(p), where the kernel runs in the x basis,
-    each is divided by den.  Over ``ZZ``, the kernel's own basis, den is 1
-    and the terms are returned as they are."""
+    """The monomial terms over ``field`` of sum b_K y^K / (den * D^shift),
+    given the kernel's word-keyed terms b_K: over QQ each becomes
+    b_K*D^|K| / (den*D^shift), one division per term; over GF(p), where the
+    kernel runs in the x basis, each is divided by den."""
     if field is QQ:
         scale = t.bracket_scale()
         den *= scale**shift
-        return {m: Fraction(b * scale ** mono_degree(m), den) for m, b in terms.items()}
-    if den == 1:
-        return terms
+        return {mono_of_word(w): Fraction(b * scale ** len(w), den) for w, b in terms.items()}
     p = field.characteristic
     inv = pow(den, -1, p)
-    return {m: b * inv % p for m, b in terms.items()}
+    return {mono_of_word(w): b * inv % p for w, b in terms.items()}
 
 
-def _mul_mono_letter(t: StructureTable, ring, mono: Monomial, v: int):
-    """Normal form of (normal monomial) * x_v as ((monomial, coeff), ...)
+def _mul_mono_letter(t: StructureTable, ring, word: tuple, v: int):
+    """Normal form of (sorted letter word) * x_v as ((word, coeff), ...)
     over ``ring``: ``ZZ`` in the basis y = D*x at characteristic 0, GF(p) in
     the x basis at characteristic p.
 
-    Recursion: with u the greatest letter of the word and m' the word minus
-    one u, if u <= v the letter appends; otherwise
+    Recursion: with u the last (greatest) letter of the word and m' the word
+    without it, if u <= v the letter appends; otherwise
     m' x_u x_v = (m' x_v) x_u + m' [x_u, x_v], and both pieces recurse at
     strictly smaller degree except the top layer of m' x_v, whose greatest
-    letter is at most u, so multiplying it by u is a plain append.
+    letter is at most u, so multiplying it by u is a plain append.  Only the
+    products that straighten are memoized.
     """
+    if not word or word[-1] <= v:
+        return ((word + (v,), ring.one),)
     cache = t.memo.setdefault(("pbw", ring.characteristic), {})
-    key = (mono, v)
+    key = (word, v)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if not mono or mono[-1][0] <= v:
-        result = ((mono_mul_var(mono, v), ring.one),)
-        cache[key] = result
-        return result
-    u = mono[-1][0]
-    if mono[-1][1] > 1:
-        mprime = mono[:-1] + ((u, mono[-1][1] - 1),)
-    else:
-        mprime = mono[:-1]
+    u = word[-1]
+    mprime = word[:-1]
     # accumulated inline, not through add_into: every memo miss runs this loop
     acc: dict = {}
     zero = ring.zero
@@ -185,7 +180,7 @@ def _mul_mono_letter(t: StructureTable, ring, mono: Monomial, v: int):
 
 def _mul_word(t: StructureTable, ring, current: dict, letters: Iterable[int]) -> dict:
     """Normal form of ``current`` * x_l1 * ... * x_lk over the kernel's
-    ``ring``, one letter at a time; ``current`` maps normal monomials to
+    ``ring``, one letter at a time; ``current`` maps sorted letter words to
     coefficients and is not modified."""
     zero = ring.zero
     mul = ring.mul
@@ -194,15 +189,15 @@ def _mul_word(t: StructureTable, ring, current: dict, letters: Iterable[int]) ->
         # accumulated inline, not through add_into: the hottest loop of
         # symmetrize and commutator_with_basis
         nxt: dict = {}
-        for m, c in current.items():
-            for m2, c2 in _mul_mono_letter(t, ring, m, letter):
+        for w, c in current.items():
+            for w2, c2 in _mul_mono_letter(t, ring, w, letter):
                 cc = mul(c, c2)
-                prev = nxt.get(m2)
+                prev = nxt.get(w2)
                 cc = cc if prev is None else add(prev, cc)
                 if cc == zero:
-                    nxt.pop(m2, None)
+                    nxt.pop(w2, None)
                 else:
-                    nxt[m2] = cc
+                    nxt[w2] = cc
         current = nxt
     return current
 
@@ -217,8 +212,8 @@ def pbw_mul(t: StructureTable, a: PBWElement, b: PBWElement) -> PBWElement:
     ring, left, la = _into_kernel(t, a)
     _, right, lb = _into_kernel(t, b)
     terms: dict = {}
-    for mb, cb in right.items():
-        add_into(terms, _mul_word(t, ring, left, word_of(mb)).items(), ring, cb)
+    for wb, cb in right.items():
+        add_into(terms, _mul_word(t, ring, left, wb).items(), ring, cb)
     return PBWElement(a.registry, field, _out_of_kernel(t, field, terms, la * lb))
 
 
@@ -266,22 +261,19 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
     needed.  Agrees with :func:`commutator_u` (property-tested).
 
     At characteristic 0 the kernel computes [y_g, L*e] in the basis
-    y = D*x, and x_g = y_g/D divides each term by one more D.  An element
-    over ``ZZ`` is read as already in that basis, and [y_g, e] is returned
-    there unconverted; :func:`is_central_u` passes such elements."""
+    y = D*x, and x_g = y_g/D divides each term by one more D."""
     gi = t.registry.resolve(g)
     field = e.field
     t.check_characteristic(field.characteristic)
     ring, terms, scale = _into_kernel(t, e)
     row = _kernel_row(t, ring, gi)
     total: dict = {}
-    for mono, coeff in terms.items():
-        word = word_of(mono)
-        for pos in range(len(word)):
-            targets = row.get(word[pos])
+    for word, coeff in terms.items():
+        for pos, letter in enumerate(word):
+            targets = row.get(letter)
             if not targets:
                 continue
-            prefix = mono_of_word(word[:pos])
+            prefix = word[:pos]
             # prefix * [x_g, x_letter], then the rest of the word
             current: dict = {}
             for k, ck in targets:
@@ -295,14 +287,9 @@ def is_central_u(
 ) -> tuple[bool, Optional[int]]:
     """True iff [x_i, e] = 0 for every generator index; otherwise the first
     failing generator is returned.  Decided over a Lie generating subset of
-    ``gens``, which commutes with e exactly when all of ``gens`` does.  A
-    rational e is converted into the kernel's integer form once, for every
-    generator: that form is a nonzero multiple of e, with the same commutant."""
+    ``gens``, which commutes with e exactly when all of ``gens`` does."""
     gens = tuple(gens)
     subset = lie_generators(t, gens, e.field.characteristic)
-    if e.field is QQ:
-        ring, terms, _ = _into_kernel(t, e)
-        e = PBWElement(e.registry, ring, terms)
     if all(commutator_with_basis(t, i, e).is_zero for i in subset):
         return True, None
     # the subset lies in gens, so some generator fails
@@ -347,25 +334,28 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
     ring, coeffs, common = _into_kernel(t, f)
     top = max(f.total_degree(), 0)
     levels: list = [set() for _ in range(top + 1)]
-    for mono in coeffs:
-        levels[mono_degree(mono)].add(mono)
+    for word in coeffs:
+        levels[len(word)].add(word)
     for k in range(top, 0, -1):
-        for mono in levels[k]:
-            levels[k - 1].update(mono_div_var(mono, a) for a, _ in mono)
+        for word in levels[k]:
+            levels[k - 1].update(word[:i] + word[i + 1 :] for i in range(k))
     total: dict = {}
-    sums = {MONO_ONE: {MONO_ONE: ring.one}}
+    sums = {(): {(): ring.one}}
     for k in range(top + 1):
         if k:
             prev, sums = sums, {}
-            for mono in levels[k]:
-                acc = sums[mono] = {}
-                for a, e in mono:
-                    step = _mul_word(t, ring, prev[mono_div_var(mono, a)], (a,))
-                    add_into(acc, step.items(), ring, e)
+            for word in levels[k]:
+                acc = sums[word] = {}
+                # each distinct letter a once, at its last place i, with
+                # multiplicity i + 1 - (its first place)
+                for i, a in enumerate(word):
+                    if i + 1 == k or word[i + 1] != a:
+                        step = _mul_word(t, ring, prev[word[:i] + word[i + 1 :]], (a,))
+                        add_into(acc, step.items(), ring, i + 1 - word.index(a))
         part: dict = {}
-        for mono, a in coeffs.items():
-            if mono_degree(mono) == k:
-                add_into(part, sums[mono].items(), ring, a)
+        for word, a in coeffs.items():
+            if len(word) == k:
+                add_into(part, sums[word].items(), ring, a)
         add_into(total, _out_of_kernel(t, field, part, common * factorial(k)).items(), field)
     t.memo[key] = PBWElement(f.registry, field, total)
     return t.memo[key]

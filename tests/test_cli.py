@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -387,6 +388,7 @@ class TestReports:
         data = json.loads(out)
         assert data["config"]["algebra"] == "g2-borel"
         assert data["corrections_sha256"] and len(data["corrections_sha256"]) == 64
+        assert data["corrections_sha256"] == hashlib.sha256(corrections.read_bytes()).hexdigest()
 
     def test_corrections_audit_trail(self, capsys, tmp_path):
         # each overlaid entry reaches the report with the value it replaced,
@@ -580,3 +582,18 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "[PASS] jacobi" in proc.stdout
+
+    def test_plain_verify_leaves_openssl_unloaded(self):
+        # hashlib maps OpenSSL's libcrypto into the process; only a
+        # --corrections overlay is hashed, so a plain run must not import it
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from liecenter.cli import main\n"
+            "code = main(['verify', '--algebra', 'g2-nil'])\n"
+            "print(sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)))\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -11,6 +11,7 @@ from liecenter import invariants, liealg, pbw
 from liecenter.exactalg import (
     GF,
     MONO_ONE,
+    Polynomial,
     QQ,
     add_into,
     mono_degree,
@@ -419,6 +420,62 @@ class TestIntegerKernels:
         for text in ("a*b", "1/5*a^2*b*c - 2/3*h*a*b + b^2", "h*a*b*c + 7/2*a^3*b^2"):
             f = parse_polynomial(t.registry, QQ, text)
             assert symmetrize(t, f) == field_symmetrize(t, f) == reference_symmetrize(t, f), text
+
+
+def repeated_letter_monomials(t):
+    """Monomials whose words repeat letters: x_j^e for e = 1..6 and
+    x_i^a x_j^b with a, b >= 2 and a + b <= 6, for the last letter j and a
+    few letters i before it."""
+    j = t.dim - 1
+    monos = [((j, e),) for e in range(1, 7)]
+    for i in sorted({0, 1, j // 2}):
+        monos += [((i, a), (j, b)) for a in range(2, 5) for b in range(2, 7 - a)]
+    return monos
+
+
+WORD_KERNEL_TABLES = {
+    "g2-borel": liealg.g2_borel,
+    "f4-nil": lambda: liealg.nilradical_table(liealg.f4_borel()),
+    "thirds": lambda: liealg.load_table(THIRDS_TABLE),
+}
+
+
+class TestWordKernel:
+    """The kernel keyed by sorted letter words against the field kernel
+    keyed by exponent monomials, where repeated letters, the D = 6 scale
+    and long p-th powers stress the word bookkeeping."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("name", WORD_KERNEL_TABLES)
+    def test_repeated_letters(self, name, field):
+        t = WORD_KERNEL_TABLES[name]()
+        for mono in repeated_letter_monomials(t):
+            e = PBWElement.monomial(t.registry, field, mono, Fraction(5, 2))
+            for v in range(t.dim):
+                x = PBWElement.variable(t.registry, field, v)
+                assert pbw_mul(t, e, x) == field_pbw_mul(t, e, x), (mono, v)
+                assert pbw_mul(t, x, e) == field_pbw_mul(t, x, e), (mono, v)
+                assert commutator_with_basis(t, v, e) == field_commutator_with_basis(t, v, e), (mono, v)
+            f = Polynomial(t.registry, field, dict(e.terms))
+            assert symmetrize(t, f) == field_symmetrize(t, f), mono
+
+    def test_thirds_mixed_words(self):
+        t = liealg.load_table(THIRDS_TABLE)
+        for text in ("a^3*b^2*c - 1/4*h^2*a^2*b^2", "h^2*a^2*b*c^2 + 2/3*b^3*c^3", "a^6 + b^5*c"):
+            f = parse_polynomial(t.registry, QQ, text)
+            assert symmetrize(t, f) == field_symmetrize(t, f), text
+            e = naive_lift(f)
+            for g in range(t.dim):
+                assert commutator_with_basis(t, g, e) == field_commutator_with_basis(t, g, e), (text, g)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_p_center_elements(self, f4b, p):
+        field = GF(p)
+        for name, elt in pbw.p_center_elements(f4b, field):
+            for g in range(f4b.dim):
+                com = commutator_with_basis(f4b, g, elt)
+                assert com == field_commutator_with_basis(f4b, g, elt), (name, g)
+                assert com.is_zero
 
 
 class TestGrLeading:
