@@ -40,9 +40,10 @@ from liecenter.pbw import (
 # -- the field letter kernel: the reference for the integer kernels ------------
 #
 # The enveloping-algebra kernels once ran over the coefficient field itself,
-# Fraction arithmetic at characteristic 0, in the basis x.  That kernel lives
-# on here, with a memo of its own, as the reference the integer kernels in
-# the scaled basis y = D*x must agree with.
+# Fraction arithmetic at characteristic 0, in the basis x, on terms keyed by
+# exponent monomials.  That kernel lives on here, with a memo of its own, as
+# the reference the word-keyed integer kernels in the scaled basis y = D*x
+# must agree with.
 
 _FIELD_MEMO = weakref.WeakKeyDictionary()  # table -> {char: letter products}
 
