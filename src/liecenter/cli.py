@@ -2,11 +2,11 @@
 deterministic report emission.
 
 Exit codes: 0 when every claim passes, 1 when any claim fails, 2 for
-configuration errors (unknown algebra, inadmissible characteristic, a suite
-that does not apply, malformed files, an output path that cannot be
-written, a standard output whose reader has closed it), 3 for an internal
-error, reported as one ``internal error:`` line on stderr instead of a
-traceback.
+configuration errors (unknown algebra, inadmissible characteristic, a prime
+or rank above its bound, a suite that does not apply, malformed files, an
+output path that cannot be written, a standard output whose reader has
+closed it), 3 for an internal error, reported as one ``internal error:``
+line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -38,6 +38,16 @@ SUITE_ORDER = (
     "oracle",
     "audit",
 )
+
+# The suites that straighten p-th powers letter by letter and apply ad x p
+# times run only up to this prime: their cost grows as p^2 to p^4, and at
+# p = 101 the costliest catalog run, f4-borel --suites pbw, takes about 30 s.
+POWER_SUITES = ("pbw", "audit")
+MAX_POWER_PRIME = 101
+# The largest cn rank: cn-borel --n 7 runs every suite in about 6-10 s and
+# 94 MiB, while --n 8 spends about 64 s and 834 MiB before its oracle
+# exceeds the solver cap.
+MAX_N = 7
 
 
 class ConfigError(Exception):
@@ -72,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             help="g2-borel | g2-nil | f4-borel | f4-nil | cn-borel | cn-nil | path to a table file",
         )
-        p.add_argument("--n", type=int, default=None, help="rank for cn-* algebras")
+        p.add_argument("--n", type=int, default=None, help=f"rank for cn-* algebras, 1 to {MAX_N}")
         p.add_argument("--char", type=int, default=0, help="0 or an odd prime")
         p.add_argument("--max-degree", type=_positive_int, default=None, dest="max_degree")
         p.add_argument("--corrections", default=None, help="JSON corrections overlay")
@@ -134,8 +144,8 @@ def resolve_algebra(args) -> tuple[StructureTable, Optional[str]]:
         if selector in ("cn-borel", "cn-nil"):
             if corrections:
                 raise ConfigError("corrections overlays apply to the g2/f4 tables only")
-            if args.n is None or args.n < 1:
-                raise ConfigError("cn algebras need --n >= 1")
+            if args.n is None or not 1 <= args.n <= MAX_N:
+                raise ConfigError(f"cn algebras need 1 <= --n <= {MAX_N}")
             t = liealg.cn_borel(args.n)
             return (t if selector.endswith("borel") else liealg.nilradical_table(t)), sha
         if os.path.exists(selector):
@@ -260,6 +270,12 @@ def cmd_verify(args) -> int:
             )
     # run order, each suite once: the report records what ran
     names = [n for n in SUITE_ORDER if n in requested]
+    powers = [n for n in names if n in POWER_SUITES]
+    if powers and args.char > MAX_POWER_PRIME:
+        raise ConfigError(
+            f"suites {', '.join(powers)} run at primes up to {MAX_POWER_PRIME} only, "
+            f"got --char {args.char}"
+        )
     if args.out:
         _check_writable(args.out)
     try:

@@ -3,7 +3,7 @@
 Coefficients are either arbitrary-precision rationals (``fractions.Fraction``,
 always reduced with positive denominator) or residues of an odd prime field
 (plain ints in ``[0, p)``); the integer ring ``ZZ`` serves the
-enveloping-algebra kernels at characteristic 0.  Polynomials are sparse
+enveloping-algebra kernels at every characteristic.  Polynomials are sparse
 dictionaries mapping monomials to nonzero coefficients, so equality of
 canonical forms is plain data equality and every identity check in this
 package is an exact zero-comparison.  No floating point is used anywhere.
@@ -167,16 +167,15 @@ class PrimeField:
 
 
 class IntegerRing:
-    """The integers, with plain ``int`` coefficients: the coefficient ring of
-    the characteristic-0 enveloping-algebra kernels, which run in a basis
-    with integer structure constants (``pbw``)."""
+    """The integers, with plain ``int`` coefficients, as far as
+    :func:`add_into` needs them: the coefficient ring of the
+    enveloping-algebra kernels, which run at every characteristic in a basis
+    with integer structure constants and reduce into the field only on the
+    way out (``pbw``)."""
 
-    characteristic = 0
     zero = 0
-    one = 1
     add = staticmethod(operator.add)
     mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
 
     def __repr__(self):
         return "ZZ"

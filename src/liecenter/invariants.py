@@ -284,12 +284,16 @@ def _build_m_matrix(t: StructureTable, n: int) -> list[list[Polynomial]]:
 
 def cn_invariants(t: StructureTable) -> InvariantFamily:
     """The Cn determinant invariants: c_i is the determinant of the i-th
-    right-upper block (rows 1..i, last i columns) of ``_build_m_matrix``.
-    The c_i depend on the basis labels only, never on the brackets; the
-    invariance, weights and audit suites verify them."""
+    right-upper block (rows 1..i, last i columns) of ``_build_m_matrix``,
+    computed when the elements are first asked for.  The c_i depend on the
+    basis labels only, never on the brackets; the invariance, weights and
+    audit suites verify them."""
     n = _cn_rank(t)
-    grid = _build_m_matrix(t, n)
-    cs = {f"c{i}": poly_det([row[2 * n - i:] for row in grid[:i]]) for i in range(1, n + 1)}
+
+    def builder() -> dict[str, Polynomial]:
+        grid = _build_m_matrix(t, n)
+        return {f"c{i}": poly_det([row[2 * n - i:] for row in grid[:i]]) for i in range(1, n + 1)}
+
     weight_expectations = tuple(
         (f"c{i}", f"h{k}", "2" if k <= i else "0", None)
         for i in range(1, n + 1)
@@ -299,7 +303,7 @@ def cn_invariants(t: StructureTable) -> InvariantFamily:
         family="cn",
         table=t,
         central=tuple(f"c{i}" for i in range(1, n + 1)),
-        builder=lambda: cs,
+        builder=builder,
         weight_expectations=weight_expectations,
         nonzero_pairings=tuple((f"c{i}", f"h{i}") for i in range(1, n + 1)),
         notes=("entry-scaling convention: halve-shared",),

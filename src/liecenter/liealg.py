@@ -79,12 +79,12 @@ class StructureTable:
         self.corrections = tuple(corrections)
         # everything derived from the table, computed once per table and
         # keyed by kind: ("row", char, i) bracket rows reduced into the field
-        # of char, which the Poisson kernel and the PBW kernel at char > 0
-        # read, ("scale",) the lcm D of the bracket denominators and
+        # of char, which the Poisson kernel, the ad walks and the oracle at
+        # char > 0 read, ("scale",) the lcm D of the bracket denominators and
         # ("scaled-row", i) the integer rows of D*[x_i, -], which the oracle
-        # and the PBW kernel at char 0 read, ("pbw", char) the letter
-        # products keyed by (sorted letter word, letter) (at char 0, integer
-        # products in the basis y = D*x),
+        # at char 0 and the PBW kernel read, ("pbw",) the PBW kernel's
+        # integer letter products in the basis y = D*x, keyed by (sorted
+        # letter word, letter) and shared by every characteristic,
         # ("oracle", char, degree, gens, cap) invariant spaces,
         # ("symmetrize", polynomial) lifts, ("lie-generators", char, gens)
         # generating subsets of gens, ("multigrading",) the gradings that

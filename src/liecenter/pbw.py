@@ -16,15 +16,20 @@ Symmetrization averages a monomial over its letter orderings by a recursion
 over sub-multisets, each step one memoized letter product, instead of
 straightening every ordering.
 
-At characteristic p the kernels run over GF(p).  At characteristic 0 they
-run on plain ints (``ZZ``) in the scaled basis y_i = D*x_i, where D
-(:meth:`StructureTable.bracket_scale`) is the lcm of the bracket-constant
-denominators: [y_i, y_j] = sum_k D*c_ijk y_k has integer constants, so every
-straightened product of y-words is integral, and the ``("pbw", 0)`` memo
-holds those integer products.  Each public function converts a rational
-element once on the way in, sum c_N x^N -> L * sum c_N D^-|N| y^N with L
-clearing every denominator, and each output term once on the way out, so it
-returns exactly the rational element of the x-basis computation.
+The kernels run on plain ints in the scaled basis y_i = D*x_i at every
+characteristic, where D (:meth:`StructureTable.bracket_scale`) is the lcm
+of the bracket-constant denominators: [y_i, y_j] = sum_k D*c_ijk y_k has
+integer constants, so the ordered y-words span a Z-form of the enveloping
+algebra (PBW holds over Z for this free Z-module) and every straightened
+product of y-words is integral.  The ``("pbw",)`` memo holds those integer
+products once per table, for every characteristic.  Reduction mod p is a
+ring map that sends ordered words to ordered words, and p does not divide
+D (a prime dividing D raises ``ZeroDivisionError``), so the result over
+GF(p) is the reduction of the integer one.  Each public function converts
+an element once on the way in, sum c_N x^N -> L * sum c_N D^-|N| y^N with
+L clearing every denominator (a residue of GF(p) read as an integer), and
+each output term once on the way out through the field's ``coerce``, so it
+returns exactly the element of the x-basis computation over its field.
 
 A reference rewriting engine with an injectable (randomizable) choice of
 redex backs the confluence and symmetrization tests; the fast paths must
@@ -97,55 +102,49 @@ def mono_of_word(word: Sequence[int]) -> Monomial:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_row(t: StructureTable, ring, i: int) -> dict:
-    """The row of [x_i, -] in the kernel's basis: the integer y-basis row
-    over ``ZZ``, the reduced x-basis row over GF(p)."""
-    return t.scaled_row(i) if ring is ZZ else t.bracket_row(i, ring.characteristic)
-
-
-def _into_kernel(t: StructureTable, e: TermDict) -> tuple:
-    """(ring, terms, L): the kernel's form of ``e``, keyed by sorted letter
-    words.  Over QQ these are the integers a_N = L*c_N*D^-|N| with
-    L*e = sum a_N y^N, L clearing every denominator; otherwise e's own ring,
-    coefficients and L = 1."""
-    words = {word_of(m): c for m, c in e.terms.items()}
-    if e.field is not QQ:
-        return e.field, words, 1
+def _into_kernel(t: StructureTable, e: TermDict) -> tuple[dict, int]:
+    """(terms, L): the integers a_N = L*c_N*D^-|N| with L*e = sum a_N y^N,
+    keyed by sorted letter words, L clearing every denominator.  A residue
+    of GF(p) is read as an integer with denominator 1."""
     scale = t.bracket_scale()
+    # the y basis needs 1/D in the field: p | D raises ZeroDivisionError
+    e.field.coerce(Fraction(1, scale))
+    words = {word_of(m): c for m, c in e.terms.items()}
     dens = {w: c.denominator * scale ** len(w) for w, c in words.items()}
     common = lcm(1, *dens.values())
-    return ZZ, {w: c.numerator * (common // dens[w]) for w, c in words.items()}, common
+    return {w: c.numerator * (common // dens[w]) for w, c in words.items()}, common
 
 
 def _out_of_kernel(t: StructureTable, field, terms: dict, den: int = 1, shift: int = 0) -> dict:
     """The monomial terms over ``field`` of sum b_K y^K / (den * D^shift),
-    given the kernel's word-keyed terms b_K: over QQ each becomes
-    b_K*D^|K| / (den*D^shift), one division per term; over GF(p), where the
-    kernel runs in the x basis, each is divided by den."""
-    if field is QQ:
-        scale = t.bracket_scale()
-        den *= scale**shift
-        return {mono_of_word(w): Fraction(b * scale ** len(w), den) for w, b in terms.items()}
-    p = field.characteristic
-    inv = pow(den, -1, p)
-    return {mono_of_word(w): b * inv % p for w, b in terms.items()}
+    given the kernel's word-keyed integers b_K: each becomes
+    b_K*D^|K| / (den*D^shift) through ``field.coerce``, and the terms that
+    vanish in the field are dropped (at characteristic p an integer result
+    may hold nonzero multiples of p)."""
+    scale = t.bracket_scale()
+    den *= scale**shift
+    out = {}
+    for w, b in terms.items():
+        c = field.coerce(Fraction(b * scale ** len(w), den))
+        if c:
+            out[mono_of_word(w)] = c
+    return out
 
 
-def _mul_mono_letter(t: StructureTable, ring, word: tuple, v: int):
-    """Normal form of (sorted letter word) * x_v as ((word, coeff), ...)
-    over ``ring``: ``ZZ`` in the basis y = D*x at characteristic 0, GF(p) in
-    the x basis at characteristic p.
+def _mul_mono_letter(t: StructureTable, word: tuple, v: int):
+    """Normal form of (sorted letter word) * y_v as ((word, coeff), ...) on
+    integers in the basis y = D*x.
 
     Recursion: with u the last (greatest) letter of the word and m' the word
     without it, if u <= v the letter appends; otherwise
-    m' x_u x_v = (m' x_v) x_u + m' [x_u, x_v], and both pieces recurse at
-    strictly smaller degree except the top layer of m' x_v, whose greatest
+    m' y_u y_v = (m' y_v) y_u + m' [y_u, y_v], and both pieces recurse at
+    strictly smaller degree except the top layer of m' y_v, whose greatest
     letter is at most u, so multiplying it by u is a plain append.  Only the
     products that straighten are memoized.
     """
     if not word or word[-1] <= v:
-        return ((word + (v,), ring.one),)
-    cache = t.memo.setdefault(("pbw", ring.characteristic), {})
+        return ((word + (v,), 1),)
+    cache = t.memo.setdefault(("pbw",), {})
     key = (word, v)
     hit = cache.get(key)
     if hit is not None:
@@ -154,66 +153,56 @@ def _mul_mono_letter(t: StructureTable, ring, word: tuple, v: int):
     mprime = word[:-1]
     # accumulated inline, not through add_into: every memo miss runs this loop
     acc: dict = {}
-    zero = ring.zero
-    for m1, c1 in _mul_mono_letter(t, ring, mprime, v):
-        for m2, c2 in _mul_mono_letter(t, ring, m1, u):
-            c = ring.mul(c1, c2)
-            prev = acc.get(m2)
-            c = c if prev is None else ring.add(prev, c)
-            if c == zero:
-                acc.pop(m2, None)
-            else:
+    for m1, c1 in _mul_mono_letter(t, mprime, v):
+        for m2, c2 in _mul_mono_letter(t, m1, u):
+            c = acc.get(m2, 0) + c1 * c2
+            if c:
                 acc[m2] = c
-    for k, ck in _kernel_row(t, ring, u).get(v, ()):
-        for m2, c2 in _mul_mono_letter(t, ring, mprime, k):
-            c = ring.mul(ck, c2)
-            prev = acc.get(m2)
-            c = c if prev is None else ring.add(prev, c)
-            if c == zero:
-                acc.pop(m2, None)
             else:
+                acc.pop(m2, None)
+    for k, ck in t.scaled_row(u).get(v, ()):
+        for m2, c2 in _mul_mono_letter(t, mprime, k):
+            c = acc.get(m2, 0) + ck * c2
+            if c:
                 acc[m2] = c
+            else:
+                acc.pop(m2, None)
     result = tuple(acc.items())
     cache[key] = result
     return result
 
 
-def _mul_word(t: StructureTable, ring, current: dict, letters: Iterable[int]) -> dict:
-    """Normal form of ``current`` * x_l1 * ... * x_lk over the kernel's
-    ``ring``, one letter at a time; ``current`` maps sorted letter words to
-    coefficients and is not modified."""
-    zero = ring.zero
-    mul = ring.mul
-    add = ring.add
+def _mul_word(t: StructureTable, current: dict, letters: Iterable[int]) -> dict:
+    """Normal form of ``current`` * y_l1 * ... * y_lk on integers, one letter
+    at a time; ``current`` maps sorted letter words to coefficients and is
+    not modified."""
     for letter in letters:
         # accumulated inline, not through add_into: the hottest loop of
         # symmetrize and commutator_with_basis
         nxt: dict = {}
         for w, c in current.items():
-            for w2, c2 in _mul_mono_letter(t, ring, w, letter):
-                cc = mul(c, c2)
-                prev = nxt.get(w2)
-                cc = cc if prev is None else add(prev, cc)
-                if cc == zero:
-                    nxt.pop(w2, None)
-                else:
+            for w2, c2 in _mul_mono_letter(t, w, letter):
+                cc = nxt.get(w2, 0) + c * c2
+                if cc:
                     nxt[w2] = cc
+                else:
+                    nxt.pop(w2, None)
         current = nxt
     return current
 
 
 def pbw_mul(t: StructureTable, a: PBWElement, b: PBWElement) -> PBWElement:
-    """Associative product in the enveloping algebra, straightened.  At
-    characteristic 0, L_a*a times L_b*b in the basis y = D*x is straightened
-    on ints and each term b_K y^K is mapped back once, to b_K*D^|K|/(L_a*L_b)."""
+    """Associative product in the enveloping algebra, straightened: L_a*a
+    times L_b*b in the basis y = D*x is straightened on ints and each term
+    b_K y^K is mapped back once, to b_K*D^|K|/(L_a*L_b)."""
     a._check(b)
     field = a.field
     t.check_characteristic(field.characteristic)
-    ring, left, la = _into_kernel(t, a)
-    _, right, lb = _into_kernel(t, b)
+    left, la = _into_kernel(t, a)
+    right, lb = _into_kernel(t, b)
     terms: dict = {}
     for wb, cb in right.items():
-        add_into(terms, _mul_word(t, ring, left, wb).items(), ring, cb)
+        add_into(terms, _mul_word(t, left, wb).items(), ZZ, cb)
     return PBWElement(a.registry, field, _out_of_kernel(t, field, terms, la * lb))
 
 
@@ -260,13 +249,13 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
     a word inserts one bracket per letter, so no full product expansion is
     needed.  Agrees with :func:`commutator_u` (property-tested).
 
-    At characteristic 0 the kernel computes [y_g, L*e] in the basis
-    y = D*x, and x_g = y_g/D divides each term by one more D."""
+    The kernel computes [y_g, L*e] in the basis y = D*x, and x_g = y_g/D
+    divides each term by one more D."""
     gi = t.registry.resolve(g)
     field = e.field
     t.check_characteristic(field.characteristic)
-    ring, terms, scale = _into_kernel(t, e)
-    row = _kernel_row(t, ring, gi)
+    terms, scale = _into_kernel(t, e)
+    row = t.scaled_row(gi)
     total: dict = {}
     for word, coeff in terms.items():
         for pos, letter in enumerate(word):
@@ -274,11 +263,11 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
             if not targets:
                 continue
             prefix = word[:pos]
-            # prefix * [x_g, x_letter], then the rest of the word
+            # prefix * [y_g, y_letter], then the rest of the word
             current: dict = {}
             for k, ck in targets:
-                add_into(current, _mul_mono_letter(t, ring, prefix, k), ring, ring.mul(coeff, ck))
-            add_into(total, _mul_word(t, ring, current, word[pos + 1 :]).items(), ring)
+                add_into(current, _mul_mono_letter(t, prefix, k), ZZ, coeff * ck)
+            add_into(total, _mul_word(t, current, word[pos + 1 :]).items(), ZZ)
     return PBWElement(e.registry, field, _out_of_kernel(t, field, total, scale, shift=1))
 
 
@@ -314,13 +303,12 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
     gives the orderings' sum S(M) = k! sym(M) = sum_a mult_a(M) S(M - a) x_a
     with S(empty) = 1, one memoized letter product and one integer
     multiplicity per term.  The sums are built level by level over the
-    sub-multisets of f's monomials, keeping only the previous level, in the
-    kernel's ring: at characteristic 0 in the basis y = D*x on ints, where
-    f's degree-k part c_M x^M enters as a_M = L*c_M*D^-k and a term b_N y^N
-    of its S(M) leaves as c_M*b_N*D^(|N|-k)/k!; at characteristic p over
-    GF(p), divided by k! mod p.  Either way each output term is divided once
-    per degree.  Dividing by k! <= (deg f)! requires characteristic 0 or
-    p > deg f.  Each lift is computed once per table.
+    sub-multisets of f's monomials, keeping only the previous level, on ints
+    in the basis y = D*x: f's degree-k part c_M x^M enters as
+    a_M = L*c_M*D^-k, and a term b_N y^N of its S(M) leaves as
+    c_M*b_N*D^(|N|-k)/k!, each output term divided once per degree.
+    Dividing by k! <= (deg f)! requires characteristic 0 or p > deg f.  Each
+    lift is computed once per table.
     """
     field = f.field
     char = field.characteristic
@@ -331,7 +319,7 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
     key = ("symmetrize", f)
     if key in t.memo:
         return t.memo[key]
-    ring, coeffs, common = _into_kernel(t, f)
+    coeffs, common = _into_kernel(t, f)
     top = max(f.total_degree(), 0)
     levels: list = [set() for _ in range(top + 1)]
     for word in coeffs:
@@ -340,7 +328,7 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
         for word in levels[k]:
             levels[k - 1].update(word[:i] + word[i + 1 :] for i in range(k))
     total: dict = {}
-    sums = {(): {(): ring.one}}
+    sums = {(): {(): 1}}
     for k in range(top + 1):
         if k:
             prev, sums = sums, {}
@@ -350,12 +338,12 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
                 # multiplicity i + 1 - (its first place)
                 for i, a in enumerate(word):
                     if i + 1 == k or word[i + 1] != a:
-                        step = _mul_word(t, ring, prev[word[:i] + word[i + 1 :]], (a,))
-                        add_into(acc, step.items(), ring, i + 1 - word.index(a))
+                        step = _mul_word(t, prev[word[:i] + word[i + 1 :]], (a,))
+                        add_into(acc, step.items(), ZZ, i + 1 - word.index(a))
         part: dict = {}
         for word, a in coeffs.items():
             if len(word) == k:
-                add_into(part, sums[word].items(), ring, a)
+                add_into(part, sums[word].items(), ZZ, a)
         add_into(total, _out_of_kernel(t, field, part, common * factorial(k)).items(), field)
     t.memo[key] = PBWElement(f.registry, field, total)
     return t.memo[key]

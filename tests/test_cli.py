@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from liecenter import cli, invariants, liealg
-from liecenter.exactalg import MR_BOUND
+from liecenter.exactalg import MR_BOUND, is_prime
 
 from conftest import save_table, table_to_dict, with_bracket
 
@@ -42,6 +43,35 @@ class TestVerifyExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         assert "[PASS] jacobi" in proc.stdout
+
+    @pytest.mark.parametrize("char", [cli.MAX_POWER_PRIME + 2, 1000000000000000003])
+    @pytest.mark.parametrize("suites", ["pbw", "audit", None])
+    def test_power_suites_refuse_primes_above_the_bound(self, capsys, char, suites):
+        # 103 is the next prime above the bound; None selects every suite
+        argv = ["verify", "--algebra", "g2-nil", "--char", str(char)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, *(["--suites", suites] if suites else []))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"up to {cli.MAX_POWER_PRIME}" in err
+        assert (suites or "pbw, audit") in err
+
+    def test_power_suites_accept_the_bound(self, capsys):
+        assert is_prime(cli.MAX_POWER_PRIME)
+        code, out, _ = run_cli(
+            capsys, "verify", "--algebra", "g2-nil", "--char", str(cli.MAX_POWER_PRIME), "--suites", "pbw"
+        )
+        assert code == 0 and "[PASS] pbw" in out
+
+    @pytest.mark.parametrize("command", ["verify", "invariants"])
+    @pytest.mark.parametrize("selector", ["cn-borel", "cn-nil"])
+    def test_n_above_the_bound_exits_2(self, capsys, command, selector):
+        assert cli.MAX_N >= 7  # the cn-borel ranks of the measured matrix
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--algebra", selector, "--n", str(cli.MAX_N + 1))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"--n <= {cli.MAX_N}" in err
 
     def test_large_composite_char_rejected(self, capsys):
         # 19 digits: 1000000007 * 1000000009

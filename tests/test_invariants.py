@@ -250,6 +250,22 @@ class TestCnFamily:
     def test_anti_index(self):
         assert anti_index(6, 2) == 5
 
+    def test_family_is_built_lazily(self, monkeypatch):
+        calls = []
+
+        def counting_det(matrix):
+            calls.append(len(matrix))
+            return poly_det(matrix)
+
+        monkeypatch.setattr(invariants, "poly_det", counting_det)
+        t = liealg.cn_borel(4)
+        fam = invariants.build_family(t)
+        assert calls == []
+        grid = reference_m_matrix(t, 4, "halve-shared")
+        expected = {f"c{i}": poly_det(reference_block(grid, i)) for i in range(1, 5)}
+        assert fam.elements() == expected
+        assert calls == [1, 2, 3, 4]
+
     def test_c1_is_corner_variable(self, c2b):
         t = c2b
         fam = invariants.cn_invariants(t)

@@ -40,10 +40,11 @@ from liecenter.pbw import (
 # -- the field letter kernel: the reference for the integer kernels ------------
 #
 # The enveloping-algebra kernels once ran over the coefficient field itself,
-# Fraction arithmetic at characteristic 0, in the basis x, on terms keyed by
-# exponent monomials.  That kernel lives on here, with a memo of its own, as
-# the reference the word-keyed integer kernels in the scaled basis y = D*x
-# must agree with.
+# Fraction arithmetic at characteristic 0 and residues at characteristic p,
+# in the basis x, on terms keyed by exponent monomials.  That kernel lives
+# on here, with a memo of its own, as the reference the word-keyed integer
+# kernels in the scaled basis y = D*x must agree with in every
+# characteristic.
 
 _FIELD_MEMO = weakref.WeakKeyDictionary()  # table -> {char: letter products}
 
@@ -477,6 +478,94 @@ class TestWordKernel:
                 com = commutator_with_basis(f4b, g, elt)
                 assert com == field_commutator_with_basis(f4b, g, elt), (name, g)
                 assert com.is_zero
+
+
+MOD_P_TABLES = {"f4-borel": liealg.f4_borel, "thirds": lambda: liealg.load_table(THIRDS_TABLE)}
+MOD_P_CASES = [("f4-borel", 3), ("f4-borel", 5), ("f4-borel", 7), ("thirds", 5), ("thirds", 7)]
+
+
+def residue_element(rng, t, field, max_len=4, max_terms=4):
+    """A random element with random nonzero residues as coefficients."""
+    items = []
+    for _ in range(rng.randint(1, max_terms)):
+        word = sorted(rng.randrange(t.dim) for _ in range(rng.randint(0, max_len)))
+        items.append((pbw.mono_of_word(word), rng.randrange(1, field.characteristic)))
+    return PBWElement.from_terms(t.registry, field, items)
+
+
+class TestIntegerKernelsModP:
+    """The integer kernel in the basis y = D*x, reduced mod p on the way out,
+    against the field letter kernel over GF(p) in the basis x, on F4 (D = 2)
+    and the thirds table (D = 6)."""
+
+    @pytest.mark.parametrize("source,p", MOD_P_CASES)
+    def test_random_residue_elements(self, source, p):
+        t, field = MOD_P_TABLES[source](), GF(p)
+        rng = random.Random(100 + p)
+        for _ in range(30):
+            a = residue_element(rng, t, field)
+            b = residue_element(rng, t, field, max_len=3)
+            assert pbw_mul(t, a, b) == field_pbw_mul(t, a, b)
+            g = rng.randrange(t.dim)
+            assert commutator_with_basis(t, g, a) == field_commutator_with_basis(t, g, a)
+            f = Polynomial(t.registry, field, dict(residue_element(rng, t, field, max_len=p - 1).terms))
+            assert symmetrize(t, f) == field_symmetrize(t, f)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_thirds_p_center_elements(self, p):
+        # F4's are compared in TestWordKernel.test_p_center_elements
+        t, field = MOD_P_TABLES["thirds"](), GF(p)
+        for name, elt in pbw.p_center_elements(t, field):
+            for g in range(t.dim):
+                com = commutator_with_basis(t, g, elt)
+                assert com == field_commutator_with_basis(t, g, elt), (name, g)
+                assert com.is_zero, (name, g)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_f4_family_elements(self, f4b, f4b_fam, p):
+        field = GF(p)
+        lifted = 0
+        for elt in sorted(f4b_fam.elements(field)):
+            f = f4b_fam.element(elt, field)
+            if f.total_degree() < p:
+                assert symmetrize(f4b, f) == field_symmetrize(f4b, f), elt
+                lifted += 1
+        assert lifted >= 3
+
+    def test_one_memo_for_every_characteristic(self):
+        t = liealg.nilradical_table(liealg.f4_borel())
+        symmetrize(t, invariants.build_family(t).element("c2"))
+        assert [k for k in t.memo if k[0] == "pbw"] == [("pbw",)]
+        size = len(t.memo[("pbw",)])
+        x1 = PBWElement.monomial(t.registry, GF(3), ((0, 3),))
+        for g in range(t.dim):
+            commutator_with_basis(t, g, x1)
+        assert [k for k in t.memo if k[0] == "pbw"] == [("pbw",)]
+        assert len(t.memo[("pbw",)]) > size
+        # the kernel reads the integer rows only, never rows reduced mod 3
+        assert not [k for k in t.memo if k[:2] == ("row", 3)]
+
+    def test_prime_dividing_the_scale_raises(self):
+        t = liealg.table_from_dict(
+            {
+                "name": "heisenberg-third",
+                "basis": ["x", "y", "z"],
+                "cartan": [],
+                "brackets": [{"lhs": "x", "rhs": "y", "value": [["1/3", "z"]]}],
+            }
+        )
+        field = GF(3)
+        x, y, z = (PBWElement.variable(t.registry, field, v) for v in "xyz")
+        with pytest.raises(ZeroDivisionError, match="divisible by 3"):
+            commutator_with_basis(t, "x", y)
+        with pytest.raises(ZeroDivisionError, match="divisible by 3"):
+            commutator_with_basis(t, "z", x)
+        with pytest.raises(ZeroDivisionError, match="divisible by 3"):
+            pbw_mul(t, y, x)
+        with pytest.raises(ZeroDivisionError, match="divisible by 3"):
+            symmetrize(t, parse_polynomial(t.registry, field, "x*y"))
+        # at p = 5 the same table reduces: [x, y] = 1/3 z = 2 z
+        assert commutator_with_basis(t, "x", V(t, "y", GF(5))) == V(t, "z", GF(5)).scale(2)
 
 
 class TestGrLeading:
