@@ -361,7 +361,7 @@ def inadmissible_reason(t: StructureTable, char: int) -> Optional[str]:
     entry = catalog_entry(t)
     if not t.admissible_characteristic(char) or (entry and char in entry.formula_primes):
         return f"characteristic {char} is excluded for algebra {t.name}"
-    if char and any(c.denominator % char == 0 for row in t.brackets.values() for _, c in row):
+    if char and t.bracket_scale() % char == 0:
         return f"a structure constant of {t.name} has a denominator divisible by {char}"
     return None
 
@@ -560,17 +560,19 @@ def brute_force_invariant_space(
     the order its image was first met, as one scan per generator would.
     Index tuples become ``(v, e)`` monomials only for blocks with a kernel.
 
-    Over the rationals the rows are read from
-    :meth:`StructureTable.scaled_row`, the constants times their common
-    denominator D, which scales every constraint by D and leaves the null
-    space alone.  Each block is then first rank-tested modulo a fixed large
-    prime; full modular column rank proves an empty kernel, and only the
-    remaining blocks are eliminated exactly over Q.  The pivot columns, and
+    The rows are read from :meth:`StructureTable.scaled_row`, the constants
+    times their common denominator D, which scales every constraint by the
+    unit D and leaves the null space alone (p | D raises ZeroDivisionError);
+    over GF(p) the constants are reduced, the vanishing ones dropped.  Each
+    block is first rank-tested modulo a fixed large prime (p over GF(p));
+    full modular column rank proves an empty kernel, and only the remaining
+    blocks are eliminated exactly.  The pivot columns, and
     with them the basis, do not depend on the order of the rows.  Each
     space is solved once per table; the cap is part of the memo key, so a
     smaller cap still raises.
     """
     t.check_characteristic(field.characteristic)
+    t.inverse_scale(field)
     char = field.characteristic
     gens = tuple(gens)
     memo_key = ("oracle", char, degree, gens, max_entries)
@@ -588,12 +590,12 @@ def brute_force_invariant_space(
     for idx in combinations_with_replacement(range(dim), degree):
         blocks.setdefault(sum(map(packed_grade.__getitem__, idx)), []).append(idx)
 
-    row_maps = [t.bracket_row(i, char) if char else t.scaled_row(i) for i in gens]
     acts = [
         tuple(
-            (gpos, place[w] - place[v], cw)
-            for gpos, row_map in enumerate(row_maps)
-            for w, cw in row_map.get(v, ())
+            (gpos, place[w] - place[v], coeff)
+            for gpos, i in enumerate(gens)
+            for w, cw in t.scaled_row(i).get(v, ())
+            if (coeff := cw % char if char else cw)
         )
         for v in range(dim)
     ]

@@ -2,9 +2,10 @@
 
 A :class:`StructureTable` stores the brackets of ordered basis pairs (i < j)
 as linear combinations of basis elements with rational coefficients; the
-table is characteristic-free, and :meth:`StructureTable.bracket_row` is the
-one place its coefficients are reduced into a prime field, by the field's
-``coerce``.  The catalog provides the Borel subalgebras of G2 (dimension 8),
+table is characteristic-free.  Every kernel reads it as the integer rows
+D*[x_i, -] (:meth:`StructureTable.scaled_row`) and maps into a field by
+:meth:`StructureTable.inverse_scale`, the one place a prime dividing D is
+refused.  The catalog provides the Borel subalgebras of G2 (dimension 8),
 F4 (dimension 28) and Cn (dimension n^2+n, generated programmatically from a
 2n x 2n matrix realization), plus their nilradicals.  The Cn brackets are
 sparse matrix commutators by the rule E_ij E_kl = delta_jk E_il; each is
@@ -78,11 +79,9 @@ class StructureTable:
         self.excluded_primes = frozenset(excluded_primes)
         self.corrections = tuple(corrections)
         # everything derived from the table, computed once per table and
-        # keyed by kind: ("row", char, i) bracket rows reduced into the field
-        # of char, which the Poisson kernel, the ad walks and the oracle at
-        # char > 0 read, ("scale",) the lcm D of the bracket denominators and
-        # ("scaled-row", i) the integer rows of D*[x_i, -], which the oracle
-        # at char 0 and the PBW kernel read, ("pbw",) the PBW kernel's
+        # keyed by kind: ("scale",) the lcm D of the bracket denominators,
+        # ("scaled-row", i) the integer rows of D*[x_i, -], which every
+        # kernel reads at every characteristic, ("pbw",) the PBW kernel's
         # integer letter products in the basis y = D*x, keyed by (sorted
         # letter word, letter) and shared by every characteristic,
         # ("oracle", char, degree, gens, cap) invariant spaces,
@@ -125,22 +124,6 @@ class StructureTable:
         j = self.registry.resolve(j)
         return lincomb_to_poly(self, self.bracket_coords(i, j), field)
 
-    def bracket_row(self, i: int, char: int) -> dict:
-        """Cached map j -> ((k, coeff), ...) of [basis_i, basis_j], for every
-        j with nonzero bracket, reduced into the field of ``char`` by its
-        ``coerce`` (so a prime dividing a denominator raises ZeroDivisionError)."""
-        key = ("row", char, i)
-        if key not in self.memo:
-            field = field_of_characteristic(char)
-            row = {}
-            for j in range(self.dim):
-                coords = self.bracket_coords(i, j).items()
-                reduced = add_into({}, ((k, field.coerce(c)) for k, c in coords), field)
-                if reduced:
-                    row[j] = tuple(reduced.items())
-            self.memo[key] = row
-        return self.memo[key]
-
     def bracket_scale(self) -> int:
         """D, the least common multiple of the bracket-constant denominators
         (2 for F4, 1 for G2 and Cn): the constants of the basis y_i = D*x_i,
@@ -151,18 +134,23 @@ class StructureTable:
         return self.memo[key]
 
     def scaled_row(self, i: int) -> dict:
-        """Cached map j -> ((k, D*coeff), ...) of [basis_i, basis_j] with
-        integer entries, D = :meth:`bracket_scale`: the row of
-        :meth:`bracket_row` at char 0 times D, equivalently the row of
-        [y_i, -] in the basis y = D*x."""
+        """Cached map j -> ((k, D*c_ijk), ...) of [basis_i, basis_j] for every
+        j with nonzero bracket, with integer entries, D = :meth:`bracket_scale`:
+        the row of [y_i, -] in the basis y = D*x."""
         key = ("scaled-row", i)
         if key not in self.memo:
             scale = self.bracket_scale()
             self.memo[key] = {
-                j: tuple((k, c.numerator * (scale // c.denominator)) for k, c in targets)
-                for j, targets in self.bracket_row(i, 0).items()
+                j: tuple((k, c.numerator * (scale // c.denominator)) for k, c in coords.items())
+                for j in range(self.dim)
+                if (coords := self.bracket_coords(i, j))
             }
         return self.memo[key]
+
+    def inverse_scale(self, field: Field):
+        """1/D in ``field``; ZeroDivisionError when the characteristic
+        divides D, where the integer rows give no brackets."""
+        return field.coerce(Fraction(1, self.bracket_scale()))
 
     # -- derived tables --------------------------------------------------------
 
@@ -274,22 +262,28 @@ def lie_generators(t: StructureTable, gens: Iterable[int], char: int) -> tuple[i
     return t.memo[key]
 
 
+def ad_vector(t: StructureTable, i: int, vec: dict, field: Field) -> dict:
+    """D*[basis_i, vec] over ``field`` for ``vec`` a map index -> field
+    element, from the integer row; p | D raises ZeroDivisionError.
+
+    D is a unit of the field, so the spans are those of [basis_i, -]; over
+    GF(p), (D*ad x)^p = D^p*(ad x)^p = D*(ad x)^p by Fermat, so (D*ad x)^p
+    = 0 iff (ad x)^p = 0, and (D*ad h)^p = D*ad h iff (ad h)^p = ad h."""
+    t.inverse_scale(field)
+    row = t.scaled_row(i)
+    out: dict = {}
+    for k, c in vec.items():
+        add_into(out, row.get(k, ()), field, c)
+    return out
+
+
 def _lie_generators(t: StructureTable, gens: tuple[int, ...], char: int) -> tuple[int, ...]:
     t.check_characteristic(char)
     field = field_of_characteristic(char)
     one = field.one
-
-    def ad(i: int, vec: dict) -> dict:
-        """[basis_i, vec] over the field, from the reduced bracket rows."""
-        row = t.bracket_row(i, char)
-        out: dict = {}
-        for k, c in vec.items():
-            add_into(out, row.get(k, ()), field, c)
-        return out
-
     rest = sorted({i for i in gens if i not in t.cartan})
     chosen = {i for i in gens if i in t.cartan}
-    derived = (ad(i, {j: one}) for i, j in combinations(rest, 2))
+    derived = (ad_vector(t, i, {j: one}, field) for i, j in combinations(rest, 2))
     span = linalg.echelon(derived, field)
     for i in rest:
         grown = linalg.echelon([*span.values(), {i: one}], field)
@@ -303,7 +297,7 @@ def _lie_generators(t: StructureTable, gens: tuple[int, ...], char: int) -> tupl
     span = linalg.echelon(({i: one} for i in chosen), field)
     new = list(span.values())
     while new:
-        brackets = (ad(i, v) for i in chosen for v in new)
+        brackets = (ad_vector(t, i, v, field) for i in chosen for v in new)
         grown = linalg.echelon([*span.values(), *brackets], field)
         new = [row for pc, row in grown.items() if pc not in span]
         span = grown
@@ -329,21 +323,17 @@ class AdPowerResult:
 
 def ad_power_identity(t: StructureTable, i: Union[int, str], p: int) -> AdPowerResult:
     """Verify (ad x)^p = 0 for nilradical elements and (ad h)^p = ad h for
-    Cartan elements over F_p, applying ad x p times to every basis element."""
+    Cartan elements over F_p, applying D*ad x (:func:`ad_vector`) p times to
+    every basis element, which decides the same identities."""
     t.check_characteristic(p)
     i = t.registry.resolve(i)
-    fp = GF(p)
-    row = t.bracket_row(i, p)
     kind = "cartan" if i in t.cartan else "nilpotent"
     ok = True
     for j in range(t.dim):
         vec = {j: 1}
         for _ in range(p):
-            out: dict = {}
-            for k, c in vec.items():
-                add_into(out, row.get(k, ()), fp, c)
-            vec = out
-        ok = ok and vec == (dict(row.get(j, ())) if kind == "cartan" else {})
+            vec = ad_vector(t, i, vec, GF(p))
+        ok = ok and vec == (ad_vector(t, i, {j: 1}, GF(p)) if kind == "cartan" else {})
     return AdPowerResult(t.name, t.label(i), kind, p, ok)
 
 

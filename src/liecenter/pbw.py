@@ -106,9 +106,9 @@ def _into_kernel(t: StructureTable, e: TermDict) -> tuple[dict, int]:
     """(terms, L): the integers a_N = L*c_N*D^-|N| with L*e = sum a_N y^N,
     keyed by sorted letter words, L clearing every denominator.  A residue
     of GF(p) is read as an integer with denominator 1."""
-    scale = t.bracket_scale()
     # the y basis needs 1/D in the field: p | D raises ZeroDivisionError
-    e.field.coerce(Fraction(1, scale))
+    t.inverse_scale(e.field)
+    scale = t.bracket_scale()
     words = {word_of(m): c for m, c in e.terms.items()}
     dens = {w: c.denominator * scale ** len(w) for w, c in words.items()}
     common = lcm(1, *dens.values())

@@ -2,13 +2,15 @@
 
 The bracket of two polynomials is the unique biderivation extending the Lie
 bracket of the generators: it is computed by bilinear expansion with the
-Leibniz rule, never through a materialized Poisson matrix.  Invariance and
-weight computations are exact; eigenvector tests are decided by comparing
-term sets, so no notion of tolerance exists.
+Leibniz rule, never through a materialized Poisson matrix.  The adjoint
+action, which every suite reads, runs on ints over the table's integer rows
+at every characteristic.  Invariance and weight computations are exact;
+eigenvector tests compare term sets, so no notion of tolerance exists.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from . import report as rep
@@ -24,35 +26,39 @@ from .liealg import StructureTable, lie_generators
 
 
 def ad_apply(t: StructureTable, i: Union[int, str], f: Polynomial) -> Polynomial:
-    """{x_i, f}: the adjoint action of a basis element as a derivation."""
+    """{x_i, f}: the adjoint action of a basis element as a derivation, on
+    ints: L*f, L clearing f's denominators, under the row D*[x_i, -], each
+    term mapped once into the field times 1/(L*D), the vanishing ones dropped."""
     if f.registry != t.registry:
         raise ValueError("polynomial is not over the algebra's registry")
     i = t.registry.resolve(i)
     field = f.field
-    t.check_characteristic(field.characteristic)
-    row = t.bracket_row(i, field.characteristic)
-    zero = field.zero
+    p = field.characteristic
+    t.check_characteristic(p)
+    inverse = t.inverse_scale(field)
+    row = t.scaled_row(i)
+    # the residues of GF(p) are ints already, with L = 1
+    scale = 1 if p else lcm(1, *(c.denominator for c in f.terms.values()))
+    ints = f.terms if p else {m: c.numerator * scale // c.denominator for m, c in f.terms.items()}
     terms: dict = {}
-    for mono, coeff in f.terms.items():
+    for mono, coeff in ints.items():
         for v, e in mono:
             targets = row.get(v)
             if not targets:
                 continue
-            factor = field.mul(coeff, field.coerce(e)) if e != 1 else coeff
-            if factor == zero:
-                continue
+            factor = coeff * e
             base = mono_div_var(mono, v)
             # accumulated inline, not through add_into: the hottest loop of the suites
             for w, cw in targets:
                 m2 = mono_mul_var(base, w)
-                c = field.mul(factor, cw)
-                acc = terms.get(m2)
-                c = c if acc is None else field.add(acc, c)
-                if c == zero:
-                    terms.pop(m2, None)
-                else:
+                c = terms.get(m2, 0) + factor * cw
+                if c:
                     terms[m2] = c
-    return Polynomial(f.registry, field, terms)
+                else:
+                    terms.pop(m2, None)
+    inverse = field.div(inverse, scale)
+    out = {m: r for m, c in terms.items() if (r := c * inverse % p if p else c * inverse)}
+    return Polynomial(f.registry, field, out)
 
 
 def poisson_bracket(t: StructureTable, f: Polynomial, g: Polynomial) -> Polynomial:

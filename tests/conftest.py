@@ -3,7 +3,7 @@ import json
 import pytest
 
 from liecenter import invariants, liealg
-from liecenter.exactalg import mono_degree, mono_sort_key
+from liecenter.exactalg import Polynomial, mono_degree, mono_div_var, mono_mul_var, mono_sort_key
 
 
 @pytest.fixture(scope="session")
@@ -160,3 +160,52 @@ def abelian_table(dim=4):
 
     registry = VarRegistry([f"y{i}" for i in range(1, dim + 1)])
     return liealg.StructureTable("abelian-test", registry, {}, (), range(dim))
+
+
+# -- the field rows: the reference for every kernel on the integer rows --------
+
+
+def reference_bracket_row(t, i, char):
+    """[basis_i, basis_j] for every j, each coordinate reduced mod char by a
+    hand-rolled modular inverse of its denominator, with the coordinates and
+    then the brackets that vanish there dropped: the bracket rows reduced
+    into the field, which the kernels on ``StructureTable.scaled_row`` must
+    agree with."""
+    row = {}
+    for j in range(t.dim):
+        coords = t.bracket_coords(i, j)
+        if char:
+            reduced = []
+            for k, c in coords.items():
+                den = c.denominator % char
+                if den == 0:
+                    raise ZeroDivisionError(f"structure constant {c} not reducible mod {char}")
+                reduced.append((k, c.numerator * pow(den, char - 2, char) % char))
+            entry = tuple((k, c) for k, c in reduced if c)
+        else:
+            entry = tuple((k, c) for k, c in coords.items() if c)
+        if entry:
+            row[j] = entry
+    return row
+
+
+def reference_ad_apply(t, i, f):
+    """{x_i, f} in the field's own arithmetic over the field rows, every
+    product and sum reduced as it is formed: the reference for
+    ``poisson.ad_apply``."""
+    field = f.field
+    i = t.registry.resolve(i)
+    row = reference_bracket_row(t, i, field.characteristic)
+    terms = {}
+    for mono, coeff in f.terms.items():
+        for v, e in mono:
+            factor = field.mul(coeff, field.coerce(e))
+            base = mono_div_var(mono, v)
+            for w, cw in row.get(v, ()):
+                m2 = mono_mul_var(base, w)
+                c = field.add(terms.get(m2, field.zero), field.mul(factor, cw))
+                if c == field.zero:
+                    terms.pop(m2, None)
+                else:
+                    terms[m2] = c
+    return Polynomial(f.registry, field, terms)

@@ -571,6 +571,50 @@ class TestMaxDegree:
         assert "--max-degree" in capsys.readouterr().err
 
 
+def record_suites(monkeypatch, calls, oracle=None):
+    """Make every suite callable of ``verify`` record its name in ``calls``
+    when it runs; ``oracle``, when given, replaces the oracle suite."""
+    real = cli._suite_callables
+
+    def recorded(t, args):
+        def run(name, fn):
+            def suite():
+                calls.append(name)
+                return (oracle or fn)() if name == "oracle" else fn()
+
+            return suite
+
+        return {name: run(name, fn) for name, fn in real(t, args).items()}
+
+    monkeypatch.setattr(cli, "_suite_callables", recorded)
+
+
+class TestOracleRunsFirst:
+    def test_cap_exits_2_before_any_other_suite(self, capsys, monkeypatch, tmp_path):
+        def capped():
+            raise invariants.OracleCapExceeded("oracle system exceeds 10 matrix entries")
+
+        calls = []
+        record_suites(monkeypatch, calls, oracle=capped)
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "verify", "--algebra", "g2-nil", "--out", str(out))
+        assert code == 2
+        assert calls == ["oracle"]
+        assert "error: oracle system exceeds 10 matrix entries" in err
+        assert not out.exists()
+
+    def test_report_keeps_the_suite_order(self, capsys, monkeypatch):
+        calls = []
+        record_suites(monkeypatch, calls)
+        code, out, _ = run_cli(capsys, "verify", "--algebra", "g2-borel", "--format", "json")
+        assert code == 0
+        ran = json.loads(out)["config"]["suites"]
+        assert calls[0] == "oracle"
+        assert sorted(calls) == sorted(ran)
+        assert ran == [n for n in cli.SUITE_ORDER if n in ran]
+        assert [s["name"] for s in json.loads(out)["suites"]] == ran
+
+
 class TestInvariantsCommand:
     def test_g2_listing(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "--algebra", "g2-nil", "--char", "0")

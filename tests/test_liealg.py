@@ -12,10 +12,17 @@ from liecenter.liealg import (
     StructureTable,
     TableDataError,
     ad_power_identity,
+    ad_vector,
     jacobi_check,
 )
 
-from conftest import abelian_table, save_table, table_to_dict, with_bracket
+from conftest import (
+    abelian_table,
+    reference_bracket_row,
+    save_table,
+    table_to_dict,
+    with_bracket,
+)
 
 
 # -- dense reference for the ad-power identities -------------------------------
@@ -593,36 +600,9 @@ class TestNilradicalTable:
         assert str(g2n.bracket("x1", "x2")) == "2*x3"
 
     def test_bracket_rows_mod_p(self, f4n):
-        row = f4n.bracket_row(f4n.registry.index("x6"), 3)
-        x12 = f4n.registry.index("x12")
-        x17 = f4n.registry.index("x17")
-        assert row[x12] == ((x17, 1),)  # -1/2 = 1 mod 3
-
-
-# -- reference for the reduced bracket rows ------------------------------------
-
-
-def reference_bracket_row(t, i, char):
-    """[basis_i, basis_j] for every j, each coordinate reduced mod char by a
-    hand-rolled modular inverse of its denominator, with the coordinates and
-    then the brackets that vanish there dropped: the reference for
-    ``StructureTable.bracket_row``."""
-    row = {}
-    for j in range(t.dim):
-        coords = t.bracket_coords(i, j)
-        if char:
-            reduced = []
-            for k, c in coords.items():
-                den = c.denominator % char
-                if den == 0:
-                    raise ZeroDivisionError(f"structure constant {c} not reducible mod {char}")
-                reduced.append((k, c.numerator * pow(den, char - 2, char) % char))
-            entry = tuple((k, c) for k, c in reduced if c)
-        else:
-            entry = tuple((k, c) for k, c in coords.items() if c)
-        if entry:
-            row[j] = entry
-    return row
+        x6, x12, x17 = (f4n.registry.index(x) for x in ("x6", "x12", "x17"))
+        assert f4n.scaled_row(x6)[x12] == ((x17, -1),)  # D = 2 times -1/2
+        assert ad_vector(f4n, x6, {x12: 1}, GF(3)) == {x17: 2}  # -1 = 2 mod 3
 
 
 ROW_TABLES = {
@@ -634,10 +614,37 @@ ROW_TABLES = {
 }
 
 
+def scaled_reference(t, i, char):
+    """The field row of ``reference_bracket_row`` times D, reduced mod char,
+    with the constants that vanish there dropped."""
+    scale = t.bracket_scale()
+    row = {}
+    for j, targets in reference_bracket_row(t, i, char).items():
+        entry = tuple((k, scale * c % char if char else scale * c) for k, c in targets)
+        entry = tuple((k, c) for k, c in entry if c)
+        if entry:
+            row[j] = entry
+    return row
+
+
+def heisenberg_third():
+    """[x, y] = z/3: D = 3, so 3 is a characteristic no integer row serves."""
+    return liealg.table_from_dict(
+        {
+            "name": "heisenberg-third",
+            "basis": ["x", "y", "z"],
+            "cartan": [],
+            "brackets": [{"lhs": "x", "rhs": "y", "value": [["1/3", "z"]]}],
+        }
+    )
+
+
 class TestBracketRows:
     @pytest.mark.parametrize("level", ["borel", "nil"])
     @pytest.mark.parametrize("name", sorted(ROW_TABLES))
     def test_matches_reference(self, name, level):
+        # the integer rows are D times the rational rows, and D*[x_i, x_j]
+        # over each admissible field is that row reduced
         from liecenter.invariants import inadmissible_reason
 
         t = ROW_TABLES[name]()
@@ -645,31 +652,72 @@ class TestBracketRows:
             t = liealg.nilradical_table(t)
         chars = [0] + [p for p in (3, 5, 7) if not inadmissible_reason(t, p)]
         assert len(chars) >= 3
+        for i in range(t.dim):
+            assert t.scaled_row(i) == scaled_reference(t, i, 0)
+            assert all(isinstance(c, int) for row in t.scaled_row(i).values() for _, c in row)
         for char in chars:
+            field = GF(char) if char else QQ
             for i in range(t.dim):
-                assert t.bracket_row(i, char) == reference_bracket_row(t, i, char)
+                want = scaled_reference(t, i, char)
+                for j in range(t.dim):
+                    assert ad_vector(t, i, {j: field.one}, field) == dict(want.get(j, ()))
 
     def test_constant_vanishing_mod_p_is_dropped(self, g2b):
         # G2 has the structure constant 3; the rows themselves are defined
         # mod 3 even though the G2 family excludes that characteristic
-        rows = [g2b.bracket_row(i, 3) for i in range(g2b.dim)]
-        assert rows == [reference_bracket_row(g2b, i, 3) for i in range(g2b.dim)]
+        rows = [
+            {j: ad_vector(g2b, i, {j: 1}, GF(3)) for j in range(g2b.dim)} for i in range(g2b.dim)
+        ]
+        for i, row in enumerate(rows):
+            want = scaled_reference(g2b, i, 3)
+            assert {j: v for j, v in row.items() if v} == {j: dict(e) for j, e in want.items()}
         assert any(
-            len(row.get(j, ())) < len(g2b.bracket_coords(i, j))
+            len(row[j]) < len(g2b.bracket_coords(i, j))
             for i, row in enumerate(rows)
             for j in range(g2b.dim)
         )
 
     def test_denominator_divisible_by_p_raises(self):
-        t = liealg.table_from_dict(
-            {
-                "name": "heisenberg-third",
-                "basis": ["x", "y", "z"],
-                "cartan": [],
-                "brackets": [{"lhs": "x", "rhs": "y", "value": [["1/3", "z"]]}],
-            }
-        )
-        assert t.bracket_row(0, 5) == {1: ((2, 2),)}  # 1/3 = 2 mod 5
+        t = heisenberg_third()
+        assert t.bracket_scale() == 3
+        assert t.scaled_row(0) == {1: ((2, 1),)}
+        assert t.inverse_scale(GF(5)) == 2  # 1/3 = 2 mod 5
+        assert t.inverse_scale(QQ) == Fraction(1, 3)
         with pytest.raises(ZeroDivisionError, match="divisible by 3"):
-            t.bracket_row(0, 3)
-        assert ("row", 3, 0) not in t.memo
+            t.inverse_scale(GF(3))
+        with pytest.raises(ZeroDivisionError, match="divisible by 3"):
+            ad_vector(t, 0, {1: 1}, GF(3))
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            "ad_apply",
+            "brute_force_invariant_space",
+            "lie_generators",
+            "ad_power_identity",
+            "symmetrize",
+            "commutator_with_basis",
+        ],
+    )
+    def test_every_kernel_refuses_a_prime_dividing_the_scale(self, kernel):
+        # 1/3 has no image in GF(3), and D*[x, -] = [3x, -] is no bracket
+        # there: every kernel reading the integer rows must refuse p = 3
+        from liecenter import invariants, pbw, poisson
+
+        t = heisenberg_third()
+        f = parse_polynomial(t.registry, GF(3), "x*y + z")
+        calls = {
+            "ad_apply": lambda: poisson.ad_apply(t, "x", f),
+            # one generator: no bracket is read choosing the generating set,
+            # so the oracle's own check must refuse
+            "brute_force_invariant_space": lambda: invariants.brute_force_invariant_space(
+                t, 2, (0,), GF(3)
+            ),
+            "lie_generators": lambda: liealg.lie_generators(t, range(t.dim), 3),
+            "ad_power_identity": lambda: ad_power_identity(t, "x", 3),
+            "symmetrize": lambda: pbw.symmetrize(t, f),
+            "commutator_with_basis": lambda: pbw.commutator_with_basis(t, "x", pbw.naive_lift(f)),
+        }
+        with pytest.raises(ZeroDivisionError):
+            calls[kernel]()
+        assert not any(key[0] == "oracle" for key in t.memo)

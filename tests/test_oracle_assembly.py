@@ -15,20 +15,21 @@ from liecenter import invariants, linalg, liealg
 from liecenter.exactalg import GF, QQ, Polynomial, mono_div_var, mono_mul_var
 from liecenter.invariants import brute_force_invariant_space, oracle_degree
 
-from conftest import homogeneous_monomials, mono_grade
+from conftest import homogeneous_monomials, mono_grade, reference_bracket_row, table_to_dict
 
 
-def integer_scaled_rows(t, gens):
-    """The rational bracket rows of ``gens`` times the lcm of every bracket
-    denominator: integer rows with the same null space."""
+def scaled_rows(t, gens, char):
+    """The field rows of ``gens`` times D, the lcm of every bracket
+    denominator, reduced mod char: D is a unit of the field, so these rows
+    have the null space of the field rows and vanish where they do."""
     scale = 1
     for entry in t.brackets.values():
         for _, c in entry:
             scale = scale * c.denominator // gcd(scale, c.denominator)
     return {
         i: {
-            v: tuple((w, int(c * scale)) for w, c in targets)
-            for v, targets in t.bracket_row(i, 0).items()
+            v: tuple((w, c * scale % char if char else int(c * scale)) for w, c in targets)
+            for v, targets in reference_bracket_row(t, i, char).items()
         }
         for i in gens
     }
@@ -42,10 +43,7 @@ def reference_invariant_space(t, degree, gens, field):
     blocks = {}
     for mono in homogeneous_monomials(t.dim, degree):
         blocks.setdefault(mono_grade(mono, gradings), []).append(mono)
-    if char:
-        rows_cache = {i: t.bracket_row(i, char) for i in gens}
-    else:
-        rows_cache = integer_scaled_rows(t, gens)
+    rows_cache = scaled_rows(t, gens, char)
     basis = []
     for grade in sorted(blocks):
         cols = blocks[grade]
@@ -95,10 +93,19 @@ def affine_line():
     })
 
 
+def g2_at_3():
+    """The G2 Borel table with 3 admitted: its constants 3 vanish mod 3, so
+    the rows lose those entries, as the field rows do."""
+    data = table_to_dict(liealg.g2_borel())
+    data["excluded_primes"] = [2]
+    return liealg.table_from_dict(data)
+
+
 # name -> (table builder, levels, admissible primes in {3, 5, 7})
 TABLES = {
     "affine-line": (affine_line, ("nil",), (3, 5, 7)),
     "g2": (liealg.g2_borel, ("nil", "borel"), (5, 7)),
+    "g2-at-3": (g2_at_3, ("nil", "borel"), (3,)),
     "f4": (liealg.f4_borel, ("nil", "borel"), (3, 5, 7)),
     **{
         f"c{n}": (lambda n=n: liealg.cn_borel(n), ("nil", "borel"), (3, 5, 7))

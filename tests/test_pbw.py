@@ -36,6 +36,8 @@ from liecenter.pbw import (
     z_lift_audit,
 )
 
+from conftest import reference_bracket_row
+
 
 # -- the field letter kernel: the reference for the integer kernels ------------
 #
@@ -47,6 +49,15 @@ from liecenter.pbw import (
 # characteristic.
 
 _FIELD_MEMO = weakref.WeakKeyDictionary()  # table -> {char: letter products}
+_ROW_MEMO = weakref.WeakKeyDictionary()  # table -> {(char, i): field row}
+
+
+def field_row(t, i, char):
+    """The field row of basis_i, built once per table by the reference."""
+    rows = _ROW_MEMO.setdefault(t, {})
+    if (char, i) not in rows:
+        rows[(char, i)] = reference_bracket_row(t, i, char)
+    return rows[(char, i)]
 
 
 def field_mul_mono_letter(t, field, mono, v):
@@ -75,7 +86,7 @@ def field_mul_mono_letter(t, field, mono, v):
                 acc.pop(m2, None)
             else:
                 acc[m2] = c
-    for k, ck in t.bracket_row(u, char).get(v, ()):
+    for k, ck in field_row(t, u, char).get(v, ()):
         for m2, c2 in field_mul_mono_letter(t, field, mprime, k):
             c = field.mul(ck, c2)
             prev = acc.get(m2)
@@ -116,7 +127,7 @@ def field_pbw_mul(t, a, b):
 
 def field_commutator_with_basis(t, g, e):
     field = e.field
-    row = t.bracket_row(g, field.characteristic)
+    row = field_row(t, g, field.characteristic)
     total = {}
     for mono, coeff in e.terms.items():
         word = word_of(mono)
