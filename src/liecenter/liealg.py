@@ -148,8 +148,8 @@ class StructureTable:
         return self.memo[key]
 
     def inverse_scale(self, field: Field):
-        """1/D in ``field``; ZeroDivisionError when the characteristic
-        divides D, where the integer rows give no brackets."""
+        """1/D in ``field``, which maps the integer rows back to the brackets;
+        raises ZeroDivisionError when the characteristic divides D."""
         return field.coerce(Fraction(1, self.bracket_scale()))
 
     # -- derived tables --------------------------------------------------------
@@ -330,9 +330,9 @@ def ad_power_identity(t: StructureTable, i: Union[int, str], p: int) -> AdPowerR
     kind = "cartan" if i in t.cartan else "nilpotent"
     ok = True
     for j in range(t.dim):
-        vec = {j: 1}
-        for _ in range(p):
-            vec = ad_vector(t, i, vec, GF(p))
+        vec, steps = {j: 1}, p
+        while vec and steps:  # zero stays zero
+            vec, steps = ad_vector(t, i, vec, GF(p)), steps - 1
         ok = ok and vec == (ad_vector(t, i, {j: 1}, GF(p)) if kind == "cartan" else {})
     return AdPowerResult(t.name, t.label(i), kind, p, ok)
 
