@@ -278,8 +278,11 @@ def cmd_verify(args) -> int:
         )
     if args.out:
         _check_writable(args.out)
-    try:  # the oracle first: past the solver cap, no other suite has run
-        claims = {n: available[n]() for n in sorted(names, key=lambda n: n != "oracle")}
+    # the suites that solve oracle systems run first, the oracle then the
+    # audit: past the solver cap, no other suite has run
+    first = [n for n in ("oracle", "audit") if n in names]
+    try:
+        claims = {n: available[n]() for n in first + [n for n in names if n not in first]}
     except OracleCapExceeded as exc:
         raise ConfigError(str(exc)) from exc
     config = {

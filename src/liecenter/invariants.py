@@ -33,7 +33,12 @@ from .poisson import ad_apply, cartan_eigenvalue
 
 
 class OracleCapExceeded(ValueError):
-    """The brute-force solver would exceed its configured size cap."""
+    """The brute-force solver would exceed its size cap."""
+
+
+# the solver cap: the matrix entries one oracle system may hold, summed over
+# its blocks
+ORACLE_MAX_ENTRIES = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +366,7 @@ def inadmissible_reason(t: StructureTable, char: int) -> Optional[str]:
     entry = catalog_entry(t)
     if not t.admissible_characteristic(char) or (entry and char in entry.formula_primes):
         return f"characteristic {char} is excluded for algebra {t.name}"
-    if char and t.bracket_scale() % char == 0:
+    if char and t.scale % char == 0:
         return f"a structure constant of {t.name} has a denominator divisible by {char}"
     return None
 
@@ -530,7 +535,6 @@ def brute_force_invariant_space(
     degree: int,
     gens: Iterable[int],
     field: Field = QQ,
-    max_entries: int = 10**7,
 ) -> list[Polynomial]:
     """Basis of the space of homogeneous degree-d polynomials killed by every
     ad x_i, i in gens, solved exactly blockwise per derived multidegree.
@@ -560,7 +564,7 @@ def brute_force_invariant_space(
     the order its image was first met, as one scan per generator would.
     Index tuples become ``(v, e)`` monomials only for blocks with a kernel.
 
-    The rows are read from :meth:`StructureTable.scaled_row`, the constants
+    The rows are read from ``StructureTable.rows``, the constants
     times their common denominator D, which scales every constraint by the
     unit D and leaves the null space alone (p | D raises ZeroDivisionError);
     over GF(p) the constants are reduced, the vanishing ones dropped.  Each
@@ -568,14 +572,14 @@ def brute_force_invariant_space(
     full modular column rank proves an empty kernel, and only the remaining
     blocks are eliminated exactly.  The pivot columns, and
     with them the basis, do not depend on the order of the rows.  Each
-    space is solved once per table; the cap is part of the memo key, so a
-    smaller cap still raises.
+    space is solved once per table.  A system of more than
+    ``ORACLE_MAX_ENTRIES`` dense entries raises :class:`OracleCapExceeded`.
     """
     t.check_characteristic(field.characteristic)
     t.inverse_scale(field)
     char = field.characteristic
     gens = tuple(gens)
-    memo_key = ("oracle", char, degree, gens, max_entries)
+    memo_key = ("oracle", char, degree, gens)
     if memo_key in t.memo:
         return list(t.memo[memo_key])
     gens = lie_generators(t, gens, char)
@@ -594,7 +598,7 @@ def brute_force_invariant_space(
         tuple(
             (gpos, place[w] - place[v], coeff)
             for gpos, i in enumerate(gens)
-            for w, cw in t.scaled_row(i).get(v, ())
+            for w, cw in t.rows[i].get(v, ())
             if (coeff := cw % char if char else cw)
         )
         for v in range(dim)
@@ -619,9 +623,9 @@ def brute_force_invariant_space(
                         line[cidx] += cw
         dense = [line for lines in by_target for line in lines.values() if any(line)]
         total_entries += len(dense) * ncols
-        if total_entries > max_entries:
+        if total_entries > ORACLE_MAX_ENTRIES:
             raise OracleCapExceeded(
-                f"oracle system exceeds {max_entries} matrix entries"
+                f"oracle system exceeds {ORACLE_MAX_ENTRIES} matrix entries"
             )
         if not dense:
             null = [[1 if c == k else 0 for c in range(ncols)] for k in range(ncols)]

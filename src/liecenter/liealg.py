@@ -2,8 +2,9 @@
 
 A :class:`StructureTable` stores the brackets of ordered basis pairs (i < j)
 as linear combinations of basis elements with rational coefficients; the
-table is characteristic-free.  Every kernel reads it as the integer rows
-D*[x_i, -] (:meth:`StructureTable.scaled_row`) and maps into a field by
+table is characteristic-free.  Every kernel, the Jacobi check among them,
+reads it as the integer rows D*[x_i, -] (``StructureTable.rows``, built with
+the table, D = ``StructureTable.scale``) and maps into a field by
 :meth:`StructureTable.inverse_scale`, the one place a prime dividing D is
 refused.  The catalog provides the Borel subalgebras of G2 (dimension 8),
 F4 (dimension 28) and Cn (dimension n^2+n, generated programmatically from a
@@ -32,6 +33,7 @@ from . import _f4_data, linalg
 from .exactalg import (
     GF,
     QQ,
+    ZZ,
     Field,
     Polynomial,
     VarRegistry,
@@ -78,16 +80,27 @@ class StructureTable:
         self.nilradical = tuple(nilradical)
         self.excluded_primes = frozenset(excluded_primes)
         self.corrections = tuple(corrections)
-        # everything derived from the table, computed once per table and
-        # keyed by kind: ("scale",) the lcm D of the bracket denominators,
-        # ("scaled-row", i) the integer rows of D*[x_i, -], which every
-        # kernel reads at every characteristic, ("pbw",) the PBW kernel's
-        # integer letter products in the basis y = D*x, keyed by (sorted
-        # letter word, letter) and shared by every characteristic,
-        # ("oracle", char, degree, gens, cap) invariant spaces,
-        # ("symmetrize", polynomial) lifts, ("lie-generators", char, gens)
-        # generating subsets of gens, ("multigrading",) the gradings that
-        # split the oracle into blocks, ("jacobi",) the Jacobi report
+        # D, the lcm of the bracket-constant denominators (2 for F4, 1 for
+        # G2 and Cn): the basis y_i = D*x_i has the integer constants
+        # [y_i, y_j] = sum_k D*c_ijk y_k
+        scale = self.scale = lcm(1, *(c.denominator for e in brackets.values() for _, c in e))
+        # rows[i] maps j -> ((k, D*c_ijk), ...) for every j with a nonzero
+        # [x_i, x_j]: the row of [y_i, -], which every kernel reads
+        self.rows = [
+            {
+                j: tuple((k, c.numerator * (scale // c.denominator)) for k, c in coords.items())
+                for j in range(self.dim)
+                if (coords := self.bracket_coords(i, j))
+            }
+            for i in range(self.dim)
+        ]
+        # everything else derived from the table, computed once per table and
+        # keyed by kind: ("pbw",) the PBW kernel's integer letter products in
+        # the basis y = D*x, keyed by (sorted letter word, letter) and shared
+        # by every characteristic, ("oracle", char, degree, gens) invariant
+        # spaces, ("symmetrize", polynomial) lifts, ("lie-generators", char,
+        # gens) generating subsets of gens, ("multigrading",) the gradings
+        # that split the oracle into blocks, ("jacobi",) the Jacobi report
         self.memo: dict = {}
 
     @property
@@ -124,46 +137,15 @@ class StructureTable:
         j = self.registry.resolve(j)
         return lincomb_to_poly(self, self.bracket_coords(i, j), field)
 
-    def bracket_scale(self) -> int:
-        """D, the least common multiple of the bracket-constant denominators
-        (2 for F4, 1 for G2 and Cn): the constants of the basis y_i = D*x_i,
-        [y_i, y_j] = sum_k D*c_ijk y_k, are integers.  Computed on first use."""
-        key = ("scale",)
-        if key not in self.memo:
-            self.memo[key] = lcm(1, *(c.denominator for e in self.brackets.values() for _, c in e))
-        return self.memo[key]
-
-    def scaled_row(self, i: int) -> dict:
-        """Cached map j -> ((k, D*c_ijk), ...) of [basis_i, basis_j] for every
-        j with nonzero bracket, with integer entries, D = :meth:`bracket_scale`:
-        the row of [y_i, -] in the basis y = D*x."""
-        key = ("scaled-row", i)
-        if key not in self.memo:
-            scale = self.bracket_scale()
-            self.memo[key] = {
-                j: tuple((k, c.numerator * (scale // c.denominator)) for k, c in coords.items())
-                for j in range(self.dim)
-                if (coords := self.bracket_coords(i, j))
-            }
-        return self.memo[key]
-
     def inverse_scale(self, field: Field):
         """1/D in ``field``, which maps the integer rows back to the brackets;
         raises ZeroDivisionError when the characteristic divides D."""
-        return field.coerce(Fraction(1, self.bracket_scale()))
+        return field.coerce(Fraction(1, self.scale))
 
     # -- derived tables --------------------------------------------------------
 
     def __repr__(self):
         return f"<StructureTable {self.name} dim={self.dim}>"
-
-
-def _lincomb_apply(t: StructureTable, i: int, lin: LinComb) -> LinComb:
-    """[basis_i, sum_k lin_k basis_k] as a coefficient dict."""
-    out: LinComb = {}
-    for k, c in lin.items():
-        add_into(out, t.bracket_coords(i, k).items(), QQ, c)
-    return out
 
 
 def lincomb_to_poly(t: StructureTable, lin: LinComb, field: Field = QQ) -> Polynomial:
@@ -204,14 +186,20 @@ def jacobi_check(t: StructureTable) -> JacobiReport:
 
 
 def _jacobi_check(t: StructureTable) -> JacobiReport:
+    """The check on the integer rows: [y_a, [y_b, y_c]] = D^2*[x_a, [x_b, x_c]],
+    so the ints summed here are D^2*J(i, j, k).  J is homogeneous of degree 2
+    in the constants, hence D^2*J = 0 iff J = 0; a nonzero residual is
+    printed as D^2*J / D^2, the rational J itself."""
+    rows, square = t.rows, t.scale**2
     report = JacobiReport(algebra=t.name, triples_checked=0)
     for i, j, k in combinations(range(t.dim), 3):
         report.triples_checked += 1
-        total: LinComb = {}
+        total: dict = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            add_into(total, _lincomb_apply(t, a, t.bracket_coords(b, c)).items(), QQ)
+            for m, cm in rows[b].get(c, ()):
+                add_into(total, rows[a].get(m, ()), ZZ, cm)
         if total:
-            residual = str(lincomb_to_poly(t, total))
+            residual = str(lincomb_to_poly(t, {n: Fraction(v, square) for n, v in total.items()}))
             report.failures.append(
                 JacobiFailure((t.label(i), t.label(j), t.label(k)), residual)
             )
@@ -270,7 +258,7 @@ def ad_vector(t: StructureTable, i: int, vec: dict, field: Field) -> dict:
     GF(p), (D*ad x)^p = D^p*(ad x)^p = D*(ad x)^p by Fermat, so (D*ad x)^p
     = 0 iff (ad x)^p = 0, and (D*ad h)^p = D*ad h iff (ad h)^p = ad h."""
     t.inverse_scale(field)
-    row = t.scaled_row(i)
+    row = t.rows[i]
     out: dict = {}
     for k, c in vec.items():
         add_into(out, row.get(k, ()), field, c)

@@ -17,7 +17,7 @@ over sub-multisets, each step one memoized letter product, instead of
 straightening every ordering.
 
 The kernels run on plain ints in the scaled basis y_i = D*x_i at every
-characteristic, where D (:meth:`StructureTable.bracket_scale`) is the lcm
+characteristic, where D (``StructureTable.scale``) is the lcm
 of the bracket-constant denominators: [y_i, y_j] = sum_k D*c_ijk y_k has
 integer constants, so the ordered y-words span a Z-form of the enveloping
 algebra (PBW holds over Z for this free Z-module) and every straightened
@@ -108,7 +108,7 @@ def _into_kernel(t: StructureTable, e: TermDict) -> tuple[dict, int]:
     of GF(p) is read as an integer with denominator 1."""
     # the y basis needs 1/D in the field: p | D raises ZeroDivisionError
     t.inverse_scale(e.field)
-    scale = t.bracket_scale()
+    scale = t.scale
     words = {word_of(m): c for m, c in e.terms.items()}
     dens = {w: c.denominator * scale ** len(w) for w, c in words.items()}
     common = lcm(1, *dens.values())
@@ -121,7 +121,7 @@ def _out_of_kernel(t: StructureTable, field, terms: dict, den: int = 1, shift: i
     b_K*D^|K| / (den*D^shift) through ``field.coerce``, and the terms that
     vanish in the field are dropped (at characteristic p an integer result
     may hold nonzero multiples of p)."""
-    scale = t.bracket_scale()
+    scale = t.scale
     den *= scale**shift
     out = {}
     for w, b in terms.items():
@@ -160,7 +160,7 @@ def _mul_mono_letter(t: StructureTable, word: tuple, v: int):
                 acc[m2] = c
             else:
                 acc.pop(m2, None)
-    for k, ck in t.scaled_row(u).get(v, ()):
+    for k, ck in t.rows[u].get(v, ()):
         for m2, c2 in _mul_mono_letter(t, mprime, k):
             c = acc.get(m2, 0) + ck * c2
             if c:
@@ -255,7 +255,7 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
     field = e.field
     t.check_characteristic(field.characteristic)
     terms, scale = _into_kernel(t, e)
-    row = t.scaled_row(gi)
+    row = t.rows[gi]
     total: dict = {}
     for word, coeff in terms.items():
         for pos, letter in enumerate(word):

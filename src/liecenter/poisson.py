@@ -36,7 +36,7 @@ def ad_apply(t: StructureTable, i: Union[int, str], f: Polynomial) -> Polynomial
     p = field.characteristic
     t.check_characteristic(p)
     inverse = t.inverse_scale(field)
-    row = t.scaled_row(i)
+    row = t.rows[i]
     # the residues of GF(p) are ints already, with L = 1
     scale = 1 if p else lcm(1, *(c.denominator for c in f.terms.values()))
     ints = f.terms if p else {m: c.numerator * scale // c.denominator for m, c in f.terms.items()}

@@ -1,9 +1,24 @@
 import json
+import os
+from itertools import combinations
 
 import pytest
 
 from liecenter import invariants, liealg
-from liecenter.exactalg import Polynomial, mono_degree, mono_div_var, mono_mul_var, mono_sort_key
+from liecenter.exactalg import (
+    QQ,
+    Polynomial,
+    add_into,
+    mono_degree,
+    mono_div_var,
+    mono_mul_var,
+    mono_sort_key,
+)
+
+# the commands the tests start import the package from this checkout, as
+# the test process does through pyproject.toml's pythonpath
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")
@@ -169,7 +184,7 @@ def reference_bracket_row(t, i, char):
     """[basis_i, basis_j] for every j, each coordinate reduced mod char by a
     hand-rolled modular inverse of its denominator, with the coordinates and
     then the brackets that vanish there dropped: the bracket rows reduced
-    into the field, which the kernels on ``StructureTable.scaled_row`` must
+    into the field, which the kernels on ``StructureTable.rows`` must
     agree with."""
     row = {}
     for j in range(t.dim):
@@ -209,3 +224,25 @@ def reference_ad_apply(t, i, f):
                 else:
                     terms[m2] = c
     return Polynomial(f.registry, field, terms)
+
+
+def reference_jacobi(t):
+    """The Jacobi check in ``Fraction`` arithmetic on the raw bracket
+    coordinates, each inner [x_a, [x_b, x_c]] summed on its own: the
+    reference for ``liealg.jacobi_check``, which sums D^2*J on the integer
+    rows."""
+    report = liealg.JacobiReport(algebra=t.name, triples_checked=0)
+    for i, j, k in combinations(range(t.dim), 3):
+        report.triples_checked += 1
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = {}
+            for m, cm in t.bracket_coords(b, c).items():
+                add_into(inner, t.bracket_coords(a, m).items(), QQ, cm)
+            add_into(total, inner.items(), QQ)
+        if total:
+            residual = str(liealg.lincomb_to_poly(t, total))
+            report.failures.append(
+                liealg.JacobiFailure((t.label(i), t.label(j), t.label(k)), residual)
+            )
+    return report

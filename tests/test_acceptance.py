@@ -179,7 +179,7 @@ def test_criterion_07_oracle_equivalence(g2n, g2n_fam, f4n, f4n_fam):
     def profile(table, fam_gens, degrees, field):
         out = []
         for d in degrees:
-            basis = brute_force_invariant_space(table, d, table.nilradical, field, 10**7)
+            basis = brute_force_invariant_space(table, d, table.nilradical, field)
             res = compare_with_generated(table, basis, fam_gens, d, field)
             out.append(res["oracle_dim"])
             if not res["equal"]:

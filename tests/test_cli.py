@@ -571,16 +571,16 @@ class TestMaxDegree:
         assert "--max-degree" in capsys.readouterr().err
 
 
-def record_suites(monkeypatch, calls, oracle=None):
+def record_suites(monkeypatch, calls, **replaced):
     """Make every suite callable of ``verify`` record its name in ``calls``
-    when it runs; ``oracle``, when given, replaces the oracle suite."""
+    when it runs; a suite named in ``replaced`` runs the callable given there."""
     real = cli._suite_callables
 
     def recorded(t, args):
         def run(name, fn):
             def suite():
                 calls.append(name)
-                return (oracle or fn)() if name == "oracle" else fn()
+                return replaced.get(name, fn)()
 
             return suite
 
@@ -589,11 +589,12 @@ def record_suites(monkeypatch, calls, oracle=None):
     monkeypatch.setattr(cli, "_suite_callables", recorded)
 
 
+def capped():
+    raise invariants.OracleCapExceeded("oracle system exceeds 10 matrix entries")
+
+
 class TestOracleRunsFirst:
     def test_cap_exits_2_before_any_other_suite(self, capsys, monkeypatch, tmp_path):
-        def capped():
-            raise invariants.OracleCapExceeded("oracle system exceeds 10 matrix entries")
-
         calls = []
         record_suites(monkeypatch, calls, oracle=capped)
         out = tmp_path / "report.json"
@@ -603,13 +604,31 @@ class TestOracleRunsFirst:
         assert "error: oracle system exceeds 10 matrix entries" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "suites,ran",
+        [(None, ["oracle", "audit"]), ("jacobi,invariance,pbw,audit", ["audit"])],
+    )
+    def test_audit_cap_exits_2_before_any_other_suite(
+        self, capsys, monkeypatch, tmp_path, suites, ran
+    ):
+        # the audit solves oracle systems of its own, so it runs next
+        calls = []
+        record_suites(monkeypatch, calls, audit=capped)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--algebra", "g2-nil", "--out", str(out)]
+        code, _, err = run_cli(capsys, *argv, *(["--suites", suites] if suites else []))
+        assert code == 2
+        assert calls == ran
+        assert "error: oracle system exceeds 10 matrix entries" in err
+        assert not out.exists()
+
     def test_report_keeps_the_suite_order(self, capsys, monkeypatch):
         calls = []
         record_suites(monkeypatch, calls)
         code, out, _ = run_cli(capsys, "verify", "--algebra", "g2-borel", "--format", "json")
         assert code == 0
         ran = json.loads(out)["config"]["suites"]
-        assert calls[0] == "oracle"
+        assert calls[:2] == ["oracle", "audit"]
         assert sorted(calls) == sorted(ran)
         assert ran == [n for n in cli.SUITE_ORDER if n in ran]
         assert [s["name"] for s in json.loads(out)["suites"]] == ran

@@ -406,9 +406,12 @@ class TestOracle:
                 ok, _ = is_invariant(g2n, f, g2n.nilradical)
                 assert ok and is_homogeneous(f) and f.total_degree() == d
 
-    def test_cap_exceeded(self, f4n):
-        with pytest.raises(OracleCapExceeded):
-            brute_force_invariant_space(f4n, 4, f4n.nilradical, QQ, max_entries=100)
+    def test_cap_exceeded(self, f4b, monkeypatch):
+        # a new table, so no solved space is served from the memo
+        t = liealg.nilradical_table(f4b)
+        monkeypatch.setattr(invariants, "ORACLE_MAX_ENTRIES", 100)
+        with pytest.raises(OracleCapExceeded, match="exceeds 100 matrix entries"):
+            brute_force_invariant_space(t, 4, t.nilradical, QQ)
 
     def test_g2_char0_dimension_profile(self, g2n, g2n_fam):
         gens = [(name, g2n_fam.element(name)) for name in ("c1", "c2")]

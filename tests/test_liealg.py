@@ -601,7 +601,7 @@ class TestNilradicalTable:
 
     def test_bracket_rows_mod_p(self, f4n):
         x6, x12, x17 = (f4n.registry.index(x) for x in ("x6", "x12", "x17"))
-        assert f4n.scaled_row(x6)[x12] == ((x17, -1),)  # D = 2 times -1/2
+        assert f4n.rows[x6][x12] == ((x17, -1),)  # D = 2 times -1/2
         assert ad_vector(f4n, x6, {x12: 1}, GF(3)) == {x17: 2}  # -1 = 2 mod 3
 
 
@@ -617,7 +617,7 @@ ROW_TABLES = {
 def scaled_reference(t, i, char):
     """The field row of ``reference_bracket_row`` times D, reduced mod char,
     with the constants that vanish there dropped."""
-    scale = t.bracket_scale()
+    scale = t.scale
     row = {}
     for j, targets in reference_bracket_row(t, i, char).items():
         entry = tuple((k, scale * c % char if char else scale * c) for k, c in targets)
@@ -653,8 +653,8 @@ class TestBracketRows:
         chars = [0] + [p for p in (3, 5, 7) if not inadmissible_reason(t, p)]
         assert len(chars) >= 3
         for i in range(t.dim):
-            assert t.scaled_row(i) == scaled_reference(t, i, 0)
-            assert all(isinstance(c, int) for row in t.scaled_row(i).values() for _, c in row)
+            assert t.rows[i] == scaled_reference(t, i, 0)
+            assert all(isinstance(c, int) for row in t.rows[i].values() for _, c in row)
         for char in chars:
             field = GF(char) if char else QQ
             for i in range(t.dim):
@@ -679,8 +679,8 @@ class TestBracketRows:
 
     def test_denominator_divisible_by_p_raises(self):
         t = heisenberg_third()
-        assert t.bracket_scale() == 3
-        assert t.scaled_row(0) == {1: ((2, 1),)}
+        assert t.scale == 3
+        assert t.rows[0] == {1: ((2, 1),)}
         assert t.inverse_scale(GF(5)) == 2  # 1/3 = 2 mod 5
         assert t.inverse_scale(QQ) == Fraction(1, 3)
         with pytest.raises(ZeroDivisionError, match="divisible by 3"):

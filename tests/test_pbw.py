@@ -401,8 +401,8 @@ class TestIntegerKernels:
     Fraction letter kernel in the basis x."""
 
     def test_bracket_scale(self, g2b, f4b, c3b):
-        assert (g2b.bracket_scale(), f4b.bracket_scale(), c3b.bracket_scale()) == (1, 2, 1)
-        assert liealg.load_table(THIRDS_TABLE).bracket_scale() == 6
+        assert (g2b.scale, f4b.scale, c3b.scale) == (1, 2, 1)
+        assert liealg.load_table(THIRDS_TABLE).scale == 6
 
     @pytest.mark.parametrize("level", ["nil", "borel"])
     @pytest.mark.parametrize("name", INTEGER_KERNEL_TABLES)
