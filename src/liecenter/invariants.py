@@ -568,9 +568,10 @@ def brute_force_invariant_space(
     times their common denominator D, which scales every constraint by the
     unit D and leaves the null space alone (p | D raises ZeroDivisionError);
     over GF(p) the constants are reduced, the vanishing ones dropped.  Each
-    block is first rank-tested modulo a fixed large prime (p over GF(p));
-    full modular column rank proves an empty kernel, and only the remaining
-    blocks are eliminated exactly.  The pivot columns, and
+    block is first rank-tested modulo a fixed large prime (p over GF(p)), in
+    which rows whose one nonzero entry is a unit settle their columns without
+    elimination; full modular column rank proves an empty kernel, and only
+    the remaining blocks are eliminated exactly.  The pivot columns, and
     with them the basis, do not depend on the order of the rows.  Each
     space is solved once per table.  A system of more than
     ``ORACLE_MAX_ENTRIES`` dense entries raises :class:`OracleCapExceeded`.

@@ -5,8 +5,10 @@ derived-subalgebra audit.  Every rank, saturation test and null space comes
 from one elimination, :func:`echelon`, on rows that map columns to field
 elements (ints or ``Fraction`` values over Q, ints in [0, p) over GF(p));
 zero entries are dropped.  Integer matrices are converted, mod p, row by row
-as the elimination reads them (:func:`_sparse`), so a saturation test that
-stops early converts only the rows it reads.  Its pivot columns are the
+as the elimination reads them (:func:`_sparse`), so one that stops early
+converts only the rows it reads; a saturation test first settles the
+columns of rows whose one nonzero entry is a unit, and converts the other
+rows without those columns.  The pivot columns are the
 reduced-row-echelon pivots of the row space, whatever the order of the rows,
 so the canonical null-space basis (one vector per free column) does not
 depend on that order either.  Rational basis vectors are rescaled to
@@ -145,7 +147,21 @@ FILTER_PRIME = 2147483629
 
 
 def saturates_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> bool:
-    """True if the rows reach full column rank mod p; the elimination stops
-    at saturation, so large full-rank systems cost little."""
-    field = GF(p)
-    return len(echelon(_sparse(rows, field), field, ncols)) == ncols
+    """True if the rows reach full column rank mod p.  A row whose one
+    nonzero entry, at column c, is a unit mod p puts e_c in the row space.
+    For the set U of such columns, dropping U from the other rows subtracts
+    multiples of those rows, so rank = |U| + rank(other rows without U).
+    The pass stops once U is every column; otherwise only the other rows are
+    eliminated, and only up to saturation."""
+    units, kept = set(), []
+    for row in rows:
+        zeros = row.count(0)
+        if zeros == ncols - 1 and row[c := next(compress(range(ncols), row))] % p:
+            units.add(c)
+            if len(units) == ncols:
+                return True
+        elif zeros < ncols:
+            kept.append(row)
+    rest = ncols - len(units)
+    sparse = ({c: x % p for c, x in compress(enumerate(row), row) if c not in units} for row in kept)
+    return len(echelon(sparse, GF(p), rest)) == rest

@@ -2,7 +2,8 @@
 fraction-free Bareiss over the integers and Gauss-Jordan over GF(p), kept
 here as the test-only reference.  ``all_pivot_echelon``, which reduces every
 row against every pivot found so far, is the reference for ``echelon``'s
-walk over only the pivots a row hits."""
+walk over only the pivots a row hits, and ``reference_saturates_mod``, which
+eliminates every row, for the unit-row peel of ``saturates_mod``."""
 
 import random
 from bisect import insort
@@ -359,3 +360,72 @@ def test_pivot_walk_matches_all_pivot_walk_on_seeded_systems(monkeypatch):
 def test_pivot_walk_matches_all_pivot_walk_on_catalog_blocks(catalog_blocks, monkeypatch):
     for rows, ncols in catalog_blocks:
         _check_against_all_pivot_walk(rows, ncols, monkeypatch)
+
+
+# -- the unit-row peel ---------------------------------------------------------
+
+
+def reference_saturates_mod(rows, ncols, p):
+    """The saturation test without the unit-row peel: every row converted
+    and eliminated until saturation."""
+    field = GF(p)
+    return len(linalg.echelon(linalg._sparse(rows, field), field, ncols)) == ncols
+
+
+def singleton(ncols, c, x):
+    row = [0] * ncols
+    row[c] = x
+    return row
+
+
+PEEL_CASES = ["duplicates", "multiple of p", "unit only mod p", "cover"]
+
+
+@st.composite
+def peel_matrices(draw, p):
+    """(rows, ncols): a ``matrices()`` system salted with the rows the peel
+    must tell apart: duplicate singleton rows on one column, a singleton
+    whose entry is a nonzero multiple of p, a row with several entries that
+    is a singleton only mod p, singletons on every column; or stripped of
+    every singleton row."""
+    rows, ncols, _ = draw(matrices())
+    column = st.integers(0, ncols - 1)
+    unit = st.builds(lambda x, k: x + k * p, st.integers(1, p - 1), st.integers(-1, 1))
+    multiple = st.sampled_from([-2 * p, -p, p, 3 * p])
+    if draw(st.booleans()):
+        return [row for row in rows if ncols - row.count(0) != 1], ncols
+    extra = []
+    for case in draw(st.lists(st.sampled_from(PEEL_CASES), min_size=1, max_size=3)):
+        if case == "duplicates":
+            c = draw(column)
+            extra += [singleton(ncols, c, draw(unit)) for _ in range(draw(st.integers(2, 3)))]
+        elif case == "multiple of p":
+            extra.append(singleton(ncols, draw(column), draw(multiple)))
+        elif case == "unit only mod p":
+            c = draw(column)
+            row = [draw(multiple) if draw(st.booleans()) else 0 for _ in range(ncols)]
+            row[c] = draw(unit)
+            extra.append(row)
+        else:
+            extra += [singleton(ncols, c, draw(unit)) for c in range(ncols)]
+    for row in extra:
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows, ncols
+
+
+@pytest.mark.parametrize("p", [3, 7, linalg.FILTER_PRIME])
+@settings(deadline=None)
+@given(data=st.data())
+def test_peel_cases_give_the_full_reference_rank(p, data):
+    rows, ncols = data.draw(peel_matrices(p))
+    before = [list(row) for row in rows]
+    assert linalg.saturates_mod(rows, ncols, p) == (reference_rank(rows, p) == ncols)
+    # the rows are read, not changed
+    assert rows == before
+
+
+@pytest.mark.parametrize("p", [linalg.FILTER_PRIME, 3, 5, 7])
+def test_saturates_mod_matches_the_unpeeled_reference_on_catalog_blocks(catalog_blocks, p):
+    verdicts = [linalg.saturates_mod(rows, ncols, p) for rows, ncols in catalog_blocks]
+    assert verdicts == [reference_saturates_mod(rows, ncols, p) for rows, ncols in catalog_blocks]
+    assert True in verdicts and False in verdicts
