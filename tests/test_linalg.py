@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from liecenter import invariants, liealg, linalg  # noqa: E402
 from liecenter.exactalg import GF, QQ, add_into  # noqa: E402
@@ -382,18 +382,19 @@ PEEL_CASES = ["duplicates", "multiple of p", "unit only mod p", "cover"]
 
 
 @st.composite
-def peel_matrices(draw, p):
-    """(rows, ncols): a ``matrices()`` system salted with the rows the peel
-    must tell apart: duplicate singleton rows on one column, a singleton
-    whose entry is a nonzero multiple of p, a row with several entries that
-    is a singleton only mod p, singletons on every column; or stripped of
-    every singleton row."""
+def peel_matrices(draw):
+    """(rows, ncols, p), p one of 3, 7 and FILTER_PRIME: a ``matrices()``
+    system salted with the rows the peel must tell apart: duplicate
+    singleton rows on one column, a singleton whose entry is a nonzero
+    multiple of p, a row with several entries that is a singleton only mod
+    p, singletons on every column; or stripped of every singleton row."""
+    p = draw(st.sampled_from([3, 7, linalg.FILTER_PRIME]))
     rows, ncols, _ = draw(matrices())
     column = st.integers(0, ncols - 1)
     unit = st.builds(lambda x, k: x + k * p, st.integers(1, p - 1), st.integers(-1, 1))
     multiple = st.sampled_from([-2 * p, -p, p, 3 * p])
     if draw(st.booleans()):
-        return [row for row in rows if ncols - row.count(0) != 1], ncols
+        return [row for row in rows if ncols - row.count(0) != 1], ncols, p
     extra = []
     for case in draw(st.lists(st.sampled_from(PEEL_CASES), min_size=1, max_size=3)):
         if case == "duplicates":
@@ -410,14 +411,17 @@ def peel_matrices(draw, p):
             extra += [singleton(ncols, c, draw(unit)) for c in range(ncols)]
     for row in extra:
         rows.insert(draw(st.integers(0, len(rows))), row)
-    return rows, ncols
+    return rows, ncols, p
 
 
-@pytest.mark.parametrize("p", [3, 7, linalg.FILTER_PRIME])
-@settings(deadline=None)
-@given(data=st.data())
-def test_peel_cases_give_the_full_reference_rank(p, data):
-    rows, ncols = data.draw(peel_matrices(p))
+@settings(deadline=None, max_examples=300)
+@given(peel_matrices())
+@example(([[3]], 1, 3))  # a singleton that vanishes mod p
+@example(([[2, 0], [1, 0]], 2, 3))  # duplicate singletons on one column
+@example(([[1, 0], [1, 7]], 2, 7))  # a unit column, and a row that is a singleton only mod p
+@example(([[0, 5], [4, 0]], 2, 7))  # singletons on every column
+def test_peel_cases_give_the_full_reference_rank(m):
+    rows, ncols, p = m
     before = [list(row) for row in rows]
     assert linalg.saturates_mod(rows, ncols, p) == (reference_rank(rows, p) == ncols)
     # the rows are read, not changed
