@@ -378,9 +378,6 @@ def singleton(ncols, c, x):
     return row
 
 
-PEEL_CASES = ["duplicates", "multiple of p", "unit only mod p", "cover"]
-
-
 @st.composite
 def peel_matrices(draw):
     """(rows, ncols, p), p one of 3, 7 and FILTER_PRIME: a ``matrices()``
@@ -396,7 +393,8 @@ def peel_matrices(draw):
     if draw(st.booleans()):
         return [row for row in rows if ncols - row.count(0) != 1], ncols, p
     extra = []
-    for case in draw(st.lists(st.sampled_from(PEEL_CASES), min_size=1, max_size=3)):
+    cases = st.sampled_from(["duplicates", "multiple of p", "unit only mod p", "cover"])
+    for case in draw(st.lists(cases, min_size=1, max_size=3)):
         if case == "duplicates":
             c = draw(column)
             extra += [singleton(ncols, c, draw(unit)) for _ in range(draw(st.integers(2, 3)))]
