@@ -2,11 +2,10 @@
 
 Coefficients are either arbitrary-precision rationals (``fractions.Fraction``,
 always reduced with positive denominator) or residues of an odd prime field
-(plain ints in ``[0, p)``); the integer ring ``ZZ`` serves the
-enveloping-algebra kernels at every characteristic.  Polynomials are sparse
-dictionaries mapping monomials to nonzero coefficients, so equality of
-canonical forms is plain data equality and every identity check in this
-package is an exact zero-comparison.  No floating point is used anywhere.
+(plain ints in ``[0, p)``).  Polynomials are sparse dictionaries mapping
+monomials to nonzero coefficients, so equality of canonical forms is plain
+data equality and every identity check in this package is an exact
+zero-comparison.  No floating point is used anywhere.
 
 A monomial is a tuple of ``(variable_index, exponent)`` pairs, sorted by
 index, with no zero exponents stored.
@@ -14,7 +13,6 @@ index, with no zero exponents stored.
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -166,23 +164,7 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-class IntegerRing:
-    """The integers, with plain ``int`` coefficients, as far as
-    :func:`add_into` needs them: the coefficient ring of the
-    enveloping-algebra kernels, which run at every characteristic in a basis
-    with integer structure constants and reduce into the field only on the
-    way out (``pbw``)."""
-
-    zero = 0
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
-
-    def __repr__(self):
-        return "ZZ"
-
-
 QQ = RationalField()
-ZZ = IntegerRing()
 
 _GF_CACHE: dict[int, PrimeField] = {}
 
@@ -334,28 +316,27 @@ def mono_to_str(registry: VarRegistry, m: Monomial) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sparse term dicts: the shared kernel of Polynomial and PBWElement
+# Sparse term dicts: Polynomial and PBWElement, on the one accumulation kernel
 # ---------------------------------------------------------------------------
 
 
-def add_into(acc: dict, items: Iterable[tuple], field: Field, scale=None) -> dict:
-    """Add ``(key, coefficient)`` pairs into ``acc`` over ``field``, each
-    coefficient first multiplied by ``scale`` when one is given, and drop
-    every key whose coefficient becomes zero.  Coefficients must already be
-    field elements.  Returns ``acc``."""
-    zero = field.zero
-    add = field.add
-    mul = field.mul
+def add_into(acc: dict, items: Iterable[tuple], field: Field = QQ, scale=None) -> dict:
+    """Add ``(key, coefficient)`` pairs into ``acc``, each coefficient first
+    multiplied by ``scale`` when one is given, and drop every key whose
+    coefficient becomes zero; returns ``acc``.  Computed with plain ``+`` and
+    ``*``, reduced ``% p`` once per entry at characteristic p; at the default
+    characteristic 0 ints and ``Fraction`` values both work."""
+    p = field.characteristic
     for m, c in items:
         if scale is not None:
-            c = mul(scale, c)
-        prev = acc.get(m)
-        if prev is not None:
-            c = add(prev, c)
-        if c == zero:
-            acc.pop(m, None)
-        else:
+            c = scale * c
+        c += acc.get(m, 0)
+        if p:
+            c %= p
+        if c:
             acc[m] = c
+        else:
+            acc.pop(m, None)
     return acc
 
 

@@ -33,7 +33,6 @@ from . import _f4_data, linalg
 from .exactalg import (
     GF,
     QQ,
-    ZZ,
     Field,
     Polynomial,
     VarRegistry,
@@ -197,7 +196,7 @@ def _jacobi_check(t: StructureTable) -> JacobiReport:
         total: dict = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, cm in rows[b].get(c, ()):
-                add_into(total, rows[a].get(m, ()), ZZ, cm)
+                add_into(total, rows[a].get(m, ()), scale=cm)
         if total:
             residual = str(lincomb_to_poly(t, {n: Fraction(v, square) for n, v in total.items()}))
             report.failures.append(

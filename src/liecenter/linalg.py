@@ -22,7 +22,7 @@ from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactalg import GF, QQ, Field
+from .exactalg import GF, QQ, Field, add_into
 
 
 def echelon(rows: Iterable[Mapping], field: Field, ncols: Optional[int] = None) -> dict:
@@ -30,15 +30,16 @@ def echelon(rows: Iterable[Mapping], field: Field, ncols: Optional[int] = None) 
     column to its pivot row: a ``{column: coefficient}`` dict holding 1 at
     the pivot and nonzero entries only at larger columns.
 
-    The entries must be field elements, as for :func:`exactalg.add_into`;
-    zero entries are dropped, and the rows themselves are not changed.  Each
-    row is reduced at its lowest column by the pivot there, as long as there
-    is one; the first lowest column without a pivot becomes a new pivot.  So
+    The entries must be field elements: ints or ``Fraction`` values over Q,
+    residues in [0, p) over GF(p), so that only a zero entry tests false.
+    Zero entries are dropped, and the rows themselves are not changed.  Each
+    row is reduced at its lowest column by the pivot there, subtracting
+    through :func:`exactalg.add_into`, as long as there is one; the first
+    lowest column without a pivot becomes a new pivot.  So
     a row visits only the pivots it hits, and a pivot row may keep entries at
     pivot columns found after it.  Columns may be any mutually comparable
     keys.  The elimination stops as soon as ``ncols`` pivots are found.
     """
-    p = field.characteristic
     one = field.one
     pivots: dict = {}
     for row in rows:
@@ -54,16 +55,7 @@ def echelon(rows: Iterable[Mapping], field: Field, ncols: Optional[int] = None) 
                 inv = field.div(one, f)
                 pivots[pc] = {c: field.mul(x, inv) for c, x in r.items() if x}
                 break
-            # f and every pivot entry are nonzero, so an entry that cancels
-            # was already in r
-            for c, y in pivot.items():
-                x = r.get(c, 0) - f * y
-                if p:
-                    x %= p
-                if x:
-                    r[c] = x
-                else:
-                    del r[c]
+            add_into(r, pivot.items(), field, -f)
         if len(pivots) == ncols:
             break
     return pivots

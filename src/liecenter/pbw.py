@@ -50,7 +50,6 @@ from .exactalg import (
     Polynomial,
     QQ,
     TermDict,
-    ZZ,
     add_into,
     mono_degree,
 )
@@ -151,22 +150,11 @@ def _mul_mono_letter(t: StructureTable, word: tuple, v: int):
         return hit
     u = word[-1]
     mprime = word[:-1]
-    # accumulated inline, not through add_into: every memo miss runs this loop
     acc: dict = {}
     for m1, c1 in _mul_mono_letter(t, mprime, v):
-        for m2, c2 in _mul_mono_letter(t, m1, u):
-            c = acc.get(m2, 0) + c1 * c2
-            if c:
-                acc[m2] = c
-            else:
-                acc.pop(m2, None)
+        add_into(acc, _mul_mono_letter(t, m1, u), scale=c1)
     for k, ck in t.rows[u].get(v, ()):
-        for m2, c2 in _mul_mono_letter(t, mprime, k):
-            c = acc.get(m2, 0) + ck * c2
-            if c:
-                acc[m2] = c
-            else:
-                acc.pop(m2, None)
+        add_into(acc, _mul_mono_letter(t, mprime, k), scale=ck)
     result = tuple(acc.items())
     cache[key] = result
     return result
@@ -177,16 +165,9 @@ def _mul_word(t: StructureTable, current: dict, letters: Iterable[int]) -> dict:
     at a time; ``current`` maps sorted letter words to coefficients and is
     not modified."""
     for letter in letters:
-        # accumulated inline, not through add_into: the hottest loop of
-        # symmetrize and commutator_with_basis
         nxt: dict = {}
         for w, c in current.items():
-            for w2, c2 in _mul_mono_letter(t, w, letter):
-                cc = nxt.get(w2, 0) + c * c2
-                if cc:
-                    nxt[w2] = cc
-                else:
-                    nxt.pop(w2, None)
+            add_into(nxt, _mul_mono_letter(t, w, letter), scale=c)
         current = nxt
     return current
 
@@ -202,7 +183,7 @@ def pbw_mul(t: StructureTable, a: PBWElement, b: PBWElement) -> PBWElement:
     right, lb = _into_kernel(t, b)
     terms: dict = {}
     for wb, cb in right.items():
-        add_into(terms, _mul_word(t, left, wb).items(), ZZ, cb)
+        add_into(terms, _mul_word(t, left, wb).items(), scale=cb)
     return PBWElement(a.registry, field, _out_of_kernel(t, field, terms, la * lb))
 
 
@@ -266,8 +247,8 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
             # prefix * [y_g, y_letter], then the rest of the word
             current: dict = {}
             for k, ck in targets:
-                add_into(current, _mul_mono_letter(t, prefix, k), ZZ, coeff * ck)
-            add_into(total, _mul_word(t, current, word[pos + 1 :]).items(), ZZ)
+                add_into(current, _mul_mono_letter(t, prefix, k), scale=coeff * ck)
+            add_into(total, _mul_word(t, current, word[pos + 1 :]).items())
     return PBWElement(e.registry, field, _out_of_kernel(t, field, total, scale, shift=1))
 
 
@@ -276,8 +257,16 @@ def is_central_u(
 ) -> tuple[bool, Optional[int]]:
     """True iff [x_i, e] = 0 for every generator index; otherwise the first
     failing generator is returned.  Decided over a Lie generating subset of
-    ``gens``, which commutes with e exactly when all of ``gens`` does."""
+    ``gens``, which commutes with e exactly when all of ``gens`` does.
+    Computed once per table."""
     gens = tuple(gens)
+    key = ("central", e, gens)
+    if key not in t.memo:
+        t.memo[key] = _is_central_u(t, e, gens)
+    return t.memo[key]
+
+
+def _is_central_u(t: StructureTable, e: PBWElement, gens: tuple) -> tuple[bool, Optional[int]]:
     subset = lie_generators(t, gens, e.field.characteristic)
     if all(commutator_with_basis(t, i, e).is_zero for i in subset):
         return True, None
@@ -326,7 +315,10 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
         levels[len(word)].add(word)
     for k in range(top, 0, -1):
         for word in levels[k]:
-            levels[k - 1].update(word[:i] + word[i + 1 :] for i in range(k))
+            # each distinct letter removed once, at its last place
+            levels[k - 1].update(
+                word[:i] + word[i + 1 :] for i in range(k) if i + 1 == k or word[i + 1] != word[i]
+            )
     total: dict = {}
     sums = {(): {(): 1}}
     for k in range(top + 1):
@@ -338,12 +330,13 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
                 # multiplicity i + 1 - (its first place)
                 for i, a in enumerate(word):
                     if i + 1 == k or word[i + 1] != a:
-                        step = _mul_word(t, prev[word[:i] + word[i + 1 :]], (a,))
-                        add_into(acc, step.items(), ZZ, i + 1 - word.index(a))
+                        mult = i + 1 - word.index(a)
+                        for w, c in prev[word[:i] + word[i + 1 :]].items():
+                            add_into(acc, _mul_mono_letter(t, w, a), scale=mult * c)
         part: dict = {}
         for word, a in coeffs.items():
             if len(word) == k:
-                add_into(part, sums[word].items(), ZZ, a)
+                add_into(part, sums[word].items(), scale=a)
         add_into(total, _out_of_kernel(t, field, part, common * factorial(k)).items(), field)
     t.memo[key] = PBWElement(f.registry, field, total)
     return t.memo[key]

@@ -18,6 +18,7 @@ from .exactalg import (
     Field,
     Polynomial,
     QQ,
+    add_into,
     eigenvalue,
     mono_div_var,
     mono_mul_var,
@@ -40,22 +41,16 @@ def ad_apply(t: StructureTable, i: Union[int, str], f: Polynomial) -> Polynomial
     # the residues of GF(p) are ints already, with L = 1
     scale = 1 if p else lcm(1, *(c.denominator for c in f.terms.values()))
     ints = f.terms if p else {m: c.numerator * scale // c.denominator for m, c in f.terms.items()}
-    terms: dict = {}
-    for mono, coeff in ints.items():
-        for v, e in mono:
-            targets = row.get(v)
-            if not targets:
-                continue
-            factor = coeff * e
-            base = mono_div_var(mono, v)
-            # accumulated inline, not through add_into: the hottest loop of the suites
-            for w, cw in targets:
-                m2 = mono_mul_var(base, w)
-                c = terms.get(m2, 0) + factor * cw
-                if c:
-                    terms[m2] = c
-                else:
-                    terms.pop(m2, None)
+    # one call over every (monomial, variable, target): a call per monomial
+    # and variable costs more than the terms it adds
+    terms = add_into({}, (
+        (mono_mul_var(base, w), coeff * e * cw)
+        for mono, coeff in ints.items()
+        for v, e in mono
+        if v in row
+        for base in [mono_div_var(mono, v)]
+        for w, cw in row[v]
+    ))
     inverse = field.div(inverse, scale)
     out = {m: r for m, c in terms.items() if (r := c * inverse % p if p else c * inverse)}
     return Polynomial(f.registry, field, out)

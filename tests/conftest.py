@@ -204,6 +204,26 @@ def reference_bracket_row(t, i, char):
     return row
 
 
+def reference_add_into(acc, items, field, scale=None):
+    """The accumulation in the field's own arithmetic, through ``field.add``
+    and ``field.mul``, on field elements: the reference for
+    ``exactalg.add_into``."""
+    zero = field.zero
+    add = field.add
+    mul = field.mul
+    for m, c in items:
+        if scale is not None:
+            c = mul(scale, c)
+        prev = acc.get(m)
+        if prev is not None:
+            c = add(prev, c)
+        if c == zero:
+            acc.pop(m, None)
+        else:
+            acc[m] = c
+    return acc
+
+
 def reference_ad_apply(t, i, f):
     """{x_i, f} in the field's own arithmetic over the field rows, every
     product and sum reduced as it is formed: the reference for

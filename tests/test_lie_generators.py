@@ -15,7 +15,7 @@ from liecenter import invariants, linalg, liealg
 from liecenter.exactalg import GF, QQ, Polynomial
 from liecenter.invariants import brute_force_invariant_space
 from liecenter.liealg import lie_generators
-from liecenter.pbw import commutator_with_basis, is_central_u, naive_lift, symmetrize
+from liecenter.pbw import PBWElement, commutator_with_basis, is_central_u, naive_lift, symmetrize
 from liecenter.poisson import ad_apply, is_invariant
 
 from conftest import homogeneous_monomials, mono_grade, table_to_dict, with_bracket
@@ -137,6 +137,35 @@ def test_verdicts_and_witnesses_match_full_list(name, char, level):
             z = symmetrize(t, f)
             assert is_central_u(t, z, t.nilradical) == (True, None)
             assert reference_is_central_u(t, z, t.nilradical) == (True, None)
+
+
+def _lift_cases():
+    for name in ("g2", "f4", "c3", "c4", "c5"):
+        for char in (0, *TABLES[name][1]):
+            yield pytest.param(name, char, id=f"{name}-char{char}")
+
+
+@pytest.mark.parametrize("name, char", _lift_cases())
+def test_memoized_centrality_matches_full_list(name, char):
+    """``is_central_u`` serves its verdict from the table's memo on a second
+    call, and both equal the unmemoized full-list reference: on one lift of
+    every family element of the nilradical, symmetrized where the
+    characteristic allows and naive otherwise, and on a central lift with
+    one changed degree-1 term, which must fail."""
+    field = GF(char) if char else QQ
+    t = liealg.nilradical_table(_fresh(TABLES[name][0]))
+    gens = t.nilradical
+    lifts = []
+    for f in invariants.build_family(t).elements(field).values():
+        lifts.append(symmetrize(t, f) if not char or f.total_degree() < char else naive_lift(f))
+    central = next(z for z in lifts if is_central_u(t, z, gens)[0])
+    _, j = next(key for key in sorted(t.brackets) if set(key) <= set(gens))
+    lifts.append(central + PBWElement.monomial(t.registry, field, ((j, 1),)))
+    for lift in lifts:
+        first = is_central_u(t, lift, gens)
+        assert is_central_u(t, lift, gens) is first
+        assert first == reference_is_central_u(t, lift, gens)
+    assert not first[0]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""Property tests: TermDict arithmetic of Polynomial and PBWElement against a
-plain-dict model over QQ and prime fields, the polynomial text format,
+"""Property tests: the accumulation kernel ``add_into`` against its
+field-arithmetic reference, TermDict arithmetic of Polynomial and PBWElement
+against a plain-dict model over QQ and prime fields, the polynomial text format,
 symmetrize and the commutator fast path against their references, and the
 exit-code contract of ``verify`` on mutated table files."""
 
@@ -12,7 +13,7 @@ from functools import cache
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st  # noqa: E402
 
 from liecenter import cli, liealg  # noqa: E402
 from liecenter.exactalg import (  # noqa: E402
@@ -20,11 +21,13 @@ from liecenter.exactalg import (  # noqa: E402
     QQ,
     Polynomial,
     VarRegistry,
+    add_into,
     format_polynomial,
     mono_from_pairs,
     mono_mul,
     parse_polynomial,
 )
+from liecenter.linalg import FILTER_PRIME  # noqa: E402
 from liecenter.pbw import (  # noqa: E402
     CharacteristicObstruction,
     PBWElement,
@@ -33,7 +36,7 @@ from liecenter.pbw import (  # noqa: E402
     mono_of_word,
     symmetrize,
 )
-from conftest import table_to_dict  # noqa: E402
+from conftest import reference_add_into, table_to_dict  # noqa: E402
 from test_pbw import reference_symmetrize  # noqa: E402
 
 REG = VarRegistry(["x1", "x2", "x3"])
@@ -47,6 +50,50 @@ monomials = st.lists(
 ).map(mono_from_pairs)
 coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 term_lists = st.lists(st.tuples(monomials, coefficients), max_size=6)
+
+
+@st.composite
+def accumulations(draw):
+    """(field, acc, items, scale) for ``add_into``; a field of None stands
+    for plain ints under the default field.  The keys come from a small
+    range, so items hit keys of ``acc`` and of each other, and the items end
+    with the negations of some of them and of some entries of ``acc``, so
+    that entries cancel; over GF(p) a residue and its negation sum to p,
+    which vanishes only mod p.  The scale is None, 0 or negative, a multiple
+    of p among the negative ones."""
+    field = draw(st.sampled_from([None, QQ, GF(3), GF(7), GF(FILTER_PRIME)]))
+    p = field.characteristic if field else 0
+    if field is None:
+        elements, scales = st.integers(-9, 9), st.integers(-9, -1)
+    elif p:
+        elements, scales = st.integers(0, p - 1), st.integers(-9, -1) | st.just(-p)
+    else:
+        elements = coefficients
+        scales = st.builds(Fraction, st.integers(-4, -1), st.integers(1, 4))
+    keys = st.integers(0, 4)
+    acc = draw(st.dictionaries(keys, elements.filter(bool), max_size=4))
+    items = draw(st.lists(st.tuples(keys, elements), max_size=6))
+    cancel = draw(st.lists(st.sampled_from(items + list(acc.items())), max_size=3)) if items or acc else []
+    items += [(m, -c % p if p else -c) for m, c in cancel]
+    return field, acc, items, draw(st.none() | st.just(0) | scales)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=accumulations())
+@example(case=(QQ, {0: Fraction(1, 2)}, [(0, Fraction(-1, 2)), (1, Fraction(3))], None))
+@example(case=(None, {1: 4}, [(1, 2), (2, 5), (2, -5)], -2))
+@example(case=(GF(3), {0: 1}, [(0, 2), (1, 1), (1, 2)], None))
+@example(case=(GF(7), {0: 3}, [(0, 5), (1, 6)], -7))
+@example(case=(GF(FILTER_PRIME), {2: 1}, [(0, 1), (0, FILTER_PRIME - 1), (2, 5)], 0))
+def test_add_into_matches_field_reference(case):
+    field, acc, items, scale = case
+    want = reference_add_into(dict(acc), items, field or QQ, scale)
+    if field is None:
+        got = add_into(dict(acc), items, scale=scale)
+    else:
+        got = add_into(dict(acc), items, field, scale)
+    assert got == want
+    assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in want.items()}
 
 
 def model(field, items):
