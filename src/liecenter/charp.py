@@ -3,16 +3,18 @@ membership with non-membership witnesses, the determinant identities behind
 the height argument, and the generator audits for the structural theorems.
 
 Derivatives "with respect to x^p" are taken formally on p-power-patterned
-polynomials: writing y_i for x_i^p identifies the p-power subalgebra with a
-plain polynomial ring, so the determinant identities are first proved as
-exact rational identities in the y-variables (characteristic-free) and then
-instantiated literally over F_3 through the Frobenius expansion.
+polynomials, as ``Polynomial.partial(var, p)``: writing y_i for x_i^p
+identifies the p-power subalgebra with a plain polynomial ring, so the
+determinant identities are first proved as exact rational identities in the
+y-variables (characteristic-free) and then instantiated literally over F_p
+through the Frobenius expansion.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from . import report as rep
 from .exactalg import (
@@ -25,7 +27,6 @@ from .exactalg import (
     frobenius_expand,
     jacobian_det,
     mono_to_str,
-    parse_polynomial,
     poly_det,
     ppattern_membership,
 )
@@ -185,41 +186,8 @@ def _f4_layered_claims(
 
 
 # ---------------------------------------------------------------------------
-# Formal derivatives with respect to p-th powers, determinant identities
+# Determinant identities in the p-th powers
 # ---------------------------------------------------------------------------
-
-
-def partial_wrt_ppower(f: Polynomial, var: Union[int, str], p: int) -> Polynomial:
-    """d f / d (x^p) for a polynomial whose x-exponents are all p-divisible:
-    x^(p*e) differentiates to e * x^(p*(e-1))."""
-    v = f.registry.resolve(var)
-    field = f.field
-    items = []
-    for m, c in f.terms.items():
-        for i, e in m:
-            if i == v:
-                if e % p:
-                    raise ValueError(
-                        f"exponent {e} of {f.registry.name(v)} is not divisible by {p}"
-                    )
-                k = e // p
-                rest = tuple(
-                    (j, ej) for j, ej in m if j != v
-                )
-                if k > 1:
-                    rest = tuple(sorted(rest + ((v, p * (k - 1)),)))
-                items.append((rest, field.mul(c, field.coerce(k))))
-                break
-    return Polynomial.from_terms(f.registry, field, items)
-
-
-def stretch_exponents(f: Polynomial, p: int, field: Field) -> Polynomial:
-    """The substitution y_i -> x_i^p: multiply every exponent by p."""
-    return Polynomial.from_terms(
-        f.registry,
-        field,
-        ((tuple((i, e * p) for i, e in m), c) for m, c in f.terms.items()),
-    )
 
 
 def _signed_claim(
@@ -234,18 +202,44 @@ def _signed_claim(
     return rep.failed(claim_id, statement, residual=str(got - stated))
 
 
-_F4_JACOBIANS = (
-    (("x16", "x9", "x2"), "2", (("c1", 3), ("c2", 1), ("c3", 1))),
-    (("x16", "x9", "x6"), "-2", (("c1", 3), ("c2", 1), ("v3", 1))),
-    (("x16", "x13", "x2"), "-4", (("c1", 3), ("v4", 1), ("c3", 1))),
-    (("x18", "x15", "x8"), "-4", (("x23", 3), ("v4", 1), ("v3", 1))),
-)
+@dataclass(frozen=True)
+class _Jacobians:
+    """A family's Jacobian identities in the p-th powers: for each
+    (variables, coefficient, factors), the Jacobian of the -c_i with respect
+    to the variables equals coefficient * prod(factor^power), up to a
+    recorded global sign.  One variable is the 1x1 case, a single partial."""
+
+    cs: tuple[str, ...]
+    kind: str  # "det" or "partial", the claim-id word
+    statement: str  # the Q-identity, formatted with vars and rhs
+    literal: str  # its GF(p) instance, formatted with vars and p
+    word: str  # what the recorded sign is relative to
+    identities: tuple[tuple[tuple[str, ...], str, tuple[tuple[str, int], ...]], ...]
 
 
-def _factor_poly(fam: InvariantFamily, t: StructureTable, name: str, field: Field) -> Polynomial:
-    if name in fam.elements(field):
-        return fam.element(name, field)
-    return Polynomial.variable(t.registry, field, name)
+_JACOBIANS = {
+    "f4": _Jacobians(
+        ("c2", "c3", "c4"),
+        "det",
+        "det d(t_i^p - c_i^p)/d({vars}^p) = {rhs} (p-th powers dropped) up to a recorded sign",
+        "the same determinant instantiated over GF({p}) equals the Q-identity under y -> x^{p}",
+        "product",
+        (
+            (("x16", "x9", "x2"), "2", (("c1", 3), ("c2", 1), ("c3", 1))),
+            (("x16", "x9", "x6"), "-2", (("c1", 3), ("c2", 1), ("v3", 1))),
+            (("x16", "x13", "x2"), "-4", (("c1", 3), ("v4", 1), ("c3", 1))),
+            (("x18", "x15", "x8"), "-4", (("x23", 3), ("v4", 1), ("v3", 1))),
+        ),
+    ),
+    "g2": _Jacobians(
+        ("c2",),
+        "partial",
+        "d(t^p - c2^p)/d({vars}^p) = {rhs} with p-th powers dropped, up to a recorded sign",
+        "d(c2^{p})/d({vars}^{p}) over GF({p}) matches the Q-partial under y -> x^{p}",
+        "value",
+        ((("x1",), "-3", (("x6", 1),)), (("x2",), "-3", (("x5", 1),))),
+    ),
+}
 
 
 def jacobian_identity_suite(
@@ -253,67 +247,43 @@ def jacobian_identity_suite(
 ) -> list[rep.Claim]:
     """The displayed determinant identities behind the height argument.
 
-    Writing f_i = t_i^p - c_i^p, the determinant of d(f_2,f_3,f_4) with
-    respect to three chosen p-th powers equals minus the determinant of the
-    c_i in the p-power variables, which is a characteristic-free rational
-    identity; it is checked exactly over Q up to one recorded global sign,
-    then instantiated literally over F_p via Frobenius expansion.
+    Writing f_i = t_i^p - c_i^p, the determinant of d(f_i) with respect to
+    the chosen p-th powers equals the Jacobian of the -c_i in the p-power
+    variables, which is a characteristic-free rational identity; it is
+    checked exactly over Q up to one recorded global sign, then instantiated
+    literally over F_p via Frobenius expansion.  A family without recorded
+    identities has no claims.
     """
+    jac = _JACOBIANS.get(fam.family)
+    if jac is None:
+        return []
     claims = []
     field = GF(p)
-    if fam.family == "f4":
-        cs = [fam.element(f"c{i}") for i in (2, 3, 4)]
-        # each c_i^p once, for every identity and variable
-        frob = [frobenius_expand(fam.element(f"c{i}", field), p) for i in (2, 3, 4)]
-        for vars_, coef, factors in _F4_JACOBIANS:
-            rhs = Polynomial.constant(t.registry, QQ, coef)
-            for fname, power in factors:
-                rhs = rhs * _factor_poly(fam, t, fname, QQ) ** power
-            lhs = -jacobian_det(cs, list(vars_))
-            claim_id = f"{t.name}.jacobians.det.{'-'.join(vars_)}"
-            rhs_str = f"{coef}*" + "*".join(
-                f"{n}^{k}" if k > 1 else n for n, k in factors
+    named = fam.elements()
+    neg_cs = [-named[c] for c in jac.cs]
+    # each c_i^p once, for every identity and variable
+    neg_frob = [-frobenius_expand(fam.element(c, field), p) for c in jac.cs]
+    for vars_, coef, factors in jac.identities:
+        rhs = Polynomial.constant(t.registry, QQ, coef)
+        for n, k in factors:
+            rhs = rhs * (named.get(n) or Polynomial.variable(t.registry, QQ, n)) ** k
+        lhs = jacobian_det(neg_cs, vars_)
+        claim_id = f"{t.name}.jacobians.{jac.kind}.{'-'.join(vars_)}"
+        rhs_str = f"{coef}*" + "*".join(f"{n}^{k}" if k > 1 else n for n, k in factors)
+        statement = jac.statement.format(vars=",".join(vars_), rhs=rhs_str)
+        claims.append(_signed_claim(claim_id, statement, lhs, rhs, jac.word))
+        # literal instantiation over F_p: since c^p = c in GF(p), the
+        # Frobenius expansion of the reduced Q-identity is y -> x^p on it
+        lit = poly_det([[f.partial(v, p) for v in vars_] for f in neg_frob])
+        expected = frobenius_expand(Polynomial.from_terms(t.registry, field, lhs.terms.items()), p)
+        claims.append(
+            rep.check(
+                f"{claim_id}.f{p}",
+                jac.literal.format(vars=",".join(vars_), p=p),
+                lit == expected,
+                residual=None if lit == expected else str(lit - expected),
             )
-            statement = (
-                f"det d(t_i^p - c_i^p)/d({','.join(vars_)}^p) = {rhs_str} "
-                f"(p-th powers dropped) up to a recorded sign"
-            )
-            claims.append(_signed_claim(claim_id, statement, lhs, rhs, "product"))
-            # literal instantiation over F_p
-            lit = poly_det([[-partial_wrt_ppower(f, v, p) for v in vars_] for f in frob])
-            expected_lit = stretch_exponents(lhs, p, field)
-            claims.append(
-                rep.check(
-                    f"{claim_id}.f{p}",
-                    f"the same determinant instantiated over GF({p}) equals the "
-                    f"Q-identity under y -> x^{p}",
-                    lit == expected_lit,
-                    residual=None if lit == expected_lit else str(lit - expected_lit),
-                )
-            )
-    if fam.family == "g2":
-        c2 = fam.element("c2")
-        c2p = frobenius_expand(fam.element("c2", field), p)
-        # stated values of d(t^p - c2^p)/d(x^p); the raw partial of c2 is
-        # minus that value with the p-th powers dropped
-        for var, stated in (("x1", "-3*x6"), ("x2", "-3*x5")):
-            got = c2.partial(var)
-            expected_raw = -parse_polynomial(t.registry, QQ, stated)
-            claim_id = f"{t.name}.jacobians.partial.{var}"
-            statement = (
-                f"d(t^p - c2^p)/d({var}^p) = {stated} with p-th powers dropped, "
-                f"up to a recorded sign"
-            )
-            claims.append(_signed_claim(claim_id, statement, got, expected_raw, "value"))
-            lit = partial_wrt_ppower(c2p, var, p)
-            expected = stretch_exponents(got, p, field)
-            claims.append(
-                rep.check(
-                    f"{claim_id}.f{p}",
-                    f"d(c2^{p})/d({var}^{p}) over GF({p}) matches the Q-partial under y -> x^{p}",
-                    lit == expected,
-                )
-            )
+        )
     return claims
 
 
@@ -490,15 +460,11 @@ def theorem_generator_audit(
     # semicenter = nilradical-invariants identity
     prefix = f"{t.name}.audit.split.char{char}"
     if char:
-        ok_all = True
-        for i in range(t.dim):
-            res = ad_power_identity(t, i, char)
-            ok_all = ok_all and res.ok
         claims.append(
             rep.check(
                 f"{prefix}.ad-power",
                 f"every ad-operator satisfies X^{char} = X or X^{char} = 0 over GF({char})",
-                ok_all,
+                all(ad_power_identity(t, i, char).ok for i in range(t.dim)),
             )
         )
     derived_rank = rank((dict(entry) for entry in t.brackets.values()), QQ)
@@ -636,21 +602,13 @@ def theorem_generator_audit(
             )
             continue
         ok, bad = is_central_u(t, lift, nil_idx)
-        eigen_ok = True
-        nonzero_weight = False
-        for k in t.cartan:
-            lam = eigenvalue(lift, commutator_with_basis(t, k, lift))
-            if lam is None:
-                eigen_ok = False
-                break
-            if lam != field.zero:
-                nonzero_weight = True
+        lams = [eigenvalue(lift, commutator_with_basis(t, k, lift)) for k in t.cartan]
         claims.append(
             rep.check(
                 f"{prefix}.gen.{zname}.semi-central",
                 f"{zname} commutes with the nilradical and is a Cartan eigenvector "
                 f"with nonzero weight ({how})",
-                ok and eigen_ok and nonzero_weight,
+                ok and None not in lams and any(lam != field.zero for lam in lams),
                 witness=None if ok else t.label(bad),
             )
         )

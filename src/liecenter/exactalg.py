@@ -288,15 +288,15 @@ def mono_mul_var(m: Monomial, v: int, e: int = 1) -> Monomial:
     return tuple(out)
 
 
-def mono_div_var(m: Monomial, v: int) -> Monomial:
-    """Divide a monomial by one power of variable v (v must occur)."""
+def mono_div_var(m: Monomial, v: int, e: int = 1) -> Monomial:
+    """Divide a monomial by x_v^e (x_v must occur with exponent at least e)."""
     out = []
-    for i, e in m:
+    for i, ei in m:
         if i == v:
-            if e > 1:
-                out.append((i, e - 1))
+            if ei > e:
+                out.append((i, ei - e))
         else:
-            out.append((i, e))
+            out.append((i, ei))
     return tuple(out)
 
 
@@ -517,15 +517,19 @@ class Polynomial(TermDict):
 
     # -- calculus ----------------------------------------------------------
 
-    def partial(self, var: Union[int, str]) -> "Polynomial":
-        """Formal partial derivative with respect to a registry variable."""
+    def partial(self, var: Union[int, str], step: int = 1) -> "Polynomial":
+        """Formal d/d(x^step) for a registry variable x: x^(step*k) maps to
+        k*x^(step*(k-1)), and an exponent of x that step does not divide
+        raises ``ValueError``.  Step 1 is d/dx; step p is d/d(x^p)."""
         v = self.registry.resolve(var)
         field = self.field
         items = []
         for m, c in self.terms.items():
             for i, e in m:
                 if i == v:
-                    items.append((mono_div_var(m, v), field.mul(c, field.coerce(e))))
+                    if e % step:
+                        raise ValueError(f"exponent {e} of {self.registry.name(v)} is not divisible by {step}")
+                    items.append((mono_div_var(m, v, step), field.mul(c, field.coerce(e // step))))
                     break
         return Polynomial.from_terms(self.registry, field, items)
 

@@ -574,7 +574,9 @@ def brute_force_invariant_space(
     the remaining blocks are eliminated exactly.  The pivot columns, and
     with them the basis, do not depend on the order of the rows.  Each
     space is solved once per table.  A system of more than
-    ``ORACLE_MAX_ENTRIES`` dense entries raises :class:`OracleCapExceeded`.
+    ``ORACLE_MAX_ENTRIES`` dense entries raises :class:`OracleCapExceeded`;
+    a block without constraint rows counts as one row, since each of its
+    columns is a basis vector of its own.
     """
     t.check_characteristic(field.characteristic)
     t.inverse_scale(field)
@@ -623,23 +625,19 @@ def brute_force_invariant_space(
                     else:
                         line[cidx] += cw
         dense = [line for lines in by_target for line in lines.values() if any(line)]
-        total_entries += len(dense) * ncols
+        total_entries += max(len(dense), 1) * ncols
         if total_entries > ORACLE_MAX_ENTRIES:
             raise OracleCapExceeded(
                 f"oracle system exceeds {ORACLE_MAX_ENTRIES} matrix entries"
             )
+        if dense and linalg.saturates_mod(dense, ncols, char or linalg.FILTER_PRIME):
+            continue
+        monos = [tuple((v, len(list(run))) for v, run in groupby(idx)) for idx in cols]
         if not dense:
-            null = [[1 if c == k else 0 for c in range(ncols)] for k in range(ncols)]
-        elif linalg.saturates_mod(dense, ncols, char or linalg.FILTER_PRIME):
-            null = []
-        elif char:
-            null = linalg.nullspace_mod(dense, ncols, char)
-        else:
-            null = linalg.nullspace_int(dense, ncols)
-        if null:
-            monos = [tuple((v, len(list(run))) for v, run in groupby(idx)) for idx in cols]
-        for vec in null:
-            basis.append(Polynomial.from_terms(t.registry, field, zip(monos, vec)))
+            basis.extend(Polynomial(t.registry, field, {m: field.one}) for m in monos)
+            continue
+        null = linalg.nullspace_mod(dense, ncols, char) if char else linalg.nullspace_int(dense, ncols)
+        basis.extend(Polynomial.from_terms(t.registry, field, zip(monos, vec)) for vec in null)
     t.memo[memo_key] = tuple(basis)
     return basis
 
@@ -684,11 +682,14 @@ def compare_with_generated(
     field: Field = QQ,
 ) -> dict:
     """Exact mutual-containment comparison: the span of degree-d generator
-    products against the oracle's invariant space."""
+    products against the oracle's invariant space.  The oracle dimension is
+    ``len(oracle_basis)``: an oracle basis is independent by construction,
+    each vector nonzero at its own free column and 0 at its block's other
+    free columns, and blocks have disjoint columns."""
     products = [p for _, p in degree_d_products(generators, degree) if not p.is_zero]
     oracle_rows = [p.terms for p in oracle_basis]
     generated_rows = [p.terms for p in products]
-    r_oracle = linalg.rank(oracle_rows, field)
+    r_oracle = len(oracle_basis)
     r_generated = linalg.rank(generated_rows, field)
     r_union = linalg.rank(oracle_rows + generated_rows, field)
     return {

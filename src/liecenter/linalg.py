@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exactalg import GF, QQ, Field, add_into
@@ -77,21 +77,12 @@ def _sparse(rows: Iterable[Sequence[int]], field: Field) -> Iterator[dict]:
 
 
 def _primitive(vec: list[Fraction]) -> list[int]:
-    scale = 1
-    for x in vec:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
+    scale = lcm(*(x.denominator for x in vec))
     ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
 
 
 def _nullspace(rows: Sequence[Sequence], ncols: int, field: Field) -> list[list]:

@@ -4,15 +4,21 @@ from itertools import combinations
 
 import pytest
 
-from liecenter import invariants, liealg
+from liecenter import charp, invariants, liealg
+from liecenter import report as rep
 from liecenter.exactalg import (
+    GF,
     QQ,
     Polynomial,
     add_into,
+    frobenius_expand,
+    jacobian_det,
     mono_degree,
     mono_div_var,
     mono_mul_var,
     mono_sort_key,
+    parse_polynomial,
+    poly_det,
 )
 
 # the commands the tests start import the package from this checkout, as
@@ -266,3 +272,115 @@ def reference_jacobi(t):
                 liealg.JacobiFailure((t.label(i), t.label(j), t.label(k)), residual)
             )
     return report
+
+
+# -- the characteristic-p calculus: the references for charp's one path --------
+
+
+def reference_partial_wrt_ppower(f, var, p):
+    """d f / d (x^p) for a polynomial whose x-exponents are all p-divisible:
+    x^(p*e) differentiates to e * x^(p*(e-1)), the rest of the monomial
+    rebuilt and re-sorted by hand: the reference for
+    ``Polynomial.partial(var, p)``."""
+    v = f.registry.resolve(var)
+    field = f.field
+    items = []
+    for m, c in f.terms.items():
+        for i, e in m:
+            if i == v:
+                if e % p:
+                    raise ValueError(
+                        f"exponent {e} of {f.registry.name(v)} is not divisible by {p}"
+                    )
+                k = e // p
+                rest = tuple((j, ej) for j, ej in m if j != v)
+                if k > 1:
+                    rest = tuple(sorted(rest + ((v, p * (k - 1)),)))
+                items.append((rest, field.mul(c, field.coerce(k))))
+                break
+    return Polynomial.from_terms(f.registry, field, items)
+
+
+def reference_stretch_exponents(f, p, field):
+    """The substitution y_i -> x_i^p, every exponent multiplied by p and
+    every coefficient coerced into ``field``: the reference for the
+    Frobenius expansion of a Q-polynomial reduced into GF(p)."""
+    return Polynomial.from_terms(
+        f.registry,
+        field,
+        ((tuple((i, e * p) for i, e in m), c) for m, c in f.terms.items()),
+    )
+
+
+# the stated identities the reference suite reads; a test may patch them
+REFERENCE_F4_JACOBIANS = (
+    (("x16", "x9", "x2"), "2", (("c1", 3), ("c2", 1), ("c3", 1))),
+    (("x16", "x9", "x6"), "-2", (("c1", 3), ("c2", 1), ("v3", 1))),
+    (("x16", "x13", "x2"), "-4", (("c1", 3), ("v4", 1), ("c3", 1))),
+    (("x18", "x15", "x8"), "-4", (("x23", 3), ("v4", 1), ("v3", 1))),
+)
+REFERENCE_G2_PARTIALS = (("x1", "-3*x6"), ("x2", "-3*x5"))
+
+
+def reference_jacobian_identity_suite(t, fam, p=3):
+    """The Jacobian identities with one branch per family, the G2 values
+    parsed from text and the GF(p) side built by the two references above:
+    the reference for ``charp.jacobian_identity_suite``."""
+    claims = []
+    field = GF(p)
+
+    def factor_poly(name):
+        if name in fam.elements(QQ):
+            return fam.element(name, QQ)
+        return Polynomial.variable(t.registry, QQ, name)
+
+    if fam.family == "f4":
+        cs = [fam.element(f"c{i}") for i in (2, 3, 4)]
+        frob = [frobenius_expand(fam.element(f"c{i}", field), p) for i in (2, 3, 4)]
+        for vars_, coef, factors in REFERENCE_F4_JACOBIANS:
+            rhs = Polynomial.constant(t.registry, QQ, coef)
+            for fname, power in factors:
+                rhs = rhs * factor_poly(fname) ** power
+            lhs = -jacobian_det(cs, list(vars_))
+            claim_id = f"{t.name}.jacobians.det.{'-'.join(vars_)}"
+            rhs_str = f"{coef}*" + "*".join(f"{n}^{k}" if k > 1 else n for n, k in factors)
+            statement = (
+                f"det d(t_i^p - c_i^p)/d({','.join(vars_)}^p) = {rhs_str} "
+                f"(p-th powers dropped) up to a recorded sign"
+            )
+            claims.append(charp._signed_claim(claim_id, statement, lhs, rhs, "product"))
+            lit = poly_det(
+                [[-reference_partial_wrt_ppower(f, v, p) for v in vars_] for f in frob]
+            )
+            expected_lit = reference_stretch_exponents(lhs, p, field)
+            claims.append(
+                rep.check(
+                    f"{claim_id}.f{p}",
+                    f"the same determinant instantiated over GF({p}) equals the "
+                    f"Q-identity under y -> x^{p}",
+                    lit == expected_lit,
+                    residual=None if lit == expected_lit else str(lit - expected_lit),
+                )
+            )
+    if fam.family == "g2":
+        c2 = fam.element("c2")
+        c2p = frobenius_expand(fam.element("c2", field), p)
+        for var, stated in REFERENCE_G2_PARTIALS:
+            got = c2.partial(var)
+            expected_raw = -parse_polynomial(t.registry, QQ, stated)
+            claim_id = f"{t.name}.jacobians.partial.{var}"
+            statement = (
+                f"d(t^p - c2^p)/d({var}^p) = {stated} with p-th powers dropped, "
+                f"up to a recorded sign"
+            )
+            claims.append(charp._signed_claim(claim_id, statement, got, expected_raw, "value"))
+            lit = reference_partial_wrt_ppower(c2p, var, p)
+            expected = reference_stretch_exponents(got, p, field)
+            claims.append(
+                rep.check(
+                    f"{claim_id}.f{p}",
+                    f"d(c2^{p})/d({var}^{p}) over GF({p}) matches the Q-partial under y -> x^{p}",
+                    lit == expected,
+                )
+            )
+    return claims

@@ -1,19 +1,49 @@
+import dataclasses
+
 import pytest
 
-from liecenter import invariants, liealg
+import conftest
+from liecenter import charp, invariants, liealg
 from liecenter.charp import (
     c1_label,
     central_lift,
     frobenius_membership_suite,
     jacobian_identity_suite,
-    partial_wrt_ppower,
     sp_generators,
-    stretch_exponents,
     theorem_generator_audit,
 )
-from liecenter.exactalg import GF, QQ, Polynomial, parse_polynomial
+from liecenter.exactalg import GF, QQ, Polynomial, frobenius_expand, parse_polynomial
 from liecenter.invariants import catalog_entry
 from liecenter.pbw import gr_leading, is_central_u
+
+from conftest import (
+    reference_jacobian_identity_suite,
+    reference_partial_wrt_ppower,
+    reference_stretch_exponents,
+)
+
+PRIMES = (3, 5, 7)
+
+
+def nil_family(request, family):
+    """The nilradical table and invariant family of g2, f4 or c<n>."""
+    if family.startswith("c"):
+        t = liealg.nilradical_table(liealg.cn_borel(int(family[1:])))
+        return t, invariants.cn_invariants(t)
+    return request.getfixturevalue(f"{family}n"), request.getfixturevalue(f"{family}n_fam")
+
+
+def admissible(t):
+    primes = [p for p in PRIMES if invariants.inadmissible_reason(t, p) is None]
+    assert primes
+    return primes
+
+
+def outcome(partial, f, v, p):
+    try:
+        return partial(f, v, p)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 class TestGeneratorSets:
@@ -88,17 +118,39 @@ class TestPPowerCalculus:
     def test_partial_wrt_ppower(self, g2n):
         field = GF(5)
         f = parse_polynomial(g2n.registry, field, "2*x1^10*x2^5 + x3^5")
-        got = partial_wrt_ppower(f, "x1", 5)
+        got = f.partial("x1", 5)
         assert got == parse_polynomial(g2n.registry, field, "4*x1^5*x2^5")
+        assert got == reference_partial_wrt_ppower(f, "x1", 5)
 
     def test_partial_requires_divisible_exponent(self, g2n):
         f = parse_polynomial(g2n.registry, QQ, "x1^3")
-        with pytest.raises(ValueError):
-            partial_wrt_ppower(f, "x1", 5)
+        with pytest.raises(ValueError, match="exponent 3 of x1 is not divisible by 5"):
+            f.partial("x1", 5)
 
-    def test_stretch(self, g2n):
-        f = parse_polynomial(g2n.registry, QQ, "x1*x2^2")
-        assert stretch_exponents(f, 3, QQ) == parse_polynomial(g2n.registry, QQ, "x1^3*x2^6")
+    @pytest.mark.parametrize("family", ["g2", "f4", "c3", "c4", "c5"])
+    def test_partial_matches_the_reference(self, request, family):
+        # on the Frobenius expansion every exponent is p-divisible; on the
+        # element itself some are not, and both must raise there
+        t, fam = nil_family(request, family)
+        raised = 0
+        for p in admissible(t):
+            field = GF(p)
+            for f in fam.elements(field).values():
+                fp = frobenius_expand(f, p)
+                for v in range(t.dim):
+                    assert fp.partial(v, p) == reference_partial_wrt_ppower(fp, v, p)
+                    got = outcome(Polynomial.partial, f, v, p)
+                    assert got == outcome(reference_partial_wrt_ppower, f, v, p)
+                    raised += isinstance(got, str)
+        assert raised
+
+    def test_frobenius_of_the_reduction_is_the_stretch(self, f4n, f4n_fam):
+        # c^p = c in GF(p), so expanding the reduced Q-polynomial stretches it
+        for p in admissible(f4n):
+            field = GF(p)
+            for name, f in f4n_fam.elements().items():
+                reduced = f4n_fam.element(name, field)
+                assert frobenius_expand(reduced, p) == reference_stretch_exponents(f, p, field)
 
 
 class TestJacobianIdentities:
@@ -120,6 +172,69 @@ class TestJacobianIdentities:
         c2 = g2n_fam.element("c2")
         assert c2.partial("x1") == parse_polynomial(g2n.registry, QQ, "3*x6")
         assert c2.partial("x2") == parse_polynomial(g2n.registry, QQ, "-3*x5")
+
+
+class TestJacobiansAgainstTheReference:
+    """One loop over the family's record against one branch per family."""
+
+    @pytest.mark.parametrize("level", ["n", "b"])
+    @pytest.mark.parametrize("family", ["g2", "f4"])
+    def test_claims_equal_the_reference(self, request, family, level):
+        t = request.getfixturevalue(f"{family}{level}")
+        fam = request.getfixturevalue(f"{family}{level}_fam")
+        for p in admissible(t):
+            claims = jacobian_identity_suite(t, fam, p)
+            assert claims and all(c.passed for c in claims)
+            assert claims == reference_jacobian_identity_suite(t, fam, p)
+
+    @staticmethod
+    def compare_failures(t, fam, p, family, side):
+        """Both suites fail the same claims; G2's residuals differ only as
+        recorded: the Q-side one is negated, and the GF(p) one exists."""
+        claims = jacobian_identity_suite(t, fam, p)
+        ref = reference_jacobian_identity_suite(t, fam, p)
+        failed = [c.claim_id for c in claims if not c.passed]
+        assert failed and failed == [c.claim_id for c in ref if not c.passed]
+        assert all(c.claim_id.endswith(f".f{p}") == (side == "gf") for c in claims if not c.passed)
+        for new, old in zip(claims, ref):
+            if family == "g2" and not new.passed:
+                if side == "q":
+                    negated = -parse_polynomial(t.registry, QQ, old.residual)
+                    assert new.residual != old.residual
+                    assert parse_polynomial(t.registry, QQ, new.residual) == negated
+                else:
+                    assert old.residual is None and new.residual
+                new = dataclasses.replace(new, residual=old.residual)
+            assert new == old
+
+    @pytest.mark.parametrize("family,p", [("g2", 5), ("f4", 3)])
+    def test_a_changed_stated_coefficient(self, request, monkeypatch, family, p):
+        t, fam = nil_family(request, family)
+        jac = charp._JACOBIANS[family]
+        (vars_, _, factors), *rest = jac.identities
+        monkeypatch.setitem(
+            charp._JACOBIANS,
+            family,
+            dataclasses.replace(jac, identities=((vars_, "7", factors), *rest)),
+        )
+        if family == "f4":
+            _, *ref_rest = conftest.REFERENCE_F4_JACOBIANS
+            monkeypatch.setattr(conftest, "REFERENCE_F4_JACOBIANS", ((vars_, "7", factors), *ref_rest))
+        else:
+            _, *ref_rest = conftest.REFERENCE_G2_PARTIALS
+            monkeypatch.setattr(conftest, "REFERENCE_G2_PARTIALS", (("x1", "7*x6"), *ref_rest))
+        self.compare_failures(t, fam, p, family, "q")
+
+    @pytest.mark.parametrize("family,p", [("g2", 5), ("f4", 3)])
+    def test_a_changed_coefficient_over_gf_p(self, request, family, p):
+        # c2 over GF(p) with one coefficient changed, the Q elements kept
+        t, fam = nil_family(request, family)
+        field = GF(p)
+        elements = dict(fam.elements(field))
+        mono = min(elements["c2"].terms)
+        elements["c2"] = elements["c2"] + Polynomial(t.registry, field, {mono: 1})
+        mutated = dataclasses.replace(fam, _cache={0: fam.elements(), p: elements})
+        self.compare_failures(t, mutated, p, family, "gf")
 
 
 class TestCentralLift:

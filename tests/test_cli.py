@@ -231,6 +231,20 @@ class TestTableFiles:
         assert got == code
         assert message in out + err
 
+    def test_blocks_without_rows_count_toward_the_cap(self, capsys, monkeypatch, tmp_path, g2b):
+        # g2's labels with no brackets: a g2 table whose every oracle block
+        # is one column with no constraint rows; at 2000 entries degree 7
+        # (3432 such blocks) passes the cap
+        data = table_to_dict(g2b)
+        data["brackets"] = []
+        monkeypatch.setattr(invariants, "ORACLE_MAX_ENTRIES", 2000)
+        code, _, err = run_cli(
+            capsys, "verify", "--algebra", self._write(tmp_path, data),
+            "--suites", "oracle", "--max-degree", "8",
+        )
+        assert code == 2
+        assert "error: oracle system exceeds 2000 matrix entries" in err
+
     def test_catalog_name_on_foreign_basis(self, capsys, tmp_path):
         path = self._write(tmp_path, self._foreign())
         code, out, _ = run_cli(capsys, "verify", "--algebra", path)

@@ -159,6 +159,12 @@ class TestPartials:
     def test_missing_variable(self):
         assert P("x6").partial("x5").is_zero
 
+    def test_step(self):
+        # d/d(x3^3): x3^6 -> 2*x3^3 keeps the variable, x3^3 -> 1 drops it
+        assert P("x1*x3^6 + x3^3 + x2").partial("x3", 3) == P("2*x1*x3^3 + 1")
+        with pytest.raises(ValueError, match="exponent 4 of x3 is not divisible by 3"):
+            P("x3^4").partial("x3", 3)
+
 
 class TestJacobian:
     def test_identity(self):

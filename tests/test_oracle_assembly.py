@@ -93,6 +93,18 @@ def affine_line():
     })
 
 
+def shared_center():
+    """[y1, y2] = y3 + y4: y3 and y4 are central and share every grade, so
+    blocks of several columns ({y3, y4}, {y3^2, y3*y4, y4^2}, ...) have no
+    constraint rows, and their columns are the basis."""
+    return liealg.table_from_dict({
+        "name": "shared-center",
+        "basis": ["y1", "y2", "y3", "y4"],
+        "cartan": [],
+        "brackets": [{"lhs": "y1", "rhs": "y2", "value": [["1", "y3"], ["1", "y4"]]}],
+    })
+
+
 def g2_at_3():
     """The G2 Borel table with 3 admitted: its constants 3 vanish mod 3, so
     the rows lose those entries, as the field rows do."""
@@ -104,6 +116,7 @@ def g2_at_3():
 # name -> (table builder, levels, admissible primes in {3, 5, 7})
 TABLES = {
     "affine-line": (affine_line, ("nil",), (3, 5, 7)),
+    "shared-center": (shared_center, ("nil",), (3, 5, 7)),
     "g2": (liealg.g2_borel, ("nil", "borel"), (5, 7)),
     "g2-at-3": (g2_at_3, ("nil", "borel"), (3,)),
     "f4": (liealg.f4_borel, ("nil", "borel"), (3, 5, 7)),
