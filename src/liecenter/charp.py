@@ -8,13 +8,16 @@ identifies the p-power subalgebra with a plain polynomial ring, so the
 determinant identities are first proved as exact rational identities in the
 y-variables (characteristic-free) and then instantiated literally over F_p
 through the Frobenius expansion.
+
+The identities themselves are data of the family (``InvariantFamily.layers``
+and ``InvariantFamily.jacobians``); the suites here check whatever a family
+records and never name one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import report as rep
 from .exactalg import (
@@ -34,6 +37,7 @@ from .invariants import (
     InvariantFamily,
     brute_force_invariant_space,
     catalog_entry,
+    compose,
     oracle_degree,
     oracle_suite,
 )
@@ -106,9 +110,11 @@ def frobenius_membership_suite(
 ) -> list[rep.Claim]:
     """For every invariant c_i with i >= 2: c_i^p lies in the p-power
     subalgebra (pattern membership) while c_i itself does not, with a
-    deterministic witness monomial; for F4 the layered compositions of
-    c_3^p and c_4^p are verified by exact subtraction.  Each Frobenius
-    expansion is computed once."""
+    deterministic witness monomial.  Each of the family's layers, an
+    element stated as a composition of others, is verified on the p-th
+    powers by exact subtraction, and the p-th power of each non-central
+    factor, in order of first appearance, by pattern membership.  Each
+    Frobenius expansion is computed once."""
     t.check_characteristic(p)
     field = GF(p)
     F = cache(lambda name: frobenius_expand(fam.element(name, field), p))
@@ -136,43 +142,19 @@ def frobenius_membership_suite(
                 witness=None if witness is None else mono_to_str(t.registry, witness),
             )
         )
-    if fam.family == "f4":
-        claims.extend(_f4_layered_claims(t, F, p))
-    return claims
-
-
-def _f4_layered_claims(
-    t: StructureTable, F: Callable[[str], Polynomial], p: int
-) -> list[rep.Claim]:
-    """The layered claims, with F the family's Frobenius expansion by name."""
-    field = GF(p)
-    claims = []
-    prefix = f"{t.name}.frobenius.p{p}"
-    half_p = field.pow(field.coerce("1/2"), p)
-    quarter_p = field.pow(field.coerce("1/4"), p)
-    lhs3 = F("c3") - (F("c2") * F("u9") + (F("v4") * F("v4")).scale(half_p))
-    claims.append(
-        rep.check(
-            f"{prefix}.c3p-layered",
-            f"c3^{p} = c2^{p}*u9^{p} + (1/2)^{p}*v4^{2*p} exactly",
-            lhs3.is_zero,
-            residual=None if lhs3.is_zero else str(lhs3),
+    for name, statement, terms in fam.layers:
+        # c^p = c in GF(p), so each stated coefficient is its own p-th power
+        lhs = F(name) - compose(terms, F)
+        claims.append(
+            rep.check(
+                f"{prefix}.{name}p-layered",
+                statement.format(p=p, p2=2 * p),
+                lhs.is_zero,
+                residual=None if lhs.is_zero else str(lhs),
+            )
         )
-    )
-    lhs4 = F("c4") - (
-        -(F("u2") * F("c3"))
-        + (F("u6") * F("v3")).scale(half_p)
-        + (F("v7") * F("w3")).scale(quarter_p)
-    )
-    claims.append(
-        rep.check(
-            f"{prefix}.c4p-layered",
-            f"c4^{p} = -u2^{p}*c3^{p} + (1/2)^{p}*u6^{p}*v3^{p} + (1/4)^{p}*v7^{p}*w3^{p} exactly",
-            lhs4.is_zero,
-            residual=None if lhs4.is_zero else str(lhs4),
-        )
-    )
-    for aux in ("u9", "v4", "u6", "v3", "u2", "v7", "w3"):
+    factors = (f for _, _, terms in fam.layers for _, names in terms for f in names)
+    for aux in dict.fromkeys(f for f in factors if f not in fam.central):
         ok, witness = ppattern_membership(F(aux), p, ())
         claims.append(
             rep.check(
@@ -202,46 +184,6 @@ def _signed_claim(
     return rep.failed(claim_id, statement, residual=str(got - stated))
 
 
-@dataclass(frozen=True)
-class _Jacobians:
-    """A family's Jacobian identities in the p-th powers: for each
-    (variables, coefficient, factors), the Jacobian of the -c_i with respect
-    to the variables equals coefficient * prod(factor^power), up to a
-    recorded global sign.  One variable is the 1x1 case, a single partial."""
-
-    cs: tuple[str, ...]
-    kind: str  # "det" or "partial", the claim-id word
-    statement: str  # the Q-identity, formatted with vars and rhs
-    literal: str  # its GF(p) instance, formatted with vars and p
-    word: str  # what the recorded sign is relative to
-    identities: tuple[tuple[tuple[str, ...], str, tuple[tuple[str, int], ...]], ...]
-
-
-_JACOBIANS = {
-    "f4": _Jacobians(
-        ("c2", "c3", "c4"),
-        "det",
-        "det d(t_i^p - c_i^p)/d({vars}^p) = {rhs} (p-th powers dropped) up to a recorded sign",
-        "the same determinant instantiated over GF({p}) equals the Q-identity under y -> x^{p}",
-        "product",
-        (
-            (("x16", "x9", "x2"), "2", (("c1", 3), ("c2", 1), ("c3", 1))),
-            (("x16", "x9", "x6"), "-2", (("c1", 3), ("c2", 1), ("v3", 1))),
-            (("x16", "x13", "x2"), "-4", (("c1", 3), ("v4", 1), ("c3", 1))),
-            (("x18", "x15", "x8"), "-4", (("x23", 3), ("v4", 1), ("v3", 1))),
-        ),
-    ),
-    "g2": _Jacobians(
-        ("c2",),
-        "partial",
-        "d(t^p - c2^p)/d({vars}^p) = {rhs} with p-th powers dropped, up to a recorded sign",
-        "d(c2^{p})/d({vars}^{p}) over GF({p}) matches the Q-partial under y -> x^{p}",
-        "value",
-        ((("x1",), "-3", (("x6", 1),)), (("x2",), "-3", (("x5", 1),))),
-    ),
-}
-
-
 def jacobian_identity_suite(
     t: StructureTable, fam: InvariantFamily, p: int = 3
 ) -> list[rep.Claim]:
@@ -251,10 +193,10 @@ def jacobian_identity_suite(
     the chosen p-th powers equals the Jacobian of the -c_i in the p-power
     variables, which is a characteristic-free rational identity; it is
     checked exactly over Q up to one recorded global sign, then instantiated
-    literally over F_p via Frobenius expansion.  A family without recorded
-    identities has no claims.
+    literally over F_p via Frobenius expansion.  A family without
+    ``jacobians`` has no claims.
     """
-    jac = _JACOBIANS.get(fam.family)
+    jac = fam.jacobians
     if jac is None:
         return []
     claims = []

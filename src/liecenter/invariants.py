@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement, groupby
-from math import isqrt
+from math import isqrt, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
@@ -48,12 +48,26 @@ ORACLE_MAX_ENTRIES = 10**7
 TriangleCase = tuple[str, str, Optional[str]]  # (v-name, x-label, expected c or None)
 
 
+@dataclass(frozen=True)
+class Jacobians:
+    """A family's Jacobian identities in the p-th powers: for each
+    (variables, coefficient, factors), the Jacobian of the -c_i with respect
+    to the variables equals coefficient * prod(factor^power), up to a
+    recorded global sign.  One variable is the 1x1 case, a single partial."""
+
+    cs: tuple[str, ...]
+    kind: str  # "det" or "partial", the claim-id word
+    statement: str  # the Q-identity, formatted with vars and rhs
+    literal: str  # its GF(p) instance, formatted with vars and p
+    word: str  # what the recorded sign is relative to
+    identities: tuple[tuple[tuple[str, ...], str, tuple[tuple[str, int], ...]], ...]
+
+
 @dataclass
 class InvariantFamily:
     """The named elements of one catalog algebra, built once over QQ; other
     fields get the reductions of the QQ elements."""
 
-    family: str  # the catalog family: g2, f4 or cn
     table: StructureTable
     central: tuple[str, ...]
     builder: Callable[[], dict[str, Polynomial]]  # the elements over QQ
@@ -62,6 +76,9 @@ class InvariantFamily:
     chain: dict = dc_field(default_factory=dict)
     chain_weights: tuple = ()
     triangle_cases: tuple[TriangleCase, ...] = ()
+    jacobians: Optional[Jacobians] = None
+    # (element, statement formatted with p and p2 = 2p, its compose terms)
+    layers: tuple = ()
     notes: tuple[str, ...] = ()
     _cache: dict = dc_field(default_factory=dict, repr=False)
 
@@ -77,6 +94,12 @@ class InvariantFamily:
 
     def element(self, name: str, field: Field = QQ) -> Polynomial:
         return self.elements(field)[name]
+
+
+def compose(terms: Sequence, element: Callable[[str], Polynomial]) -> Polynomial:
+    """The sum of coefficient * prod(element(factor)) over the (coefficient,
+    factor names) terms of a layer."""
+    return sum(prod(map(element, factors)).scale(coef) for coef, factors in terms)
 
 
 # -- G2 ----------------------------------------------------------------------
@@ -96,13 +119,22 @@ def _g2_defs(registry: VarRegistry) -> dict[str, Polynomial]:
     }
 
 
+_G2_PARTIALS = Jacobians(
+    ("c2",),
+    "partial",
+    "d(t^p - c2^p)/d({vars}^p) = {rhs} with p-th powers dropped, up to a recorded sign",
+    "d(c2^{p})/d({vars}^{p}) over GF({p}) matches the Q-partial under y -> x^{p}",
+    "value",
+    ((("x1",), "-3", (("x6", 1),)), (("x2",), "-3", (("x5", 1),))),
+)
+
+
 def g2_invariants(t: StructureTable) -> InvariantFamily:
     triangle = []
     for i in range(2, 6):
         for j in range(i, 6):
             triangle.append((f"v{i}", f"x{j}", "c1" if i == j else None))
     return InvariantFamily(
-        family="g2",
         table=t,
         central=("c1", "c2"),
         builder=lambda: _g2_defs(t.registry),
@@ -120,10 +152,27 @@ def g2_invariants(t: StructureTable) -> InvariantFamily:
         ),
         nonzero_pairings=(("c1", "h1"), ("c2", "h2")),
         triangle_cases=tuple(triangle),
+        jacobians=_G2_PARTIALS,
     )
 
 
 # -- F4 ----------------------------------------------------------------------
+
+
+_F4_LAYERS = (
+    (
+        "c3",
+        "c3^{p} = c2^{p}*u9^{p} + (1/2)^{p}*v4^{p2} exactly",
+        (("1", ("c2", "u9")), ("1/2", ("v4", "v4"))),
+    ),
+    (
+        "c4",
+        "c4^{p} = -u2^{p}*c3^{p} + (1/2)^{p}*u6^{p}*v3^{p} + (1/4)^{p}*v7^{p}*w3^{p} exactly",
+        # (1/2)*u6*v3 comes first: the p-pattern claims follow the factors'
+        # first appearance, u6 and v3 before u2
+        (("1/2", ("u6", "v3")), ("-1", ("u2", "c3")), ("1/4", ("v7", "w3"))),
+    ),
+)
 
 
 def _f4_defs(registry: VarRegistry) -> dict[str, Polynomial]:
@@ -135,17 +184,13 @@ def _f4_defs(registry: VarRegistry) -> dict[str, Polynomial]:
     e["c2"] = P("2*x16*x24 - 2*x18*x23 - x20*x22 + x21^2")
     e["v4"] = P("-2*x13*x24 + 2*x15*x23 + x17*x22 - x19*x21")
     e["u9"] = P("x9*x24 - x11*x23 + x14*x22 - 1/2*x19^2")
-    e["c3"] = e["c2"] * e["u9"] + (e["v4"] * e["v4"]).scale("1/2")
     e["v7"] = P("2*x10*x24 - 2*x12*x23 + x19*x20 - x17*x21")
     e["u6"] = P("x6*x24 - x8*x23 + x14*x21 - 1/2*x17*x19")
     e["v3"] = -(e["c2"] * e["u6"]) + (e["v4"] * e["v7"]).scale("1/2")
     e["u2"] = P("x2*x24 - x5*x23 - 1/2*x14*x20 + 1/4*x17^2")
     e["w3"] = e["u9"] * e["v7"] + e["u6"] * e["v4"]
-    e["c4"] = (
-        -(e["u2"] * e["c3"])
-        + (e["u6"] * e["v3"]).scale("1/2")
-        + (e["v7"] * e["w3"]).scale("1/4")
-    )
+    for name, _, terms in _F4_LAYERS:
+        e[name] = compose(terms, e.__getitem__)
     e["v23"] = P("x1")
     e["v22"] = P("x5")
     e["v21"] = P("x8")
@@ -211,6 +256,21 @@ _F4_CHAIN_WEIGHTS = (
 )
 
 
+_F4_DETERMINANTS = Jacobians(
+    ("c2", "c3", "c4"),
+    "det",
+    "det d(t_i^p - c_i^p)/d({vars}^p) = {rhs} (p-th powers dropped) up to a recorded sign",
+    "the same determinant instantiated over GF({p}) equals the Q-identity under y -> x^{p}",
+    "product",
+    (
+        (("x16", "x9", "x2"), "2", (("c1", 3), ("c2", 1), ("c3", 1))),
+        (("x16", "x9", "x6"), "-2", (("c1", 3), ("c2", 1), ("v3", 1))),
+        (("x16", "x13", "x2"), "-4", (("c1", 3), ("v4", 1), ("c3", 1))),
+        (("x18", "x15", "x8"), "-4", (("x23", 3), ("v4", 1), ("v3", 1))),
+    ),
+)
+
+
 def f4_invariants(t: StructureTable) -> InvariantFamily:
     def diag_class(i: int) -> str:
         if i in (3, 6):
@@ -224,7 +284,6 @@ def f4_invariants(t: StructureTable) -> InvariantFamily:
         for j in _F4_TRIANGLE_INDICES[a:]:
             triangle.append((f"v{i}", f"x{j}", diag_class(i) if i == j else None))
     return InvariantFamily(
-        family="f4",
         table=t,
         central=("c1", "c2", "c3", "c4"),
         builder=lambda: _f4_defs(t.registry),
@@ -249,6 +308,8 @@ def f4_invariants(t: StructureTable) -> InvariantFamily:
         chain=_F4_CHAIN,
         chain_weights=_F4_CHAIN_WEIGHTS,
         triangle_cases=tuple(triangle),
+        jacobians=_F4_DETERMINANTS,
+        layers=_F4_LAYERS,
         notes=(
             "v8 is taken as -x21: the printed +x21 gives {v8, x8} = -c1, "
             "while the Jacobi-forced bracket [x8, x21] = x24 requires -x21 "
@@ -305,7 +366,6 @@ def cn_invariants(t: StructureTable) -> InvariantFamily:
         for k in range(1, n + 1)
     )
     return InvariantFamily(
-        family="cn",
         table=t,
         central=tuple(f"c{i}" for i in range(1, n + 1)),
         builder=builder,
@@ -649,28 +709,25 @@ def brute_force_invariant_space(
 
 def degree_d_products(
     generators: Sequence[tuple[str, Polynomial]], degree: int
-) -> list[tuple[str, Polynomial]]:
+) -> list[Polynomial]:
     """All products of the declared generators of total degree d."""
-    gens = [(name, poly, poly.total_degree()) for name, poly in generators]
-    out: list[tuple[str, Polynomial]] = []
+    gens = [(poly, poly.total_degree()) for _, poly in generators]
+    out: list[Polynomial] = []
 
-    def rec(idx: int, remaining: int, label_parts: list, acc: Optional[Polynomial]):
+    def rec(idx: int, remaining: int, acc: Optional[Polynomial]):
         if remaining == 0:
-            out.append(("*".join(label_parts) or "1", acc))
+            out.append(acc)
             return
         if idx == len(gens):
             return
-        name, poly, d = gens[idx]
-        rec(idx + 1, remaining, label_parts, acc)
-        power = 1
+        poly, d = gens[idx]
+        rec(idx + 1, remaining, acc)
         current = acc
-        while power * d <= remaining:
+        for power in range(1, remaining // d + 1):
             current = poly if current is None else current * poly
-            label = name if power == 1 else f"{name}^{power}"
-            rec(idx + 1, remaining - power * d, label_parts + [label], current)
-            power += 1
+            rec(idx + 1, remaining - power * d, current)
 
-    rec(0, degree, [], None)
+    rec(0, degree, None)
     return out
 
 
@@ -686,7 +743,7 @@ def compare_with_generated(
     ``len(oracle_basis)``: an oracle basis is independent by construction,
     each vector nonzero at its own free column and 0 at its block's other
     free columns, and blocks have disjoint columns."""
-    products = [p for _, p in degree_d_products(generators, degree) if not p.is_zero]
+    products = [p for p in degree_d_products(generators, degree) if not p.is_zero]
     oracle_rows = [p.terms for p in oracle_basis]
     generated_rows = [p.terms for p in products]
     r_oracle = len(oracle_basis)

@@ -17,8 +17,10 @@ from liecenter.exactalg import (
     mono_div_var,
     mono_mul_var,
     mono_sort_key,
+    mono_to_str,
     parse_polynomial,
     poly_det,
+    ppattern_membership,
 )
 
 # the commands the tests start import the package from this checkout, as
@@ -334,7 +336,7 @@ def reference_jacobian_identity_suite(t, fam, p=3):
             return fam.element(name, QQ)
         return Polynomial.variable(t.registry, QQ, name)
 
-    if fam.family == "f4":
+    if t.name[:2] == "f4":
         cs = [fam.element(f"c{i}") for i in (2, 3, 4)]
         frob = [frobenius_expand(fam.element(f"c{i}", field), p) for i in (2, 3, 4)]
         for vars_, coef, factors in REFERENCE_F4_JACOBIANS:
@@ -362,7 +364,7 @@ def reference_jacobian_identity_suite(t, fam, p=3):
                     residual=None if lit == expected_lit else str(lit - expected_lit),
                 )
             )
-    if fam.family == "g2":
+    if t.name[:2] == "g2":
         c2 = fam.element("c2")
         c2p = frobenius_expand(fam.element("c2", field), p)
         for var, stated in REFERENCE_G2_PARTIALS:
@@ -383,4 +385,61 @@ def reference_jacobian_identity_suite(t, fam, p=3):
                     lit == expected,
                 )
             )
+    return claims
+
+
+def reference_f4_layers(e):
+    """c3 and c4 written out from the other F4 elements in ``e``: the
+    reference for the layer records ``invariants._f4_defs`` composes."""
+    c3 = e["c2"] * e["u9"] + (e["v4"] * e["v4"]).scale("1/2")
+    c4 = (
+        -(e["u2"] * c3)
+        + (e["u6"] * e["v3"]).scale("1/2")
+        + (e["v7"] * e["w3"]).scale("1/4")
+    )
+    return c3, c4
+
+
+def reference_f4_layered_claims(t, F, p):
+    """The F4 layered claims with the coefficients' p-th powers taken and
+    the p-pattern elements listed by hand, F the Frobenius expansion by
+    name: the reference for the layer loop of
+    ``charp.frobenius_membership_suite``."""
+    field = GF(p)
+    claims = []
+    prefix = f"{t.name}.frobenius.p{p}"
+    half_p = field.pow(field.coerce("1/2"), p)
+    quarter_p = field.pow(field.coerce("1/4"), p)
+    lhs3 = F("c3") - (F("c2") * F("u9") + (F("v4") * F("v4")).scale(half_p))
+    claims.append(
+        rep.check(
+            f"{prefix}.c3p-layered",
+            f"c3^{p} = c2^{p}*u9^{p} + (1/2)^{p}*v4^{2*p} exactly",
+            lhs3.is_zero,
+            residual=None if lhs3.is_zero else str(lhs3),
+        )
+    )
+    lhs4 = F("c4") - (
+        -(F("u2") * F("c3"))
+        + (F("u6") * F("v3")).scale(half_p)
+        + (F("v7") * F("w3")).scale(quarter_p)
+    )
+    claims.append(
+        rep.check(
+            f"{prefix}.c4p-layered",
+            f"c4^{p} = -u2^{p}*c3^{p} + (1/2)^{p}*u6^{p}*v3^{p} + (1/4)^{p}*v7^{p}*w3^{p} exactly",
+            lhs4.is_zero,
+            residual=None if lhs4.is_zero else str(lhs4),
+        )
+    )
+    for aux in ("u9", "v4", "u6", "v3", "u2", "v7", "w3"):
+        ok, witness = ppattern_membership(F(aux), p, ())
+        claims.append(
+            rep.check(
+                f"{prefix}.{aux}p-pattern",
+                f"{aux}^{p} is a polynomial in the {p}-th powers of the generators",
+                ok,
+                witness=None if ok else mono_to_str(t.registry, witness),
+            )
+        )
     return claims

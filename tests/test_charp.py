@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import conftest
-from liecenter import charp, invariants, liealg
+from liecenter import invariants, liealg
 from liecenter.charp import (
     c1_label,
     central_lift,
@@ -17,6 +17,8 @@ from liecenter.invariants import catalog_entry
 from liecenter.pbw import gr_leading, is_central_u
 
 from conftest import (
+    reference_f4_layered_claims,
+    reference_f4_layers,
     reference_jacobian_identity_suite,
     reference_partial_wrt_ppower,
     reference_stretch_exponents,
@@ -210,12 +212,10 @@ class TestJacobiansAgainstTheReference:
     @pytest.mark.parametrize("family,p", [("g2", 5), ("f4", 3)])
     def test_a_changed_stated_coefficient(self, request, monkeypatch, family, p):
         t, fam = nil_family(request, family)
-        jac = charp._JACOBIANS[family]
-        (vars_, _, factors), *rest = jac.identities
-        monkeypatch.setitem(
-            charp._JACOBIANS,
-            family,
-            dataclasses.replace(jac, identities=((vars_, "7", factors), *rest)),
+        (vars_, _, factors), *rest = fam.jacobians.identities
+        fam = dataclasses.replace(
+            fam,
+            jacobians=dataclasses.replace(fam.jacobians, identities=((vars_, "7", factors), *rest)),
         )
         if family == "f4":
             _, *ref_rest = conftest.REFERENCE_F4_JACOBIANS
@@ -235,6 +235,46 @@ class TestJacobiansAgainstTheReference:
         elements["c2"] = elements["c2"] + Polynomial(t.registry, field, {mono: 1})
         mutated = dataclasses.replace(fam, _cache={0: fam.elements(), p: elements})
         self.compare_failures(t, mutated, p, family, "gf")
+
+
+class TestLayersAgainstTheReference:
+    """The layer records, composed and checked generically, against c3 and
+    c4 written out by hand."""
+
+    @staticmethod
+    def claims_and_reference(t, fam, p):
+        central = frobenius_membership_suite(t, dataclasses.replace(fam, layers=()), p)
+        F = lambda name: frobenius_expand(fam.element(name, GF(p)), p)
+        return frobenius_membership_suite(t, fam, p), central + reference_f4_layered_claims(t, F, p)
+
+    @pytest.mark.parametrize("level", ["n", "b"])
+    def test_claims_equal_the_reference(self, request, level):
+        t = request.getfixturevalue(f"f4{level}")
+        fam = request.getfixturevalue(f"f4{level}_fam")
+        for p in admissible(t):
+            claims, expected = self.claims_and_reference(t, fam, p)
+            assert all(c.passed for c in claims)
+            assert claims == expected
+
+    def test_composed_elements_equal_the_written_out_ones(self, f4n_fam):
+        assert reference_f4_layers(f4n_fam.elements()) == (
+            f4n_fam.element("c3"),
+            f4n_fam.element("c4"),
+        )
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_a_changed_coefficient_over_gf_p(self, f4n, f4n_fam, p):
+        # c3 over GF(p) with one coefficient changed, the Q elements kept
+        field = GF(p)
+        elements = dict(f4n_fam.elements(field))
+        mono = min(elements["c3"].terms)
+        elements["c3"] = elements["c3"] + Polynomial(f4n.registry, field, {mono: 1})
+        mutated = dataclasses.replace(f4n_fam, _cache={0: f4n_fam.elements(), p: elements})
+        claims, expected = self.claims_and_reference(f4n, mutated, p)
+        by_id = {c.claim_id: c for c in claims}
+        layered = by_id[f"f4-nil.frobenius.p{p}.c3p-layered"]
+        assert not layered.passed and layered.residual
+        assert claims == expected
 
 
 class TestCentralLift:
