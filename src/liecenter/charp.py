@@ -446,13 +446,13 @@ def theorem_generator_audit(
         )
     else:
         for d in range(1, bcap + 1):
-            basis = brute_force_invariant_space(t, d, all_idx, field)
+            dim = brute_force_invariant_space(t, d, all_idx, field)
             claims.append(
                 rep.check(
                     f"{prefix}.trivial.deg{d}",
                     f"no nonconstant Borel-invariant polynomial exists in degree {d}",
-                    not basis,
-                    residual=None if not basis else str(basis[0]),
+                    not dim,
+                    residual=f"dimension {dim}" if dim else None,
                 )
             )
         claims.append(

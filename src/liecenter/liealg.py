@@ -96,10 +96,11 @@ class StructureTable:
         # everything else derived from the table, computed once per table and
         # keyed by kind: ("pbw",) the PBW kernel's integer letter products in
         # the basis y = D*x, keyed by (sorted letter word, letter) and shared
-        # by every characteristic, ("oracle", char, degree, gens) invariant
-        # spaces, ("symmetrize", polynomial) lifts, ("lie-generators", char,
-        # gens) generating subsets of gens, ("multigrading",) the gradings
-        # that split the oracle into blocks, ("jacobi",) the Jacobi report
+        # by every characteristic, ("oracle", char, degree, gens) the int
+        # dimensions of invariant spaces, ("symmetrize", polynomial) lifts,
+        # ("lie-generators", char, gens) generating subsets of gens,
+        # ("multigrading",) the gradings that split the oracle into blocks,
+        # ("jacobi",) the Jacobi report
         self.memo: dict = {}
 
     @property

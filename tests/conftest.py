@@ -1,10 +1,10 @@
 import json
 import os
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, groupby
 
 import pytest
 
-from liecenter import charp, invariants, liealg
+from liecenter import charp, invariants, liealg, linalg
 from liecenter import report as rep
 from liecenter.exactalg import (
     GF,
@@ -443,3 +443,83 @@ def reference_f4_layered_claims(t, F, p):
             )
         )
     return claims
+
+
+# -- the basis oracle: the reference for the oracle's dimensions ---------------
+
+
+def reference_oracle_basis(t, degree, gens, field):
+    """A basis of the degree-d invariants under ``gens``, with the packed-code
+    row fill of ``invariants.brute_force_invariant_space`` and the same
+    calls to ``lie_generators``, ``derive_multigrading``, ``saturates_mod``
+    and ``nullspace_*``, each null vector assembled into a ``Polynomial``
+    and a row-less block's columns taken as its basis; not memoized and not
+    capped: the reference for the oracle's dimension."""
+    char = field.characteristic
+    gens = liealg.lie_generators(t, tuple(gens), char)
+    dim = t.dim
+    place = [(degree + 1) ** v for v in range(dim)]
+    packed_grade = [0] * dim
+    for g in invariants.derive_multigrading(t):
+        lo = min(g)
+        base = degree * (max(g) - lo) + 1
+        packed_grade = [pg * base + w - lo for pg, w in zip(packed_grade, g)]
+    blocks = {}
+    for idx in combinations_with_replacement(range(dim), degree):
+        blocks.setdefault(sum(map(packed_grade.__getitem__, idx)), []).append(idx)
+    acts = [
+        tuple(
+            (gpos, place[w] - place[v], coeff)
+            for gpos, i in enumerate(gens)
+            for w, cw in t.rows[i].get(v, ())
+            if (coeff := cw % char if char else cw)
+        )
+        for v in range(dim)
+    ]
+    basis = []
+    for grade in sorted(blocks):
+        cols = blocks[grade]
+        ncols = len(cols)
+        by_target = [{} for _ in gens]
+        for cidx, idx in enumerate(cols):
+            code = sum(map(place.__getitem__, idx))
+            for v in idx:
+                for gpos, shift, cw in acts[v]:
+                    lines = by_target[gpos]
+                    line = lines.get(code + shift)
+                    if line is None:
+                        line = lines[code + shift] = [0] * ncols
+                    if char:
+                        line[cidx] = (line[cidx] + cw) % char
+                    else:
+                        line[cidx] += cw
+        dense = [line for lines in by_target for line in lines.values() if any(line)]
+        if dense and linalg.saturates_mod(dense, ncols, char or linalg.FILTER_PRIME):
+            continue
+        monos = [tuple((v, len(list(run))) for v, run in groupby(idx)) for idx in cols]
+        if not dense:
+            basis.extend(Polynomial(t.registry, field, {m: field.one}) for m in monos)
+            continue
+        null = linalg.nullspace_mod(dense, ncols, char) if char else linalg.nullspace_int(dense, ncols)
+        basis.extend(Polynomial.from_terms(t.registry, field, zip(monos, vec)) for vec in null)
+    return basis
+
+
+def reference_compare_with_generated(t, oracle_basis, generators, degree, field):
+    """The span of the degree-d generator products against the oracle basis
+    by three ranks, the oracle's, the products' and their union's: the
+    reference for ``invariants.compare_with_generated``, whose containment
+    test replaces the union rank."""
+    products = [p for p in invariants.degree_d_products(generators, degree) if not p.is_zero]
+    oracle_rows = [p.terms for p in oracle_basis]
+    generated_rows = [p.terms for p in products]
+    r_oracle = len(oracle_basis)
+    r_generated = linalg.rank(generated_rows, field)
+    r_union = linalg.rank(oracle_rows + generated_rows, field)
+    return {
+        "degree": degree,
+        "oracle_dim": r_oracle,
+        "generated_dim": r_generated,
+        "union_dim": r_union,
+        "equal": r_oracle == r_generated == r_union,
+    }

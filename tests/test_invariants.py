@@ -14,7 +14,15 @@ from liecenter.invariants import (
 )
 from liecenter.poisson import ad_apply, is_invariant, poisson_bracket
 
-from conftest import homogeneous_monomials, is_homogeneous, leading_monomial
+from conftest import (
+    homogeneous_monomials,
+    is_homogeneous,
+    leading_monomial,
+    reference_compare_with_generated,
+    reference_oracle_basis,
+    table_to_dict,
+    with_bracket,
+)
 
 
 class TestG2Family:
@@ -388,21 +396,23 @@ class TestOracle:
                     assert g[i] + g[j] == g[k]
 
     def test_g2_degree_one(self, g2n):
-        basis = brute_force_invariant_space(g2n, 1, g2n.nilradical, QQ)
-        assert len(basis) == 1
-        assert basis[0] == Polynomial.variable(g2n.registry, QQ, "x6")
+        assert brute_force_invariant_space(g2n, 1, g2n.nilradical, QQ) == 1
+        basis = reference_oracle_basis(g2n, 1, g2n.nilradical, QQ)
+        assert basis == [Polynomial.variable(g2n.registry, QQ, "x6")]
 
     def test_g2_degree_two(self, g2n):
-        basis = brute_force_invariant_space(g2n, 2, g2n.nilradical, QQ)
-        assert len(basis) == 2
+        assert brute_force_invariant_space(g2n, 2, g2n.nilradical, QQ) == 2
+        assert len(reference_oracle_basis(g2n, 2, g2n.nilradical, QQ)) == 2
 
     def test_f4_degree_two(self, f4n):
-        basis = brute_force_invariant_space(f4n, 2, f4n.nilradical, QQ)
-        assert len(basis) == 2
+        assert brute_force_invariant_space(f4n, 2, f4n.nilradical, QQ) == 2
+        assert len(reference_oracle_basis(f4n, 2, f4n.nilradical, QQ)) == 2
 
     def test_oracle_output_is_invariant(self, g2n):
         for d in (2, 3):
-            for f in brute_force_invariant_space(g2n, d, g2n.nilradical, QQ):
+            basis = reference_oracle_basis(g2n, d, g2n.nilradical, QQ)
+            assert brute_force_invariant_space(g2n, d, g2n.nilradical, QQ) == len(basis)
+            for f in basis:
                 ok, _ = is_invariant(g2n, f, g2n.nilradical)
                 assert ok and is_homogeneous(f) and f.total_degree() == d
 
@@ -417,8 +427,8 @@ class TestOracle:
         gens = [(name, g2n_fam.element(name)) for name in ("c1", "c2")]
         dims = []
         for d in range(1, 7):
-            basis = brute_force_invariant_space(g2n, d, g2n.nilradical, QQ)
-            res = compare_with_generated(g2n, basis, gens, d, QQ)
+            dim = brute_force_invariant_space(g2n, d, g2n.nilradical, QQ)
+            res = compare_with_generated(g2n, dim, gens, d, QQ, g2n.nilradical)
             assert res["equal"]
             dims.append(res["oracle_dim"])
         assert dims == [1, 2, 2, 3, 3, 4]
@@ -430,8 +440,8 @@ class TestOracle:
         gens = [("c1", fam.element("c1")), ("c2", fam.element("c2"))]
         dims = []
         for d in (1, 2):
-            basis = brute_force_invariant_space(nil, d, nil.nilradical, QQ)
-            res = compare_with_generated(nil, basis, gens, d, QQ)
+            dim = brute_force_invariant_space(nil, d, nil.nilradical, QQ)
+            res = compare_with_generated(nil, dim, gens, d, QQ, nil.nilradical)
             assert res["equal"]
             dims.append(res["oracle_dim"])
         assert dims == [1, 2]
@@ -442,7 +452,97 @@ class TestOracle:
         assert degree_d_products(gens, 4) == [c2**2, c1**2 * c2, c1**4]
 
     def test_compare_detects_mismatch(self, g2n, g2n_fam):
-        basis = brute_force_invariant_space(g2n, 2, g2n.nilradical, QQ)
-        res = compare_with_generated(g2n, basis, [("c1", g2n_fam.element("c1"))], 2, QQ)
-        assert not res["equal"]
+        dim = brute_force_invariant_space(g2n, 2, g2n.nilradical, QQ)
+        res = compare_with_generated(g2n, dim, [("c1", g2n_fam.element("c1"))], 2, QQ, g2n.nilradical)
+        assert not res["equal"] and res["contained"]
         assert res["generated_dim"] == 1 and res["oracle_dim"] == 2
+
+    def test_bracket_free_table_is_bounded(self, g2b):
+        # g2's labels with no brackets: every degree-8 monomial in the 8
+        # variables is its own row-less block, C(15, 7) of them, and the
+        # memo keeps their count, not a basis
+        data = table_to_dict(g2b)
+        data["brackets"] = []
+        t = liealg.table_from_dict(data)
+        assert brute_force_invariant_space(t, 8, t.nilradical, QQ) == 6435
+        assert type(t.memo[("oracle", 0, 8, tuple(t.nilradical))]) is int
+
+
+def _catalog_borels():
+    yield "g2", liealg.g2_borel, (5, 7)
+    yield "f4", liealg.f4_borel, (3, 5, 7)
+    for n in range(2, 6):
+        yield f"c{n}", lambda n=n: liealg.cn_borel(n), (3, 5, 7)
+
+
+def _dimension_cases():
+    for name, build, primes in _catalog_borels():
+        for level in ("nil", "borel"):
+            for char in (0, *primes):
+                yield pytest.param(build, level, char, id=f"{name}-{level}-char{char}")
+
+
+@pytest.mark.parametrize("build, level, char", _dimension_cases())
+def test_oracle_dimension_is_the_reference_basis_length(build, level, char):
+    """The oracle's dimension against the length of the basis the reference
+    builds, under the nilradical and under every basis element, up to the
+    family's default degree."""
+    field = GF(char) if char else QQ
+    t = build()
+    t = liealg.nilradical_table(t) if level == "nil" else liealg.StructureTable(
+        t.name, t.registry, t.brackets, t.cartan, t.nilradical, t.excluded_primes
+    )
+    for gens in {tuple(t.nilradical), tuple(range(t.dim))}:
+        for d in range(1, invariants.oracle_degree(t) + 1):
+            dim = brute_force_invariant_space(t, d, gens, field)
+            assert dim == len(reference_oracle_basis(t, d, gens, field)), (t.name, gens, d)
+
+
+def _broken_g2():
+    # [x1, x3] = -3*x5 breaks the Jacobi identity, so the invariants change
+    return liealg.nilradical_table(with_bracket(liealg.g2_borel(), "x1", "x3", "-3*x5"))
+
+
+def _compare_cases():
+    for name, build, char in (
+        ("g2-nil", lambda: liealg.nilradical_table(liealg.g2_borel()), 0),
+        ("g2-nil", lambda: liealg.nilradical_table(liealg.g2_borel()), 5),
+        ("f4-nil", lambda: liealg.nilradical_table(liealg.f4_borel()), 0),
+        ("f4-nil", lambda: liealg.nilradical_table(liealg.f4_borel()), 3),
+        ("g2-broken", _broken_g2, 0),
+        ("g2-broken", _broken_g2, 5),
+    ):
+        yield pytest.param(build, char, id=f"{name}-char{char}")
+
+
+@pytest.mark.parametrize("build, char", _compare_cases())
+def test_comparison_matches_the_union_rank_reference(build, char):
+    """``oracle_dim``, ``generated_dim`` and ``equal`` against the union-rank
+    reference, with the family's generators and with its degree-1 generator
+    replaced by a non-invariant variable, so that at degree 1 the dimensions
+    agree and only containment fails; on the table with a broken bracket
+    the family's own generators are no longer all invariant."""
+    from liecenter import charp
+
+    field = GF(char) if char else QQ
+    t = build()
+    own = charp.invariant_generators(t, invariants.build_family(t), field)
+    x = next(
+        Polynomial.variable(t.registry, field, i)
+        for i in t.nilradical
+        if not is_invariant(t, Polynomial.variable(t.registry, field, i), t.nilradical)[0]
+    )
+    spoiled = [(str(x), x) if poly.total_degree() == 1 else (n, poly) for n, poly in own]
+    fields = ("degree", "oracle_dim", "generated_dim", "equal")
+    for generators in (own, spoiled):
+        verdicts = []
+        for d in range(1, 4):
+            dim = brute_force_invariant_space(t, d, t.nilradical, field)
+            got = compare_with_generated(t, dim, generators, d, field, t.nilradical)
+            basis = reference_oracle_basis(t, d, t.nilradical, field)
+            want = reference_compare_with_generated(t, basis, generators, d, field)
+            assert [got[k] for k in fields] == [want[k] for k in fields], (t.name, d)
+            assert got["contained"] == (want["union_dim"] == want["oracle_dim"])
+            verdicts.append(got)
+        assert all(res["equal"] for res in verdicts) == (generators is own and "mutated" not in t.name)
+    assert verdicts[0]["oracle_dim"] == verdicts[0]["generated_dim"] and not verdicts[0]["contained"]

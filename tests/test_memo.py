@@ -1,6 +1,6 @@
 """The per-table memo (``StructureTable.memo``) against fresh computation.
 
-Oracle spaces, symmetrized lifts, the derived multigrading and the Jacobi
+Oracle dimensions, symmetrized lifts, the derived multigrading and the Jacobi
 report are computed once per table; a result
 served from a warm memo must equal the one a newly built table computes.
 Each builder in ``CASES`` returns a new table, with an empty memo, on every
@@ -15,7 +15,7 @@ from liecenter.exactalg import GF, QQ
 from liecenter.invariants import brute_force_invariant_space
 from liecenter.pbw import CharacteristicObstruction, symmetrize, z_lift_audit
 
-from conftest import save_table, with_bracket
+from conftest import reference_oracle_basis, save_table, with_bracket
 
 # algebra -> (new-table builder, admissible prime, highest oracle degree)
 CASES = {
@@ -36,9 +36,11 @@ def test_oracle_space_memo_matches_fresh_table(name):
         for d in range(1, top + 1):
             first = brute_force_invariant_space(warm, d, warm.nilradical, field)
             again = brute_force_invariant_space(warm, d, warm.nilradical, field)
-            assert len(again) == len(first) and all(a is b for a, b in zip(again, first))
+            assert again == first and type(first) is int
+            assert warm.memo[("oracle", field.characteristic, d, tuple(warm.nilradical))] == first
             fresh = build()
             assert again == brute_force_invariant_space(fresh, d, fresh.nilradical, field)
+            assert again == len(reference_oracle_basis(build(), d, fresh.nilradical, field))
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -4,7 +4,9 @@ the tuple-keyed assembly they replace.
 ``reference_invariant_space`` keys each row by the generator and the image
 monomial as a tuple, built by ``mono_div_var``/``mono_mul_var``, and reduces
 every update into the field.  The oracle must hand ``linalg.saturates_mod``
-the same dense rows, in the same order, and return the same basis.
+the same dense rows, in the same order, and return the length of its
+basis; the packed-code basis oracle ``conftest.reference_oracle_basis``
+must return that basis itself.
 """
 
 from math import gcd
@@ -15,7 +17,13 @@ from liecenter import invariants, linalg, liealg
 from liecenter.exactalg import GF, QQ, Polynomial, mono_div_var, mono_mul_var
 from liecenter.invariants import brute_force_invariant_space, oracle_degree
 
-from conftest import homogeneous_monomials, mono_grade, reference_bracket_row, table_to_dict
+from conftest import (
+    homogeneous_monomials,
+    mono_grade,
+    reference_bracket_row,
+    reference_oracle_basis,
+    table_to_dict,
+)
 
 
 def scaled_rows(t, gens, char):
@@ -161,5 +169,8 @@ def test_rows_and_basis_match_the_tuple_keyed_assembly(name, level, char, monkey
         monkeypatch.setattr(linalg, "saturates_mod", record)
         got = brute_force_invariant_space(t, d, t.nilradical, field)
         monkeypatch.setattr(linalg, "saturates_mod", replay)
-        assert got == reference_invariant_space(t, d, t.nilradical, field), (t.name, d)
+        want = reference_invariant_space(t, d, t.nilradical, field)
         assert not calls, (t.name, d)
+        monkeypatch.setattr(linalg, "saturates_mod", saturates_mod)
+        assert got == len(want), (t.name, d)
+        assert reference_oracle_basis(t, d, t.nilradical, field) == want, (t.name, d)

@@ -68,6 +68,12 @@ def oracle_counts(counts):
     )
 
 
+def kernel_calls(counts):
+    # a kernel never called has no entry; nullspace_int also derives the
+    # multigrading once per table
+    return tuple(counts.get(name, 0) for name in ("linalg.nullspace_int", "linalg.nullspace_mod"))
+
+
 def test_oracle_shape_hook_reads_the_solver_rows(tmp_path):
     # the hook counts dense entries and nonzeros from the rows the oracle
     # hands to linalg.saturates_mod; rows of another shape fail here, and
@@ -77,8 +83,10 @@ def test_oracle_shape_hook_reads_the_solver_rows(tmp_path):
     assert dense > 0
     assert 0 < counts["invariants.oracle.nonzeros"] <= dense
     assert oracle_counts(counts) == (8307, 2310, 315, 306)
+    assert kernel_calls(counts) == (10, 0)
 
 
 def test_oracle_hook_counts_on_a_borel_table(tmp_path):
     counts = traced_counts(tmp_path, "--algebra", "cn-borel", "--n", "3", "--suites", "oracle")
     assert oracle_counts(counts) == (5867, 1365, 136, 133)
+    assert kernel_calls(counts) == (4, 0)
