@@ -324,6 +324,18 @@ class TestTheoremAudit:
         trivial = [c for c in claims if ".trivial." in c.claim_id]
         assert trivial and all(c.status == "verified" for c in trivial)
 
+    def test_bracket_free_borel_reports_the_dimension(self, g2b):
+        # with no brackets every polynomial is invariant: each triviality
+        # claim fails with the dimension of the degree-d space, C(7 + d, d)
+        data = conftest.table_to_dict(g2b)
+        data["brackets"] = []
+        t = liealg.table_from_dict(data)
+        claims = theorem_generator_audit(t, invariants.build_family(t), 0)
+        trivial = [c for c in claims if ".poisson-center.char0.trivial." in c.claim_id]
+        assert [(c.passed, c.residual) for c in trivial] == [
+            (False, "dimension 8"), (False, "dimension 36"), (False, "dimension 120")
+        ]
+
     def test_excluded_characteristic(self, g2n, g2n_fam):
         with pytest.raises(ValueError):
             theorem_generator_audit(g2n, g2n_fam, 3)

@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement, groupby
 
 import pytest
 
-from liecenter import invariants, liealg
+from liecenter import charp, invariants, liealg
 from liecenter.exactalg import GF, QQ, Polynomial, parse_polynomial, poly_det
 from liecenter.invariants import (
     OracleCapExceeded,
@@ -503,29 +503,39 @@ def _broken_g2():
     return liealg.nilradical_table(with_bracket(liealg.g2_borel(), "x1", "x3", "-3*x5"))
 
 
-def _compare_cases():
-    for name, build, char in (
-        ("g2-nil", lambda: liealg.nilradical_table(liealg.g2_borel()), 0),
-        ("g2-nil", lambda: liealg.nilradical_table(liealg.g2_borel()), 5),
-        ("f4-nil", lambda: liealg.nilradical_table(liealg.f4_borel()), 0),
-        ("f4-nil", lambda: liealg.nilradical_table(liealg.f4_borel()), 3),
-        ("g2-broken", _broken_g2, 0),
-        ("g2-broken", _broken_g2, 5),
-    ):
-        yield pytest.param(build, char, id=f"{name}-char{char}")
+# name -> (table builder, characteristics)
+COMPARE_TABLES = {
+    "g2-nil": (lambda: liealg.nilradical_table(liealg.g2_borel()), (0, 5)),
+    "f4-nil": (lambda: liealg.nilradical_table(liealg.f4_borel()), (0, 3)),
+    "g2-broken": (_broken_g2, (0, 5)),
+}
 
 
-@pytest.mark.parametrize("build, char", _compare_cases())
-def test_comparison_matches_the_union_rank_reference(build, char):
-    """``oracle_dim``, ``generated_dim`` and ``equal`` against the union-rank
-    reference, with the family's generators and with its degree-1 generator
+def compared(t, gens, generators, d, field):
+    """The comparison at degree d, asserted to agree with the union-rank
+    reference on the reference's basis."""
+    got = compare_with_generated(
+        t, brute_force_invariant_space(t, d, gens, field), generators, d, field, gens
+    )
+    want = reference_compare_with_generated(
+        t, reference_oracle_basis(t, d, gens, field), generators, d, field
+    )
+    fields = ("degree", "oracle_dim", "generated_dim", "equal")
+    assert [got[k] for k in fields] == [want[k] for k in fields], (t.name, d)
+    assert got["contained"] == (want["union_dim"] == want["oracle_dim"]), (t.name, d)
+    return got
+
+
+@pytest.mark.parametrize(
+    "name, char", [(name, char) for name, (_, chars) in COMPARE_TABLES.items() for char in chars]
+)
+def test_comparison_matches_the_union_rank_reference(name, char):
+    """With the family's generators, and with its degree-1 generator
     replaced by a non-invariant variable, so that at degree 1 the dimensions
     agree and only containment fails; on the table with a broken bracket
     the family's own generators are no longer all invariant."""
-    from liecenter import charp
-
     field = GF(char) if char else QQ
-    t = build()
+    t = COMPARE_TABLES[name][0]()
     own = charp.invariant_generators(t, invariants.build_family(t), field)
     x = next(
         Polynomial.variable(t.registry, field, i)
@@ -533,16 +543,19 @@ def test_comparison_matches_the_union_rank_reference(build, char):
         if not is_invariant(t, Polynomial.variable(t.registry, field, i), t.nilradical)[0]
     )
     spoiled = [(str(x), x) if poly.total_degree() == 1 else (n, poly) for n, poly in own]
-    fields = ("degree", "oracle_dim", "generated_dim", "equal")
     for generators in (own, spoiled):
-        verdicts = []
-        for d in range(1, 4):
-            dim = brute_force_invariant_space(t, d, t.nilradical, field)
-            got = compare_with_generated(t, dim, generators, d, field, t.nilradical)
-            basis = reference_oracle_basis(t, d, t.nilradical, field)
-            want = reference_compare_with_generated(t, basis, generators, d, field)
-            assert [got[k] for k in fields] == [want[k] for k in fields], (t.name, d)
-            assert got["contained"] == (want["union_dim"] == want["oracle_dim"])
-            verdicts.append(got)
-        assert all(res["equal"] for res in verdicts) == (generators is own and "mutated" not in t.name)
-    assert verdicts[0]["oracle_dim"] == verdicts[0]["generated_dim"] and not verdicts[0]["contained"]
+        results = [compared(t, t.nilradical, generators, d, field) for d in range(1, 4)]
+        assert all(res["equal"] for res in results) == (generators is own and name != "g2-broken")
+    assert results[0]["oracle_dim"] == results[0]["generated_dim"] and not results[0]["contained"]
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_comparison_under_every_basis_element(g2b, char):
+    """The G2 Borel algebra under all of its basis elements: c1 and c2 are
+    Cartan weight vectors, invariant under the nilradical only, so the
+    containment must be decided under the generators the space is taken
+    under, as the union-rank reference decides it."""
+    field = GF(char) if char else QQ
+    generators = charp.invariant_generators(g2b, invariants.build_family(g2b), field)
+    for d in range(1, 4):
+        assert not compared(g2b, tuple(range(g2b.dim)), generators, d, field)["contained"]
