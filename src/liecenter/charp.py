@@ -16,8 +16,9 @@ records and never name one.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import report as rep
 from .exactalg import (
@@ -261,146 +262,197 @@ def central_lift(
 # Theorem generator audits
 # ---------------------------------------------------------------------------
 
-def _audit_invariant_generators(
-    t: StructureTable,
-    claims: list,
-    prefix: str,
-    generators: Sequence[tuple[str, Polynomial]],
-    gens_idx: Sequence[int],
-    scope: str,
-) -> None:
-    for name, poly in generators:
-        ok, bad = is_invariant(t, poly, gens_idx)
-        claims.append(
-            rep.check(
-                f"{prefix}.gen.{name}.invariant",
-                f"generator {name} is {scope}-invariant",
-                ok,
-                witness=None if ok else t.label(bad),
-            )
-        )
+
+class _Generator(NamedTuple):
+    """A claimed generator; a lift also names what it lifts and how it was
+    built, and has no element when no construction applies."""
+
+    name: str
+    element: Union[Polynomial, PBWElement, None]
+    source: Optional[str] = None
+    how: Optional[str] = None
 
 
-def _audit_central_generators(
-    t: StructureTable,
-    claims: list,
-    prefix: str,
-    elements: Sequence[tuple[str, PBWElement]],
-    gens_idx: Sequence[int],
-) -> None:
-    for name, elt in elements:
-        ok, bad = is_central_u(t, elt, gens_idx)
-        claims.append(
-            rep.check(
-                f"{prefix}.gen.{name}.central",
-                f"generator {name} commutes with every generator of the enveloping algebra",
-                ok,
-                witness=None if ok else t.label(bad),
-            )
-        )
+def _p_powers(t: StructureTable, fam: InvariantFamily, field: Field) -> list[tuple]:
+    p = field.characteristic
+    return [(f"{t.label(i)}^{p}", Polynomial.variable(t.registry, field, i) ** p) for i in range(t.dim)]
 
 
-def _audit_completeness(claims: list, prefix: str, results: Sequence[dict], statement: str) -> None:
-    """One claim per oracle_suite result: the degree-d invariant space equals
-    the generated span; ``statement`` is formatted with the result's fields."""
-    for res in results:
-        claims.append(
-            rep.check(
-                f"{prefix}.complete.deg{res['degree']}",
-                statement.format(**res),
-                res["equal"],
-                residual=None if res["equal"] else str(res),
-            )
-        )
+def _lifts(t: StructureTable, fam: InvariantFamily, field: Field) -> list[tuple]:
+    out = []
+    for name in fam.central:
+        lift, how = central_lift(t, fam, name, field)
+        out.append(("z" + name[1:], lift, name, how))
+    return out
 
 
-def _asserted_generation(prefix: str, ring: str, note: str) -> rep.Claim:
-    return rep.asserted(
-        f"{prefix}.generation",
-        f"the listed generators generate {ring} in every degree",
-        note=note,
-    )
+def _p_center_and_lifts(t: StructureTable, fam: InvariantFamily, field: Field) -> list[tuple]:
+    return p_center_elements(t, field, exempt=c1_label(t)) + _lifts(t, fam, field)
 
 
-def theorem_generator_audit(
-    t: StructureTable,
-    fam: InvariantFamily,
-    char: int,
-    max_degree: Optional[int] = None,
-) -> list[rep.Claim]:
-    """Assemble each structural theorem's claimed generator set at this
-    characteristic and verify every generator's defining property, plus
-    low-degree completeness through the brute-force oracle; the
-    generation-in-all-degrees statements are recorded as asserted, never
-    silently assumed."""
-    t.check_characteristic(char)
-    field = field_of_characteristic(char)
-    claims: list[rep.Claim] = []
-    cap = oracle_degree(t, max_degree)
-    gens = invariant_generators(t, fam, field)
+class _Audit(NamedTuple):
+    """What the checks of one statement read."""
 
-    if not t.cartan:
-        # Poisson center of the symmetric algebra of the nilradical
-        prefix = f"{t.name}.audit.poisson-center.char{char}"
-        if char:
-            claims.append(
-                rep.check(
-                    f"{prefix}.gen-count",
-                    f"the p-power generator list has {len(t.nilradical)} entries",
-                    len(sp_generators(t, char)) == len(t.nilradical),
-                )
-            )
-        _audit_invariant_generators(t, claims, prefix, gens, t.nilradical, "nilradical")
-        results = oracle_suite(t, gens, range(1, cap + 1), field)[1]
-        _audit_completeness(claims, prefix, results, "degree-{degree} invariants (dim {oracle_dim}) all lie in the generated span")
-        claims.append(
-            _asserted_generation(
-                prefix,
-                "the Poisson center",
-                f"verified mechanically up to degree {cap}; higher degrees rest on the source's normality argument",
-            )
-        )
+    t: StructureTable
+    fam: InvariantFamily
+    field: Field
+    prefix: str
+    under: list[int]  # the basis indices invariance and centrality are taken under
+    statement: "_Statement"
 
-        # center of the enveloping algebra
-        prefix = f"{t.name}.audit.u-center.char{char}"
-        z_elements = p_center_elements(t, field, exempt=c1_label(t)) if char else []
-        for name in fam.central:
-            lift, how = central_lift(t, fam, name, field)
-            zname = "z" + name[1:]
-            if lift is None:
-                claims.append(
-                    rep.asserted(
-                        f"{prefix}.gen.{zname}.central",
-                        f"a central lift {zname} of {name} exists",
-                        note=how,
-                    )
-                )
+
+# A check of one generator: (claim-id suffix, statement, verdict, index of a
+# failing basis element or None), or None when it does not apply.
+
+
+def _invariant(a: _Audit, g: _Generator):
+    ok, bad = is_invariant(a.t, g.element, a.under)
+    return "invariant", f"generator {g.name} is {a.statement.under}-invariant", ok, bad
+
+
+def _weight_vector(a: _Audit, g: _Generator):
+    weights, bad = weight_of(a.t, g.element)
+    return "weight-vector", f"generator {g.name} is a simultaneous Cartan eigenvector", weights is not None, bad
+
+
+def _central(a: _Audit, g: _Generator):
+    ok, bad = is_central_u(a.t, g.element, a.under)
+    return "central", f"generator {g.name} commutes with every generator of the enveloping algebra", ok, bad
+
+
+def _semi_central(a: _Audit, g: _Generator):
+    ok, bad = is_central_u(a.t, g.element, a.under)
+    lams = [eigenvalue(g.element, commutator_with_basis(a.t, k, g.element)) for k in a.t.cartan]
+    weighted = None not in lams and any(lam != a.field.zero for lam in lams)
+    statement = f"{g.name} commutes with the nilradical and is a Cartan eigenvector with nonzero weight"
+    return "semi-central", statement, ok and weighted, bad
+
+
+def _gr(a: _Audit, g: _Generator):
+    if g.source is None:
+        return None
+    return "gr", f"gr({g.name}) = {g.source}", gr_leading(g.element) == a.fam.element(g.source, a.field), None
+
+
+def _each(*checks):
+    """A step that runs the checks on one generator before the next.  A
+    lift's first claim says how the lift was built; a lift that could not be
+    built is recorded as asserted instead."""
+
+    def step(a: _Audit, gens: Sequence[_Generator]):
+        for g in gens:
+            how = g.how
+            if g.element is None:
+                prop = "semi-central" if a.statement.semi else "central"
+                claim_id = f"{a.prefix}.gen.{g.name}.{prop}"
+                yield rep.asserted(claim_id, f"a {prop} lift {g.name} of {g.source} exists", note=how)
                 continue
-            z_elements.append((zname, lift))
-            claims.append(
-                rep.check(
-                    f"{prefix}.gen.{zname}.gr",
-                    f"gr({zname}) = {name} ({how})",
-                    gr_leading(lift) == fam.element(name, field),
-                )
-            )
-        _audit_central_generators(t, claims, prefix, z_elements, t.nilradical)
-        claims.append(
-            _asserted_generation(
-                prefix,
-                "the center of the enveloping algebra",
-                "follows from the graded comparison with the symmetric-algebra side",
-            )
+            for check in checks:
+                result = check(a, g)
+                if result is None:
+                    continue
+                suffix, statement, ok, bad = result
+                if how:
+                    statement, how = f"{statement} ({how})", None
+                witness = None if bad is None else a.t.label(bad)
+                yield rep.check(f"{a.prefix}.gen.{g.name}.{suffix}", statement, ok, witness=witness)
+
+    return step
+
+
+def _pairings(a: _Audit, gens: Sequence[_Generator]):
+    for name, h in a.fam.nonzero_pairings:
+        lam = cartan_eigenvalue(a.t, h, a.fam.element(name, a.field))
+        yield rep.check(
+            f"{a.prefix}.pairing.{name}.{h}",
+            f"{{{h}, {name}}} is a nonzero multiple of {name}",
+            lam is not None and lam != a.field.zero,
+            residual=f"eigenvalue {lam}",
         )
-        return claims
 
-    # Borel level -------------------------------------------------------------
-    all_idx = list(range(t.dim))
-    nil_idx = list(t.nilradical)
 
-    # split equations and derived-subalgebra witnesses behind the
-    # semicenter = nilradical-invariants identity
+@dataclass(frozen=True)
+class _Statement:
+    """One structural theorem: the generators it claims for one ring at one
+    level, how each generator is checked, how far the oracle checks that they
+    generate, and what is asserted beyond that."""
+
+    ring: str  # "S", the symmetric algebra with its Poisson bracket, or "U"
+    borel: bool  # the Borel algebra, else its nilradical
+    semi: bool  # the semicenter, else the center
+    # the generator providers at characteristic 0 and at p; None where the
+    # center is trivial, which the oracle then checks degree by degree
+    generators: tuple
+    checks: tuple = ()  # steps over the generators, in claim order
+    under: str = "nilradical"  # or "Borel": what invariance and the oracle are taken under
+    degree: Optional[int] = None  # the oracle's top degree, at most the cap; None: the cap
+    complete: Optional[str] = None  # a completeness claim, formatted with the oracle's result
+    trivial: Optional[str] = None  # a triviality claim, formatted with the degree
+    note: str = "follows from the graded comparison"  # on the asserted generation
+    trivial_note: Optional[str] = None  # the note where the center is trivial, if another
+    # at characteristic p: the statement of the generator-count claim and
+    # the list length it compares with the dimension
+    count: Optional[tuple[str, Callable]] = None
+
+
+_STATEMENTS = (
+    _Statement(
+        "S", borel=False, semi=False,
+        generators=(invariant_generators, invariant_generators),
+        checks=(_each(_invariant),),
+        complete="degree-{degree} invariants (dim {oracle_dim}) all lie in the generated span",
+        note="verified mechanically up to degree {degree}; higher degrees rest on the source's normality argument",
+        count=("the p-power generator list has {} entries", lambda t, p, gens: len(sp_generators(t, p))),
+    ),
+    _Statement(
+        "U", borel=False, semi=False,
+        generators=(_lifts, _p_center_and_lifts),
+        checks=(_each(_gr), _each(_central)),
+        note="follows from the graded comparison with the symmetric-algebra side",
+    ),
+    _Statement(
+        "S", borel=True, semi=False,
+        generators=(None, _p_powers),
+        checks=(_each(_invariant),),
+        under="Borel",
+        degree=3,
+        complete="degree-{degree} Borel invariants (dim {oracle_dim}) equal the p-power span",
+        trivial="no nonconstant Borel-invariant polynomial exists in degree {degree}",
+        note="verified mechanically up to degree {degree}",
+        count=("the claimed generator list has {} entries", lambda t, p, gens: len(gens)),
+    ),
+    _Statement(
+        "S", borel=True, semi=True,
+        generators=(invariant_generators, invariant_generators),
+        checks=(_each(_invariant), _each(_weight_vector), _pairings),
+        degree=3,
+        complete="degree-{degree} nilradical invariants of the Borel (dim {oracle_dim}) equal the generated span",
+        note="verified mechanically up to degree {degree}",
+        count=("the Borel-level p-power list has {} entries", lambda t, p, gens: len(sp_generators(t, p))),
+    ),
+    _Statement(
+        "U", borel=True, semi=False,
+        generators=(None, lambda t, fam, field: p_center_elements(t, field)),
+        checks=(_each(_central),),
+        under="Borel",
+        degree=1,
+        trivial="no degree-one element of the enveloping algebra is central",
+        trivial_note="verified mechanically in filtration degree {degree}",
+        count=("the extended p-center generator list has {} entries", lambda t, p, gens: len(gens)),
+    ),
+    _Statement(
+        "U", borel=True, semi=True,
+        generators=(_lifts, _lifts),
+        checks=(_each(_semi_central, _gr),),
+    ),
+)
+
+
+def _split_claims(t: StructureTable, char: int) -> list[rep.Claim]:
+    """The split equations and derived-subalgebra witness behind the
+    semicenter = nilradical-invariants identity."""
     prefix = f"{t.name}.audit.split.char{char}"
+    claims = []
     if char:
         claims.append(
             rep.check(
@@ -410,158 +462,94 @@ def theorem_generator_audit(
             )
         )
     derived_rank = rank((dict(entry) for entry in t.brackets.values()), QQ)
+    nil = len(t.nilradical)
     claims.append(
         rep.check(
             f"{prefix}.derived-subalgebra",
             "the brackets span exactly the nilradical",
-            derived_rank == len(nil_idx),
-            residual=f"rank {derived_rank} != {len(nil_idx)}" if derived_rank != len(nil_idx) else None,
+            derived_rank == nil,
+            residual=f"rank {derived_rank} != {nil}" if derived_rank != nil else None,
         )
     )
+    return claims
 
-    # completeness over the Borel registry is checked to lower degree than at
-    # the nilradical level: the Cartan variables are grade-zero in every
-    # bracket-compatible grading, so the solver blocks grow quickly
-    bcap = min(cap, 3)
 
-    # Poisson center of S(B)
-    prefix = f"{t.name}.audit.poisson-center.char{char}"
-    if char:
-        power_gens = [
-            (f"{t.label(i)}^{char}", Polynomial.variable(t.registry, field, i) ** char)
-            for i in all_idx
-        ]
-        claims.append(
-            rep.check(
-                f"{prefix}.gen-count",
-                f"the claimed generator list has {t.dim} entries",
-                len(power_gens) == t.dim,
-            )
-        )
-        _audit_invariant_generators(t, claims, prefix, power_gens, all_idx, "Borel")
-        results = oracle_suite(t, power_gens, range(1, min(bcap, char + 1) + 1), field, gens=all_idx)[1]
-        _audit_completeness(claims, prefix, results, "degree-{degree} Borel invariants (dim {oracle_dim}) equal the p-power span")
-        claims.append(
-            _asserted_generation(prefix, "the Poisson center of the Borel", f"verified mechanically up to degree {min(bcap, char + 1)}")
-        )
-    else:
-        for d in range(1, bcap + 1):
-            dim = brute_force_invariant_space(t, d, all_idx, field)
-            claims.append(
-                rep.check(
-                    f"{prefix}.trivial.deg{d}",
-                    f"no nonconstant Borel-invariant polynomial exists in degree {d}",
-                    not dim,
-                    residual=f"dimension {dim}" if dim else None,
-                )
-            )
-        claims.append(
-            _asserted_generation(prefix, "the (trivial) Poisson center of the Borel", f"verified mechanically up to degree {bcap}")
-        )
+def theorem_generator_audit(
+    t: StructureTable,
+    fam: InvariantFamily,
+    char: int,
+    max_degree: Optional[int] = None,
+) -> list[rep.Claim]:
+    """Check the structural theorems' claimed generators at this
+    characteristic: every generator's defining property, completeness in low
+    degrees through the brute-force oracle, and generation in all degrees
+    recorded as asserted, never silently assumed.
 
-    # semicenter of S(B): nilradical invariants with Cartan weights
-    prefix = f"{t.name}.audit.semicenter.char{char}"
-    if char:
-        expected_count = len(nil_idx) + len(t.cartan)
-        claims.append(
-            rep.check(
-                f"{prefix}.gen-count",
-                f"the Borel-level p-power list has {expected_count} entries",
-                len(sp_generators(t, char)) == expected_count,
-            )
-        )
-    _audit_invariant_generators(t, claims, prefix, gens, nil_idx, "nilradical")
-    for name, poly in gens:
-        weights, bad = weight_of(t, poly)
-        claims.append(
-            rep.check(
-                f"{prefix}.gen.{name}.weight-vector",
-                f"generator {name} is a simultaneous Cartan eigenvector",
-                weights is not None,
-                witness=None if weights is not None else t.label(bad),
-            )
-        )
-    for name, h_label in fam.nonzero_pairings:
-        lam = cartan_eigenvalue(t, h_label, fam.element(name, field))
-        claims.append(
-            rep.check(
-                f"{prefix}.pairing.{name}.{h_label}",
-                f"{{{h_label}, {name}}} is a nonzero multiple of {name}",
-                lam is not None and lam != field.zero,
-                residual=f"eigenvalue {lam}",
-            )
-        )
-    results = oracle_suite(t, gens, range(1, bcap + 1), field)[1]
-    _audit_completeness(claims, prefix, results, "degree-{degree} nilradical invariants of the Borel (dim {oracle_dim}) equal the generated span")
-    claims.append(
-        _asserted_generation(prefix, "the Poisson semicenter of the Borel", f"verified mechanically up to degree {bcap}")
-    )
-
-    # center and semicenter of U(B)
-    prefix = f"{t.name}.audit.u-center.char{char}"
-    if char:
-        central_elements = p_center_elements(t, field)
-        claims.append(
-            rep.check(
-                f"{prefix}.gen-count",
-                f"the extended p-center generator list has {t.dim} entries",
-                len(central_elements) == t.dim,
-            )
-        )
-        _audit_central_generators(t, claims, prefix, central_elements, all_idx)
-        claims.append(
-            _asserted_generation(prefix, "the center of the enveloping algebra of the Borel", "follows from the graded comparison")
-        )
-    else:
-        claims.append(
-            rep.check(
-                f"{prefix}.trivial.deg1",
-                "no degree-one element of the enveloping algebra is central",
-                not [
-                    i
-                    for i in all_idx
-                    if is_central_u(
-                        t, PBWElement.variable(t.registry, field, i), all_idx
-                    )[0]
-                ],
-            )
-        )
-        claims.append(
-            _asserted_generation(prefix, "the (trivial) center of the enveloping algebra of the Borel", "verified mechanically in filtration degree 1")
-        )
-
-    prefix = f"{t.name}.audit.u-semicenter.char{char}"
-    for name in fam.central:
-        lift, how = central_lift(t, fam, name, field)
-        zname = "z" + name[1:]
-        if lift is None:
-            claims.append(
-                rep.asserted(
-                    f"{prefix}.gen.{zname}.semi-central",
-                    f"a semi-central lift {zname} of {name} exists",
-                    note=how,
-                )
-            )
+    At the nilradical level: the Poisson center of S(n), generated by the
+    family's central elements (at p: the p-th powers, c1 itself, and the
+    c_i for i >= 2), complete up to the oracle cap; and the center of U(n),
+    generated by the central lifts z_i of the c_i (at p, with the x^p).
+    At the Borel level, after the split equations: the Poisson center of
+    S(b), trivial at characteristic 0 and generated by the p-th powers at p;
+    the Poisson semicenter, generated by the nilradical invariants, each a
+    Cartan weight vector with its recorded nonzero pairings; the center of
+    U(b), trivial at characteristic 0 (no central element of b, decided on
+    the span) and the p-center at p; and the semicenter of U(b), generated
+    by semi-central lifts.  The Borel-level oracle stops at degree 3, or the
+    cap if lower: the grade-zero Cartan variables grow its blocks quickly.
+    """
+    t.check_characteristic(char)
+    field = field_of_characteristic(char)
+    cap = oracle_degree(t, max_degree)
+    claims = _split_claims(t, char) if t.cartan else []
+    for st in _STATEMENTS:
+        if st.borel != bool(t.cartan):
             continue
-        ok, bad = is_central_u(t, lift, nil_idx)
-        lams = [eigenvalue(lift, commutator_with_basis(t, k, lift)) for k in t.cartan]
+        kind = "semicenter" if st.semi else "center"
+        section = ("u-" if st.ring == "U" else "" if st.semi else "poisson-") + kind
+        prefix = f"{t.name}.audit.{section}.char{char}"
+        provider = st.generators[bool(char)]
+        gens = [_Generator(*g) for g in provider(t, fam, field)] if provider else []
+        under = list(range(t.dim)) if st.under == "Borel" else list(t.nilradical)
+        if char and st.count:
+            text, size = st.count
+            claims.append(rep.check(f"{prefix}.gen-count", text.format(t.dim), size(t, char, gens) == t.dim))
+        audit = _Audit(t, fam, field, prefix, under, st)
+        for step in st.checks:
+            claims.extend(step(audit, gens))
+            # a lift's construction, or its absence, is reported once
+            gens = [g._replace(how=None) for g in gens if g.element is not None]
+        degree = cap if st.degree is None else min(cap, st.degree)
+        if provider is None:
+            for d in range(1, degree + 1):
+                dim = brute_force_invariant_space(t, d, under, field)
+                claims.append(
+                    rep.check(
+                        f"{prefix}.trivial.deg{d}",
+                        st.trivial.format(degree=d),
+                        not dim,
+                        residual=f"dimension {dim}" if dim else None,
+                    )
+                )
+        elif st.complete:
+            polys = [(g.name, g.element) for g in gens]
+            for res in oracle_suite(t, polys, range(1, degree + 1), field, gens=under)[1]:
+                claims.append(
+                    rep.check(
+                        f"{prefix}.complete.deg{res['degree']}",
+                        st.complete.format(**res),
+                        res["equal"],
+                        residual=None if res["equal"] else str(res),
+                    )
+                )
+        ring = f"Poisson {kind}" if st.ring == "S" else f"{kind} of the enveloping algebra"
+        ring = ("the (trivial) " if provider is None else "the ") + ring + (" of the Borel" if st.borel else "")
+        note = (provider is None and st.trivial_note) or st.note
         claims.append(
-            rep.check(
-                f"{prefix}.gen.{zname}.semi-central",
-                f"{zname} commutes with the nilradical and is a Cartan eigenvector "
-                f"with nonzero weight ({how})",
-                ok and None not in lams and any(lam != field.zero for lam in lams),
-                witness=None if ok else t.label(bad),
+            rep.asserted(
+                f"{prefix}.generation",
+                f"the listed generators generate {ring} in every degree",
+                note=note.format(degree=degree),
             )
         )
-        claims.append(
-            rep.check(
-                f"{prefix}.gen.{zname}.gr",
-                f"gr({zname}) = {name}",
-                gr_leading(lift) == fam.element(name, field),
-            )
-        )
-    claims.append(
-        _asserted_generation(prefix, "the semicenter of the enveloping algebra of the Borel", "follows from the graded comparison")
-    )
     return claims
