@@ -36,7 +36,7 @@ from liecenter.pbw import (  # noqa: E402
     mono_of_word,
     symmetrize,
 )
-from conftest import reference_add_into, save_table, table_to_dict, with_bracket  # noqa: E402
+from conftest import reference_add_into, table_to_dict  # noqa: E402
 from test_pbw import reference_symmetrize  # noqa: E402
 
 REG = VarRegistry(["x1", "x2", "x3"])
@@ -225,14 +225,17 @@ def test_commutator_with_basis_matches_commutator_u(name, field, data):
         assert commutator_with_basis(t, g, e) == commutator_u(t, x, e), t.label(g)
 
 
-# the input contract: a mutated G2 or C2 Borel table file either verifies
+# the input contract: a mutated G2 or Cn table file either verifies
 # (0), fails a claim (1) or is rejected as a configuration error (2), never
 # an internal error (3)
 
 BASE_TABLES = {
     "g2-borel": table_to_dict(liealg.g2_borel()),
+    "g2-nil": table_to_dict(liealg.nilradical_table(liealg.g2_borel())),
     "c2-borel": table_to_dict(liealg.cn_borel(2)),
+    "c3-borel": table_to_dict(liealg.cn_borel(3)),
 }
+MUTATIONS = ("change", "add", "drop", "primes", "cartan")
 
 
 def bracket_values(labels):
@@ -243,12 +246,12 @@ def bracket_values(labels):
 
 
 @st.composite
-def mutated(draw, base):
+def mutated(draw, base, kinds=MUTATIONS):
     data = json.loads(json.dumps(BASE_TABLES[base]))
     labels = data["basis"]
     brackets = data["brackets"]
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["change", "add", "drop", "primes", "cartan"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "change" and brackets:
             draw(st.sampled_from(brackets))["value"] = draw(bracket_values(labels))
         elif kind == "add":
@@ -264,12 +267,12 @@ def mutated(draw, base):
     return data
 
 
-def verify_exit_code(tmp_path, data, char):
+def verify_exit_code(tmp_path, data, char, max_degree="2"):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(data))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["verify", "--algebra", str(path), "--char", char, "--max-degree", "2"])
+        code = cli.main(["verify", "--algebra", str(path), "--char", char, "--max-degree", max_degree])
     return code, err.getvalue()
 
 
@@ -287,35 +290,14 @@ def test_mutated_c2_table_file_exits_0_1_or_2(tmp_path, data, char):
     assert code in (0, 1, 2), err
 
 
-# the same contract where the audit runs: perturbed brackets on a table
-# that keeps its catalog basis and Cartan labels, written as a table file
 
-CATALOG_TABLES = {
-    "g2-borel": liealg.g2_borel,
-    "g2-nil": lambda: liealg.nilradical_table(liealg.g2_borel()),
-    "c2-borel": lambda: liealg.cn_borel(2),
-    "c3-borel": lambda: liealg.cn_borel(3),
-}
-
-
-@st.composite
-def perturbed_catalog_tables(draw):
-    t = CATALOG_TABLES[draw(st.sampled_from(sorted(CATALOG_TABLES)))]()
-    labels = list(t.registry.names)
-    for _ in range(draw(st.integers(1, 2))):
-        pair = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
-        lhs, rhs = sorted(pair, key=labels.index)
-        terms = draw(st.lists(st.tuples(st.sampled_from(["1", "-1", "2", "1/2", "3"]), st.sampled_from(labels)), max_size=2))
-        t = with_bracket(t, lhs, rhs, " + ".join(f"{c}*{v}" for c, v in terms) or "0")
-    return t
-
-
+# with the basis and Cartan labels kept, the table is a catalog table and
+# the audit runs too, to the Borel degree
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(t=perturbed_catalog_tables(), char=st.sampled_from(["0", "3", "5", "7"]))
-def test_perturbed_catalog_table_file_exits_0_1_or_2(tmp_path, t, char):
-    path = tmp_path / "table.json"
-    save_table(t, path)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["verify", "--algebra", str(path), "--max-degree", "3", "--char", char])
-    assert code in (0, 1, 2), err.getvalue()
+@given(
+    data=st.sampled_from(sorted(BASE_TABLES)).flatmap(lambda base: mutated(base, MUTATIONS[:4])),
+    char=st.sampled_from(["0", "3", "5", "7"]),
+)
+def test_mutated_catalog_labelled_table_file_exits_0_1_or_2(tmp_path, data, char):
+    code, err = verify_exit_code(tmp_path, data, char, max_degree="3")
+    assert code in (0, 1, 2), err
