@@ -92,9 +92,6 @@ class RationalField:
             raise ZeroDivisionError("division by zero in QQ")
         return a / b
 
-    def pow(self, a, n: int):
-        return a**n
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -150,9 +147,6 @@ class PrimeField:
         if b % self.p == 0:
             raise ZeroDivisionError(f"division by zero in GF({self.p})")
         return a * pow(b, -1, self.p) % self.p
-
-    def pow(self, a, n: int):
-        return pow(a, n, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement
-from math import isqrt, prod
+from math import comb, isqrt, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
@@ -454,78 +454,51 @@ def oracle_degree(t: StructureTable, max_degree: Optional[int] = None) -> int:
 
 def invariance_suite(t: StructureTable, fam: InvariantFamily, field: Field = QQ) -> list[rep.Claim]:
     """One claim per (central element, nilradical generator): {x, c} = 0."""
-    claims = []
     char = field.characteristic
-    for name in fam.central:
-        f = fam.element(name, field)
-        for i in t.nilradical:
-            g = ad_apply(t, i, f)
-            claims.append(
-                rep.check(
-                    f"{t.name}.invariance.{name}.{t.label(i)}.char{char}",
-                    f"{{{t.label(i)}, {name}}} = 0 over characteristic {char}",
-                    g.is_zero,
-                    residual=None if g.is_zero else str(g),
-                )
-            )
-    return claims
-
-
-def _expected_poly(fam: InvariantFamily, field: Field, spec: Optional[tuple]) -> Polynomial:
-    reg = fam.table.registry
-    if spec is None:
-        return Polynomial.zero(reg, field)
-    coef, target = spec[0], spec[1]
-    return fam.element(target, field).scale(coef)
+    return [
+        rep.identity(
+            f"{t.name}.invariance.{name}.{t.label(i)}.char{char}",
+            f"{{{t.label(i)}, {name}}} = 0 over characteristic {char}",
+            ad_apply(t, i, fam.element(name, field)),
+        )
+        for name in fam.central
+        for i in t.nilradical
+    ]
 
 
 def verify_relation_chain(t: StructureTable, fam: InvariantFamily, field: Field = QQ) -> list[rep.Claim]:
     """Check every stated derivation identity of the auxiliary elements,
     including all '= 0 otherwise' complements, plus their weight facts.
 
-    A chain entry may carry a note recording a corrected sign; such claims
-    report as derived-with-note when the corrected identity holds.
+    A chain entry (coefficient, target[, note]) may carry a note recording a
+    corrected sign; such claims report as derived-with-note when the
+    corrected identity holds.
     """
     claims = []
     for elem in sorted(fam.chain):
-        expect_map = fam.chain[elem]
-        f = fam.element(elem, field)
         for i in t.nilradical:
             label = t.label(i)
-            spec = expect_map.get(label)
-            expected = _expected_poly(fam, field, spec)
-            got = ad_apply(t, i, f)
-            residual = got - expected
-            note = spec[2] if spec and len(spec) > 2 else None
-            if spec:
-                statement = f"{{{label}, {elem}}} = {spec[0]}*{spec[1]}"
-            else:
-                statement = f"{{{label}, {elem}}} = 0"
-            claim_id = f"{t.name}.chain.{elem}.{label}"
-            if residual.is_zero and note:
-                claims.append(rep.noted(claim_id, statement, note))
-            else:
-                claims.append(
-                    rep.check(
-                        claim_id,
-                        statement,
-                        residual.is_zero,
-                        residual=None if residual.is_zero else str(residual),
-                        note=note,
-                    )
+            coef, target, *note = fam.chain[elem].get(label, (0, None))
+            stated = f"{coef}*{target}" if target else "0"
+            rhs = fam.element(target, field).scale(coef) if target else 0
+            claims.append(
+                rep.identity(
+                    f"{t.name}.chain.{elem}.{label}",
+                    f"{{{label}, {elem}}} = {stated}",
+                    ad_apply(t, i, fam.element(elem, field)) - rhs,
+                    *note,
                 )
+            )
     for elem, h_label, scalar in fam.chain_weights:
         if h_label not in t.registry:  # Cartan facts need the Borel table
             continue
-        f = fam.element(elem, field)
-        lam = cartan_eigenvalue(t, h_label, f)
-        want = field.coerce(scalar)
+        lam = cartan_eigenvalue(t, h_label, fam.element(elem, field))
         claims.append(
             rep.check(
                 f"{t.name}.chain.weight.{elem}.{h_label}",
                 f"{{{h_label}, {elem}}} = {scalar}*{elem}",
-                lam is not None and lam == want,
-                residual=None if lam == want else f"eigenvalue {lam}",
+                lam is not None and lam == field.coerce(scalar),
+                residual=f"eigenvalue {lam}",
             )
         )
     return claims
@@ -534,25 +507,16 @@ def verify_relation_chain(t: StructureTable, fam: InvariantFamily, field: Field 
 def verify_triangle_property(t: StructureTable, fam: InvariantFamily, field: Field = QQ) -> list[rep.Claim]:
     """The triangular pairing of the v-elements against the generators:
     zero above the diagonal, a designated central element on it."""
-    claims = []
-    for vname, xlabel, cname in fam.triangle_cases:
-        v = fam.element(vname, field)
-        got = ad_apply(t, t.registry.index(xlabel), v.scale(-1))  # {v, x} = -{x, v}
-        expected = (
-            Polynomial.zero(t.registry, field)
-            if cname is None
-            else fam.element(cname, field)
+    return [
+        rep.identity(
+            f"{t.name}.triangle.{vname}.{xlabel}",
+            f"{{{vname}, {xlabel}}} = {cname or '0'}",
+            # {v, x} = -{x, v}
+            ad_apply(t, t.registry.index(xlabel), fam.element(vname, field).scale(-1))
+            - (fam.element(cname, field) if cname else 0),
         )
-        residual = got - expected
-        claims.append(
-            rep.check(
-                f"{t.name}.triangle.{vname}.{xlabel}",
-                f"{{{vname}, {xlabel}}} = {cname or '0'}",
-                residual.is_zero,
-                residual=None if residual.is_zero else str(residual),
-            )
-        )
-    return claims
+        for vname, xlabel, cname in fam.triangle_cases
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +598,8 @@ def brute_force_invariant_space(
     the exact nullity for the rest.  No basis is built.  Each dimension is
     solved once per table.  A system of more than ``ORACLE_MAX_ENTRIES``
     dense entries raises :class:`OracleCapExceeded`; a block without rows
-    counts as one row.
+    counts as one row.  Every block holds at least its columns, so a degree
+    with more columns than the cap is refused before one is enumerated.
     """
     t.check_characteristic(field.characteristic)
     t.inverse_scale(field)
@@ -651,6 +616,9 @@ def brute_force_invariant_space(
         lo = min(g)
         base = degree * (max(g) - lo) + 1
         packed_grade = [pg * base + w - lo for pg, w in zip(packed_grade, g)]
+    refusal = OracleCapExceeded(f"oracle system exceeds {ORACLE_MAX_ENTRIES} matrix entries")
+    if comb(dim + degree - 1, degree) > ORACLE_MAX_ENTRIES:
+        raise refusal
     blocks: dict[int, list[tuple[int, ...]]] = {}
     for idx in combinations_with_replacement(range(dim), degree):
         blocks.setdefault(sum(map(packed_grade.__getitem__, idx)), []).append(idx)
@@ -685,9 +653,7 @@ def brute_force_invariant_space(
         dense = [line for lines in by_target for line in lines.values() if any(line)]
         total_entries += max(len(dense), 1) * ncols
         if total_entries > ORACLE_MAX_ENTRIES:
-            raise OracleCapExceeded(
-                f"oracle system exceeds {ORACLE_MAX_ENTRIES} matrix entries"
-            )
+            raise refusal
         if not dense:
             space += ncols
         elif not linalg.saturates_mod(dense, ncols, char or linalg.FILTER_PRIME):
@@ -777,7 +743,7 @@ def oracle_suite(
                 f"degree-{d} invariant space (dim {res['oracle_dim']}) equals the "
                 f"generated span (dim {res['generated_dim']}) over characteristic {char}",
                 res["equal"],
-                residual=None if res["equal"] else str(res),
+                residual=str(res),
             )
         )
     return claims, results

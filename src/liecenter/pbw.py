@@ -394,13 +394,11 @@ def p_center_suite(t: StructureTable, p: int) -> list[rep.Claim]:
     claims = []
     for name, elt in p_center_elements(t, GF(p)):
         for g in range(t.dim):
-            com = commutator_with_basis(t, g, elt)
             claims.append(
-                rep.check(
+                rep.identity(
                     f"{t.name}.pcenter.p{p}.{name}.{t.label(g)}",
                     f"[{t.label(g)}, {name}] = 0 in the enveloping algebra over GF({p})",
-                    com.is_zero,
-                    residual=None if com.is_zero else str(com),
+                    commutator_with_basis(t, g, elt),
                 )
             )
     for i in range(t.dim):

@@ -11,7 +11,7 @@ eigenvector tests compare term sets, so no notion of tolerance exists.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import report as rep
 from .exactalg import (
@@ -170,35 +170,40 @@ def semicenter_witness_suite(t: StructureTable, fam, field: Field = QQ) -> list[
             )
         )
     for elem, h_label, expected, note in fam.weight_expectations:
-        f = fam.element(elem, field)
-        lam = cartan_eigenvalue(t, h_label, f)
-        want = field.coerce(expected)
-        ok = lam is not None and lam == want
-        claim_id = f"{prefix}.weights.{elem}.{h_label}"
-        statement = f"{{{h_label}, {elem}}} = {expected}*{elem}"
-        if ok and note:
-            claims.append(rep.noted(claim_id, statement, note))
-        else:
-            claims.append(
-                rep.check(
-                    claim_id,
-                    statement,
-                    ok,
-                    residual=None if lam is None else f"eigenvalue {lam}",
-                    witness=None if lam is not None else "not an eigenvector",
-                )
-            )
-    # nonzero-weight pairings that separate the semi-center from the center
-    for elem, h_label in fam.nonzero_pairings:
-        f = fam.element(elem, field)
-        lam = cartan_eigenvalue(t, h_label, f)
-        ok = lam is not None and lam != field.zero
+        lam = cartan_eigenvalue(t, h_label, fam.element(elem, field))
+        ok = lam is not None and lam == field.coerce(expected)
         claims.append(
             rep.check(
-                f"{prefix}.weights.{elem}.{h_label}.nonzero",
-                f"{{{h_label}, {elem}}} is a nonzero multiple of {elem}",
+                f"{prefix}.weights.{elem}.{h_label}",
+                f"{{{h_label}, {elem}}} = {expected}*{elem}",
                 ok,
-                residual=None if ok else f"eigenvalue {lam}",
+                residual=None if lam is None else f"eigenvalue {lam}",
+                witness=None if lam is not None else "not an eigenvector",
+                # a failing expectation is reported by its eigenvalue alone
+                note=note if ok else None,
+            )
+        )
+    # nonzero-weight pairings that separate the semi-center from the center
+    return claims + nonzero_pairings(
+        t, fam, field, lambda elem, h: f"{prefix}.weights.{elem}.{h}.nonzero"
+    )
+
+
+def nonzero_pairings(
+    t: StructureTable, fam, field: Field, claim_id: Callable[[str, str], str]
+) -> list[rep.Claim]:
+    """One claim per recorded (element, Cartan label) pairing of the family:
+    {h, c} is a nonzero multiple of c.  ``claim_id`` names the claim from
+    the element and the label."""
+    claims = []
+    for elem, h_label in fam.nonzero_pairings:
+        lam = cartan_eigenvalue(t, h_label, fam.element(elem, field))
+        claims.append(
+            rep.check(
+                claim_id(elem, h_label),
+                f"{{{h_label}, {elem}}} is a nonzero multiple of {elem}",
+                lam is not None and lam != field.zero,
+                residual=f"eigenvalue {lam}",
             )
         )
     return claims

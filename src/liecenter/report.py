@@ -4,6 +4,9 @@ A claim either holds exactly (``verified``), holds in a corrected or
 sign-adjusted form that is spelled out in its note (``derived-with-note``),
 is out of computational reach and explicitly recorded as such
 (``asserted-not-verified``), or fails with a witness (``failed``).
+:func:`check` decides verified, derived-with-note or failed from a verdict
+and a note; :func:`identity` checks an exact identity from its residual,
+which is zero exactly when the identity holds.
 Reports serialize deterministically: identical configurations produce
 byte-identical JSON.
 """
@@ -80,10 +83,19 @@ def failed(claim_id: str, statement: str, residual: str = None, witness: str = N
 
 
 def check(claim_id: str, statement: str, ok: bool, residual: str = None, witness: str = None, note: str = None) -> Claim:
-    """A verified claim when ok, otherwise a failed claim carrying evidence."""
+    """The claim rule: when ok, derived-with-note if the claim carries a note
+    (the corrected form that holds) and verified otherwise; when not ok,
+    failed, carrying its residual, witness and note as evidence."""
     if ok:
-        return Claim(claim_id, statement, VERIFIED, note=note)
+        return Claim(claim_id, statement, DERIVED_WITH_NOTE if note else VERIFIED, note=note)
     return Claim(claim_id, statement, FAILED, residual=residual, witness=witness, note=note)
+
+
+def identity(claim_id: str, statement: str, residual, note: str = None) -> Claim:
+    """An exact identity, from its residual: a polynomial or an element of
+    the enveloping algebra that is zero exactly when the identity holds, and
+    is the failing claim's evidence."""
+    return check(claim_id, statement, residual.is_zero, residual=str(residual), note=note)
 
 
 @dataclass

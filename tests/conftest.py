@@ -408,8 +408,8 @@ def reference_f4_layered_claims(t, F, p):
     field = GF(p)
     claims = []
     prefix = f"{t.name}.frobenius.p{p}"
-    half_p = field.pow(field.coerce("1/2"), p)
-    quarter_p = field.pow(field.coerce("1/4"), p)
+    half_p = pow(field.coerce("1/2"), p, p)
+    quarter_p = pow(field.coerce("1/4"), p, p)
     lhs3 = F("c3") - (F("c2") * F("u9") + (F("v4") * F("v4")).scale(half_p))
     claims.append(
         rep.check(
@@ -809,4 +809,283 @@ def reference_theorem_generator_audit(t, fam, char, max_degree=None):
     claims.append(
         _reference_asserted_generation(prefix, "the semicenter of the enveloping algebra of the Borel", "follows from the graded comparison")
     )
+    return claims
+
+
+# ---------------------------------------------------------------------------
+# The identity suites with each claim rule written out: the references for
+# the suites that build their claims from a residual (``report.identity``)
+# and state the note and pairing rules once (``report.check``,
+# ``poisson.nonzero_pairings``)
+# ---------------------------------------------------------------------------
+
+
+def reference_invariance_suite(t, fam, field=QQ):
+    claims = []
+    char = field.characteristic
+    for name in fam.central:
+        f = fam.element(name, field)
+        for i in t.nilradical:
+            g = poisson.ad_apply(t, i, f)
+            claims.append(
+                rep.check(
+                    f"{t.name}.invariance.{name}.{t.label(i)}.char{char}",
+                    f"{{{t.label(i)}, {name}}} = 0 over characteristic {char}",
+                    g.is_zero,
+                    residual=None if g.is_zero else str(g),
+                )
+            )
+    return claims
+
+
+def _reference_expected_poly(fam, field, spec):
+    reg = fam.table.registry
+    if spec is None:
+        return Polynomial.zero(reg, field)
+    coef, target = spec[0], spec[1]
+    return fam.element(target, field).scale(coef)
+
+
+def reference_relation_chain(t, fam, field=QQ):
+    claims = []
+    for elem in sorted(fam.chain):
+        expect_map = fam.chain[elem]
+        f = fam.element(elem, field)
+        for i in t.nilradical:
+            label = t.label(i)
+            spec = expect_map.get(label)
+            expected = _reference_expected_poly(fam, field, spec)
+            got = poisson.ad_apply(t, i, f)
+            residual = got - expected
+            note = spec[2] if spec and len(spec) > 2 else None
+            if spec:
+                statement = f"{{{label}, {elem}}} = {spec[0]}*{spec[1]}"
+            else:
+                statement = f"{{{label}, {elem}}} = 0"
+            claim_id = f"{t.name}.chain.{elem}.{label}"
+            if residual.is_zero and note:
+                claims.append(rep.noted(claim_id, statement, note))
+            else:
+                claims.append(
+                    rep.check(
+                        claim_id,
+                        statement,
+                        residual.is_zero,
+                        residual=None if residual.is_zero else str(residual),
+                        note=note,
+                    )
+                )
+    for elem, h_label, scalar in fam.chain_weights:
+        if h_label not in t.registry:
+            continue
+        f = fam.element(elem, field)
+        lam = poisson.cartan_eigenvalue(t, h_label, f)
+        want = field.coerce(scalar)
+        claims.append(
+            rep.check(
+                f"{t.name}.chain.weight.{elem}.{h_label}",
+                f"{{{h_label}, {elem}}} = {scalar}*{elem}",
+                lam is not None and lam == want,
+                residual=None if lam == want else f"eigenvalue {lam}",
+            )
+        )
+    return claims
+
+
+def reference_triangle_property(t, fam, field=QQ):
+    claims = []
+    for vname, xlabel, cname in fam.triangle_cases:
+        v = fam.element(vname, field)
+        got = poisson.ad_apply(t, t.registry.index(xlabel), v.scale(-1))
+        expected = Polynomial.zero(t.registry, field) if cname is None else fam.element(cname, field)
+        residual = got - expected
+        claims.append(
+            rep.check(
+                f"{t.name}.triangle.{vname}.{xlabel}",
+                f"{{{vname}, {xlabel}}} = {cname or '0'}",
+                residual.is_zero,
+                residual=None if residual.is_zero else str(residual),
+            )
+        )
+    return claims
+
+
+def reference_semicenter_witness_suite(t, fam, field=QQ):
+    claims = []
+    prefix = t.name
+    for name in fam.central:
+        f = fam.element(name, field)
+        ok, bad = poisson.is_invariant(t, f, t.nilradical)
+        claims.append(
+            rep.check(
+                f"{prefix}.weights.{name}.nil-invariant",
+                f"{{x, {name}}} = 0 for every nilradical generator x",
+                ok,
+                witness=None if ok else t.label(bad),
+            )
+        )
+        weights, failing = poisson.weight_of(t, f)
+        if weights is None:
+            claims.append(
+                rep.failed(
+                    f"{prefix}.weights.{name}.eigenvector",
+                    f"{name} is a simultaneous Cartan eigenvector",
+                    witness=t.label(failing),
+                )
+            )
+            continue
+        claims.append(
+            rep.verified(
+                f"{prefix}.weights.{name}.eigenvector",
+                f"{name} has Cartan weight ({', '.join(str(x) for x in weights)})",
+            )
+        )
+    for elem, h_label, expected, note in fam.weight_expectations:
+        f = fam.element(elem, field)
+        lam = poisson.cartan_eigenvalue(t, h_label, f)
+        want = field.coerce(expected)
+        ok = lam is not None and lam == want
+        claim_id = f"{prefix}.weights.{elem}.{h_label}"
+        statement = f"{{{h_label}, {elem}}} = {expected}*{elem}"
+        if ok and note:
+            claims.append(rep.noted(claim_id, statement, note))
+        else:
+            claims.append(
+                rep.check(
+                    claim_id,
+                    statement,
+                    ok,
+                    residual=None if lam is None else f"eigenvalue {lam}",
+                    witness=None if lam is not None else "not an eigenvector",
+                )
+            )
+    for elem, h_label in fam.nonzero_pairings:
+        f = fam.element(elem, field)
+        lam = poisson.cartan_eigenvalue(t, h_label, f)
+        ok = lam is not None and lam != field.zero
+        claims.append(
+            rep.check(
+                f"{prefix}.weights.{elem}.{h_label}.nonzero",
+                f"{{{h_label}, {elem}}} is a nonzero multiple of {elem}",
+                ok,
+                residual=None if ok else f"eigenvalue {lam}",
+            )
+        )
+    return claims
+
+
+def reference_frobenius_membership_suite(t, fam, p):
+    t.check_characteristic(p)
+    field = GF(p)
+    frob = {}
+
+    def F(name):
+        if name not in frob:
+            frob[name] = frobenius_expand(fam.element(name, field), p)
+        return frob[name]
+
+    exempt = (charp.c1_label(t),)
+    claims = []
+    prefix = f"{t.name}.frobenius.p{p}"
+    for name in fam.central:
+        if name == "c1":
+            continue
+        ok, witness = ppattern_membership(F(name), p, exempt)
+        claims.append(
+            rep.check(
+                f"{prefix}.{name}.power-member",
+                f"{name}^{p} has {p}-divisible exponents outside {exempt[0]}",
+                ok,
+                witness=None if ok else mono_to_str(t.registry, witness),
+            )
+        )
+        member, witness = ppattern_membership(fam.element(name, field), p, exempt)
+        claims.append(
+            rep.Claim(
+                f"{prefix}.{name}.non-member",
+                f"{name} itself violates the {p}-power pattern (witness recorded)",
+                rep.VERIFIED if (not member and witness is not None) else rep.FAILED,
+                witness=None if witness is None else mono_to_str(t.registry, witness),
+            )
+        )
+    for name, statement, terms in fam.layers:
+        lhs = F(name) - invariants.compose(terms, F)
+        claims.append(
+            rep.check(
+                f"{prefix}.{name}p-layered",
+                statement.format(p=p, p2=2 * p),
+                lhs.is_zero,
+                residual=None if lhs.is_zero else str(lhs),
+            )
+        )
+    factors = (f for _, _, terms in fam.layers for _, names in terms for f in names)
+    for aux in dict.fromkeys(f for f in factors if f not in fam.central):
+        ok, witness = ppattern_membership(F(aux), p, ())
+        claims.append(
+            rep.check(
+                f"{prefix}.{aux}p-pattern",
+                f"{aux}^{p} is a polynomial in the {p}-th powers of the generators",
+                ok,
+                witness=None if ok else mono_to_str(t.registry, witness),
+            )
+        )
+    return claims
+
+
+def reference_jacobian_records_suite(t, fam, p=3):
+    """The one loop over ``InvariantFamily.jacobians`` with the literal
+    claim's verdict and residual written out; ``reference_jacobian_identity_suite``
+    above is the older per-family form."""
+    jac = fam.jacobians
+    if jac is None:
+        return []
+    claims = []
+    field = GF(p)
+    named = fam.elements()
+    neg_cs = [-named[c] for c in jac.cs]
+    neg_frob = [-frobenius_expand(fam.element(c, field), p) for c in jac.cs]
+    for vars_, coef, factors in jac.identities:
+        rhs = Polynomial.constant(t.registry, QQ, coef)
+        for n, k in factors:
+            rhs = rhs * (named.get(n) or Polynomial.variable(t.registry, QQ, n)) ** k
+        lhs = jacobian_det(neg_cs, vars_)
+        claim_id = f"{t.name}.jacobians.{jac.kind}.{'-'.join(vars_)}"
+        rhs_str = f"{coef}*" + "*".join(f"{n}^{k}" if k > 1 else n for n, k in factors)
+        statement = jac.statement.format(vars=",".join(vars_), rhs=rhs_str)
+        claims.append(charp._signed_claim(claim_id, statement, lhs, rhs, jac.word))
+        lit = poly_det([[f.partial(v, p) for v in vars_] for f in neg_frob])
+        expected = frobenius_expand(Polynomial.from_terms(t.registry, field, lhs.terms.items()), p)
+        claims.append(
+            rep.check(
+                f"{claim_id}.f{p}",
+                jac.literal.format(vars=",".join(vars_), p=p),
+                lit == expected,
+                residual=None if lit == expected else str(lit - expected),
+            )
+        )
+    return claims
+
+
+def reference_p_center_suite(t, p):
+    t.check_characteristic(p)
+    claims = []
+    for name, elt in pbw.p_center_elements(t, GF(p)):
+        for g in range(t.dim):
+            com = pbw.commutator_with_basis(t, g, elt)
+            claims.append(
+                rep.check(
+                    f"{t.name}.pcenter.p{p}.{name}.{t.label(g)}",
+                    f"[{t.label(g)}, {name}] = 0 in the enveloping algebra over GF({p})",
+                    com.is_zero,
+                    residual=None if com.is_zero else str(com),
+                )
+            )
+    for i in range(t.dim):
+        res = liealg.ad_power_identity(t, i, p)
+        statement = (
+            f"(ad {res.label})^{p} = ad {res.label} over GF({p})"
+            if res.kind == "cartan"
+            else f"(ad {res.label})^{p} = 0 over GF({p})"
+        )
+        claims.append(rep.check(f"{t.name}.pcenter.p{p}.adpower.{res.label}", statement, res.ok))
     return claims

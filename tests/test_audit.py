@@ -3,18 +3,22 @@ reference (``conftest.reference_theorem_generator_audit``), the degree-one
 U-center claim decided on the span of b, and a kill matrix showing that every
 audit claim kind the pinned configurations emit fails under some mutation of
 the table or the family, unless it is listed below with the reason it
-cannot."""
+cannot.  A second kill matrix does the same for the identity suites
+(invariance, chains, triangle, weights, frobenius, jacobians and the
+p-center), with one more operator: a stated coefficient of a family's
+records changed."""
 
 import dataclasses
 import json
 import re
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 import pytest
 
 import conftest
-from liecenter import charp, cli, invariants, liealg, poisson
+from liecenter import charp, cli, invariants, liealg, pbw, poisson
 from liecenter.exactalg import Polynomial, field_of_characteristic
 
 PINS = json.loads(
@@ -120,7 +124,9 @@ def test_shift_table_fails_the_degree_one_u_center():
 def kind(t, claim_id):
     """The claim id without the table name, with digits as N, a p-th power
     of a basis element as x^p or h^p (h for a Cartan element), and every
-    other generator name as *."""
+    other generator name as *.  Outside the audit's generator and pairing
+    parts, a basis label reads x or h and its p-th power x^p or h^p, also
+    within a part of labels joined by '-'."""
 
     def shape(m):
         power = re.fullmatch(r"(\w+)\^\d+(-\w+)?", m.group(1))
@@ -129,9 +135,18 @@ def kind(t, claim_id):
             return f".gen.{x}^p{'-' + x if power.group(2) else ''}."
         return ".gen.*."
 
+    def labels(part):
+        words = [re.fullmatch(r"(\w+?)(\^\d+)?", w) for w in part.split("-")]
+        if not all(w and w.group(1) in t.registry.names for w in words):
+            return part
+        return "-".join(
+            ("h" if t.registry.index(w.group(1)) in t.cartan else "x") + ("^p" if w.group(2) else "")
+            for w in words
+        )
+
     rest = re.sub(r"\.gen\.([^.]+)\.", shape, claim_id[len(t.name):])
     rest = re.sub(r"\.pairing\..*", ".pairing.*", rest)
-    return re.sub(r"\d+", "N", rest)
+    return re.sub(r"\d+", "N", ".".join(map(labels, rest.split("."))))
 
 
 EXCEPTIONS = {
@@ -179,7 +194,7 @@ ADDED_TERMS = (
 )
 
 
-def table_mutations(t):
+def table_mutations(t, added=ADDED_TERMS):
     """(label, table, whether it runs at every characteristic): each
     structure constant doubled, then zeroed, and the added terms on this
     table, which run at every characteristic."""
@@ -191,7 +206,7 @@ def table_mutations(t):
                 changed[k] = factor * c
                 value = str(liealg.lincomb_to_poly(t, changed))
                 yield f"[{lhs},{rhs}] {t.label(k)} x{factor}", conftest.with_bracket(t, lhs, rhs, value), False
-    for name, lhs, rhs, value in ADDED_TERMS:
+    for name, lhs, rhs, value in added:
         if name == t.name:
             yield f"[{lhs},{rhs}] = {value}", conftest.with_bracket(t, lhs, rhs, value), True
 
@@ -269,6 +284,14 @@ def test_kind_names():
     assert kind(t, "g2-borel.audit.u-semicenter.char0.gen.z2.gr") == ".audit.u-semicenter.charN.gen.*.gr"
     assert kind(t, "g2-borel.audit.semicenter.char7.gen.x6.invariant") == ".audit.semicenter.charN.gen.*.invariant"
     assert kind(t, "g2-borel.audit.semicenter.char0.pairing.c2.h2") == ".audit.semicenter.charN.pairing.*"
+    assert kind(t, "g2-borel.pcenter.p5.h2^5-h2.x1") == ".pcenter.pN.h^p-h.x"
+    assert kind(t, "g2-borel.invariance.c2.x3.char5") == ".invariance.cN.x.charN"
+    assert kind(t, "g2-borel.weights.c2.h2.nonzero") == ".weights.cN.h.nonzero"
+    f4 = liealg.f4_borel()
+    assert kind(f4, "f4-borel.jacobians.det.x16-x9-x2.f3") == ".jacobians.det.x-x-x.fN"
+    assert kind(f4, "f4-borel.frobenius.p3.c3p-layered") == ".frobenius.pN.cNp-layered"
+    cn = liealg.cn_borel(3)
+    assert kind(cn, "c3-borel.pcenter.p5.a1_2^5.c1_3") == ".pcenter.pN.x^p.x"
 
 
 def test_every_pinned_claim_kind_can_fail():
@@ -303,3 +326,140 @@ def test_mutated_audits_equal_the_reference():
             assert not b.passed and b.residual is None
             differing += 1
     assert differing
+
+
+# ---------------------------------------------------------------------------
+# The kill matrix of the identity suites
+# ---------------------------------------------------------------------------
+
+
+def _field_suite(suite):
+    return lambda t, fam, char: suite(t, fam, field_of_characteristic(char))
+
+
+# each identity suite as ``cli`` runs it, by its --suites name: the weights
+# on a Borel table, the others that take a prime at one
+IDENTITY_SUITES = {
+    "invariance": _field_suite(invariants.invariance_suite),
+    "chains": _field_suite(invariants.verify_relation_chain),
+    "triangle": _field_suite(invariants.verify_triangle_property),
+    "weights": lambda t, fam, char: poisson.semicenter_witness_suite(t, fam, field_of_characteristic(char)) if t.cartan else [],
+    "frobenius": lambda t, fam, char: charp.frobenius_membership_suite(t, fam, char) if char else [],
+    "jacobians": lambda t, fam, char: charp.jacobian_identity_suite(t, fam, char) if char else [],
+    "pbw": lambda t, fam, char: pbw.p_center_suite(t, char) if char else [],
+}
+
+IDENTITY_EXCEPTIONS = dict.fromkeys(
+    (
+        ".frobenius.pN.cN.power-member",
+        ".frobenius.pN.uNp-pattern",
+        ".frobenius.pN.vNp-pattern",
+        ".frobenius.pN.wNp-pattern",
+    ),
+    "a Frobenius expansion has p-divisible exponents by construction",
+)
+
+
+def identity_claims(t, fam, char, suites=IDENTITY_SUITES):
+    return [c for name in suites for c in IDENTITY_SUITES[name](t, fam, char)]
+
+
+def coefficient_changed(coef):
+    return str(Fraction(coef) + 1)
+
+
+def record_mutations(fam):
+    """(label, family, the suites that read the record): each stated
+    coefficient of the family's jacobians, layers, chain and chain weights
+    changed in turn, and each central element but c1 swapped for c1, which
+    lies in the p-power pattern."""
+    jac = fam.jacobians
+    for n, (vars_, coef, factors) in enumerate(jac.identities if jac else ()):
+        identities = jac.identities[:n] + ((vars_, coefficient_changed(coef), factors),) + jac.identities[n + 1:]
+        yield f"jacobian {n} restated", dataclasses.replace(fam, jacobians=dataclasses.replace(jac, identities=identities)), ("jacobians",)
+    for n, (name, statement, terms) in enumerate(fam.layers):
+        for k, (coef, factors) in enumerate(terms):
+            changed = terms[:k] + ((coefficient_changed(coef), factors),) + terms[k + 1:]
+            layers = fam.layers[:n] + ((name, statement, changed),) + fam.layers[n + 1:]
+            yield f"{name} layer term {k} restated", dataclasses.replace(fam, layers=layers), ("frobenius",)
+    for elem, entries in fam.chain.items():
+        for label, (coef, *rest) in entries.items():
+            chain = {**fam.chain, elem: {**entries, label: (coefficient_changed(coef), *rest)}}
+            yield f"chain {elem}.{label} restated", dataclasses.replace(fam, chain=chain), ("chains",)
+    for n, (elem, h, scalar) in enumerate(fam.chain_weights):
+        weights = fam.chain_weights[:n] + ((elem, h, coefficient_changed(scalar)),) + fam.chain_weights[n + 1:]
+        yield f"chain weight {elem}.{h} restated", dataclasses.replace(fam, chain_weights=weights), ("chains",)
+    c1 = fam.element("c1")
+    for name in fam.central[1:]:
+        elements = {**fam.elements(), name: c1}
+        yield f"{name} -> c1", dataclasses.replace(fam, _cache={0: elements}), ("frobenius",)
+
+
+# the f4 records are checked by family and record mutations only: its 128
+# structure constants would each cost a run
+IDENTITY_KILL_INPUTS = KILL_INPUTS + ("f4-borel",)
+# ad x1 maps h1 to -h1, so [h1, x1^p] = -(ad x1)^p(h1) = h1 is not zero
+IDENTITY_ADDED_TERMS = ADDED_TERMS + (("g2-borel", "h1", "x1", "h1"),)
+
+
+@cache
+def identity_kill_matrix():
+    """kind -> the mutations that fail it, for the identity suites: on the
+    audit's inputs, the audit's table and family mutations, at
+    characteristic 0 and at one admissible prime in turn, and the record
+    mutations, at the smallest admissible prime."""
+    killed = {}
+
+    def run(name, label, t, fam, char, suites=IDENTITY_SUITES):
+        for c in identity_claims(t, fam, char, suites):
+            if not c.passed:
+                killed.setdefault(kind(t, c.claim_id), []).append(f"{name} char {char}: {label}")
+
+    for name in IDENTITY_KILL_INPUTS:
+        base = kill_input(name)
+        base_fam = invariants.build_family(base)
+        primes = chars(base)[1:]
+        if not name.startswith("f4"):
+            for n, (label, t, every) in enumerate(table_mutations(base, IDENTITY_ADDED_TERMS)):
+                fam = invariants.build_family(t)
+                for char in chars(base) if every else (0, primes[n % len(primes)]):
+                    run(name, label, t, fam, char)
+        for char in (0, primes[0]):
+            for label, fam in family_mutations(base, base_fam, char):
+                run(name, label, fam.table, fam, char)
+        for label, fam, suites in record_mutations(base_fam):
+            run(name, label, base, fam, primes[0], suites)
+    return killed
+
+
+@cache
+def pinned_identity_kinds():
+    """The kinds the pinned configurations emit from the identity suites;
+    at characteristic 0 the jacobians run at the smallest admissible
+    prime, as ``cli`` runs them."""
+    kinds = set()
+    for config in PINS:
+        args = cli.build_parser().parse_args(["verify", *config.split()])
+        t, _ = cli.resolve_algebra(args)
+        fam = invariants.build_family(t)
+        for name in args.suites.split(",") if args.suites else IDENTITY_SUITES:
+            if name in IDENTITY_SUITES:
+                char = args.char or (chars(t)[1] if name == "jacobians" else 0)
+                kinds |= {kind(t, c.claim_id) for c in identity_claims(t, fam, char, (name,))}
+    return kinds
+
+
+def test_every_pinned_identity_kind_can_fail():
+    killed = identity_kill_matrix()
+    emitted = pinned_identity_kinds()
+    assert {k.split(".")[1] for k in emitted} >= {
+        "invariance", "chain", "triangle", "weights", "frobenius", "jacobians", "pcenter"
+    }
+    alive = sorted(k for k in emitted if k not in killed and k not in IDENTITY_EXCEPTIONS)
+    assert not alive, f"no mutation fails {alive}"
+
+
+def test_identity_exceptions_are_emitted_and_never_fail():
+    killed = identity_kill_matrix()
+    assert set(IDENTITY_EXCEPTIONS) <= pinned_identity_kinds()
+    assert not {k: killed[k] for k in IDENTITY_EXCEPTIONS if k in killed}

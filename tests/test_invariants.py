@@ -457,7 +457,7 @@ class TestOracle:
         assert not res["equal"] and res["contained"]
         assert res["generated_dim"] == 1 and res["oracle_dim"] == 2
 
-    def test_bracket_free_table_is_bounded(self, g2b):
+    def test_bracket_free_table_is_bounded(self, g2b, monkeypatch):
         # g2's labels with no brackets: every degree-8 monomial in the 8
         # variables is its own row-less block, C(15, 7) of them, and the
         # memo keeps their count, not a basis
@@ -466,6 +466,15 @@ class TestOracle:
         t = liealg.table_from_dict(data)
         assert brute_force_invariant_space(t, 8, t.nilradical, QQ) == 6435
         assert type(t.memo[("oracle", 0, 8, tuple(t.nilradical))]) is int
+
+        # at degree 30 its C(37, 30) = 10,295,472 columns alone exceed the
+        # cap: the oracle refuses before it enumerates one
+        def enumerate_columns(*args):
+            raise AssertionError("columns enumerated past the cap")
+
+        monkeypatch.setattr(invariants, "combinations_with_replacement", enumerate_columns)
+        with pytest.raises(invariants.OracleCapExceeded, match=f"exceeds {invariants.ORACLE_MAX_ENTRIES} matrix entries"):
+            brute_force_invariant_space(t, 30, t.nilradical, QQ)
 
 
 def _catalog_borels():
