@@ -135,6 +135,7 @@ def frobenius_membership_suite(
             )
         )
         member, witness = ppattern_membership(fam.element(name, field), p, exempt)
+        # verified with its witness: report.check would drop it from pinned bytes
         claims.append(
             rep.Claim(
                 f"{prefix}.{name}.non-member",
@@ -177,10 +178,11 @@ def _signed_claim(
     """Verified when got equals the stated polynomial, noted when it is its
     negative (the recorded global sign), failed otherwise."""
     if got == stated:
-        return rep.verified(claim_id, statement, note="sign +1")
+        # verified with a note: report.check would re-pin it as derived-with-note
+        return rep.Claim(claim_id, statement, rep.VERIFIED, note="sign +1")
     if got == -stated:
-        return rep.noted(claim_id, statement, f"sign -1 relative to the stated {word}")
-    return rep.failed(claim_id, statement, residual=str(got - stated))
+        return rep.check(claim_id, statement, True, note=f"sign -1 relative to the stated {word}")
+    return rep.identity(claim_id, statement, got - stated)
 
 
 def jacobian_identity_suite(

@@ -29,7 +29,7 @@ from .exactalg import (
 )
 from ._f4_data import F4_HS, F4_XS
 from .liealg import _G2_LABELS, StructureTable, cn_basis_labels, lie_generators
-from .poisson import ad_apply, cartan_eigenvalue, is_invariant
+from .poisson import ad_apply, eigenvalue_claim, is_invariant
 
 
 class OracleCapExceeded(ValueError):
@@ -492,15 +492,7 @@ def verify_relation_chain(t: StructureTable, fam: InvariantFamily, field: Field 
     for elem, h_label, scalar in fam.chain_weights:
         if h_label not in t.registry:  # Cartan facts need the Borel table
             continue
-        lam = cartan_eigenvalue(t, h_label, fam.element(elem, field))
-        claims.append(
-            rep.check(
-                f"{t.name}.chain.weight.{elem}.{h_label}",
-                f"{{{h_label}, {elem}}} = {scalar}*{elem}",
-                lam is not None and lam == field.coerce(scalar),
-                residual=f"eigenvalue {lam}",
-            )
-        )
+        claims.append(eigenvalue_claim(t, fam, field, f"{t.name}.chain.weight.{elem}.{h_label}", elem, h_label, scalar))
     return claims
 
 

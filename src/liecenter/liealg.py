@@ -99,8 +99,10 @@ class StructureTable:
         # by every characteristic, ("oracle", char, degree, gens) the int
         # dimensions of invariant spaces, ("symmetrize", polynomial) lifts,
         # ("lie-generators", char, gens) generating subsets of gens,
-        # ("multigrading",) the gradings that split the oracle into blocks,
-        # ("jacobi",) the Jacobi report
+        # ("central", element, gens) and ("invariant", polynomial, gens) the
+        # centrality and Poisson-invariance verdicts, ("multigrading",) the
+        # gradings that split the oracle into blocks, ("jacobi",) the Jacobi
+        # report
         self.memo: dict = {}
 
     @property

@@ -455,10 +455,12 @@ def z_lift_audit(t: StructureTable, fam, field: Field = QQ) -> list[rep.Claim]:
         nok, nwit = is_central_u(t, naive, t.nilradical)
         diff = z - naive
         low = diff.is_zero or diff.filtration_degree() < c.total_degree()
+        # verified with a note: report.check would re-pin it as derived-with-note
         claims.append(
-            rep.verified(
+            rep.Claim(
                 f"{cid}.naive",
                 f"naive ordered lift of {name}: centrality verdict recorded",
+                rep.VERIFIED,
                 note=(
                     ("central" if nok else f"not central, witness {t.label(nwit)}")
                     + (

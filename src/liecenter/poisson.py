@@ -90,8 +90,16 @@ def is_invariant(
 ) -> tuple[bool, Optional[int]]:
     """True iff {x_i, f} = 0 for every generator index; otherwise the first
     failing generator is returned.  Decided over a Lie generating subset of
-    ``gens``, which kills f exactly when all of ``gens`` does."""
+    ``gens``, which kills f exactly when all of ``gens`` does.  Computed
+    once per table."""
     gens = tuple(gens)
+    key = ("invariant", f, gens)
+    if key not in t.memo:
+        t.memo[key] = _is_invariant(t, f, gens)
+    return t.memo[key]
+
+
+def _is_invariant(t: StructureTable, f: Polynomial, gens: tuple) -> tuple[bool, Optional[int]]:
     subset = lie_generators(t, gens, f.field.characteristic)
     if all(ad_apply(t, i, f).is_zero for i in subset):
         return True, None
@@ -120,6 +128,28 @@ def weight_of(t: StructureTable, f: Polynomial) -> tuple[Optional[tuple], Option
             return None, k
         weights.append(lam)
     return tuple(weights), None
+
+
+def eigenvalue_claim(
+    t: StructureTable, fam, field: Field, claim_id: str, elem: str, h_label: str, expected=None, note=None
+) -> rep.Claim:
+    """The claim {h, c} = expected*c for the family element c, or that {h, c}
+    is a nonzero multiple of c when ``expected`` is None, by ``report.check``'s
+    rule.  Failing, it carries the residual ``eigenvalue lam`` when c is an
+    eigenvector and the witness ``not an eigenvector`` when it is not."""
+    lam = cartan_eigenvalue(t, h_label, fam.element(elem, field))
+    if expected is None:
+        statement, ok = f"{{{h_label}, {elem}}} is a nonzero multiple of {elem}", lam != field.zero
+    else:
+        statement, ok = f"{{{h_label}, {elem}}} = {expected}*{elem}", lam == field.coerce(expected)
+    return rep.check(
+        claim_id,
+        statement,
+        lam is not None and ok,
+        residual=None if lam is None else f"eigenvalue {lam}",
+        witness="not an eigenvector" if lam is None else None,
+        note=note,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -154,35 +184,20 @@ def semicenter_witness_suite(t: StructureTable, fam, field: Field = QQ) -> list[
             )
         )
         weights, failing = weight_of(t, f)
-        if weights is None:
-            claims.append(
-                rep.failed(
-                    f"{prefix}.weights.{name}.eigenvector",
-                    f"{name} is a simultaneous Cartan eigenvector",
-                    witness=t.label(failing),
-                )
-            )
-            continue
-        claims.append(
-            rep.verified(
-                f"{prefix}.weights.{name}.eigenvector",
-                f"{name} has Cartan weight {_fmt_weight(weights)}",
-            )
-        )
-    for elem, h_label, expected, note in fam.weight_expectations:
-        lam = cartan_eigenvalue(t, h_label, fam.element(elem, field))
-        ok = lam is not None and lam == field.coerce(expected)
         claims.append(
             rep.check(
-                f"{prefix}.weights.{elem}.{h_label}",
-                f"{{{h_label}, {elem}}} = {expected}*{elem}",
-                ok,
-                residual=None if lam is None else f"eigenvalue {lam}",
-                witness=None if lam is not None else "not an eigenvector",
-                # a failing expectation is reported by its eigenvalue alone
-                note=note if ok else None,
+                f"{prefix}.weights.{name}.eigenvector",
+                f"{name} is a simultaneous Cartan eigenvector"
+                if weights is None
+                else f"{name} has Cartan weight {_fmt_weight(weights)}",
+                weights is not None,
+                witness=None if weights is not None else t.label(failing),
             )
         )
+    claims += [
+        eigenvalue_claim(t, fam, field, f"{prefix}.weights.{elem}.{h_label}", elem, h_label, expected, note)
+        for elem, h_label, expected, note in fam.weight_expectations
+    ]
     # nonzero-weight pairings that separate the semi-center from the center
     return claims + nonzero_pairings(
         t, fam, field, lambda elem, h: f"{prefix}.weights.{elem}.{h}.nonzero"
@@ -195,15 +210,4 @@ def nonzero_pairings(
     """One claim per recorded (element, Cartan label) pairing of the family:
     {h, c} is a nonzero multiple of c.  ``claim_id`` names the claim from
     the element and the label."""
-    claims = []
-    for elem, h_label in fam.nonzero_pairings:
-        lam = cartan_eigenvalue(t, h_label, fam.element(elem, field))
-        claims.append(
-            rep.check(
-                claim_id(elem, h_label),
-                f"{{{h_label}, {elem}}} is a nonzero multiple of {elem}",
-                lam is not None and lam != field.zero,
-                residual=f"eigenvalue {lam}",
-            )
-        )
-    return claims
+    return [eigenvalue_claim(t, fam, field, claim_id(elem, h), elem, h) for elem, h in fam.nonzero_pairings]

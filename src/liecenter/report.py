@@ -4,9 +4,16 @@ A claim either holds exactly (``verified``), holds in a corrected or
 sign-adjusted form that is spelled out in its note (``derived-with-note``),
 is out of computational reach and explicitly recorded as such
 (``asserted-not-verified``), or fails with a witness (``failed``).
-:func:`check` decides verified, derived-with-note or failed from a verdict
-and a note; :func:`identity` checks an exact identity from its residual,
-which is zero exactly when the identity holds.
+Three constructors make every claim: :func:`check` decides verified,
+derived-with-note or failed from a verdict and a note (the one rule),
+:func:`identity` checks an exact identity from its residual, which is zero
+exactly when the identity holds, and :func:`asserted` records what is out of
+reach.  A failing Cartan-eigenvalue claim (``poisson.eigenvalue_claim``)
+carries the residual ``eigenvalue λ``, or the witness ``not an eigenvector``.
+Three claims are built as ``Claim`` directly, since the rule would change
+their pinned passing bytes: ``charp._signed_claim``'s "sign +1" and
+``pbw.z_lift_audit``'s ``naive`` are verified with a note, and
+``charp.frobenius_membership_suite``'s ``non-member`` with its witness.
 Reports serialize deterministically: identical configurations produce
 byte-identical JSON.
 """
@@ -66,20 +73,8 @@ class Claim:
         )
 
 
-def verified(claim_id: str, statement: str, note: str = None) -> Claim:
-    return Claim(claim_id, statement, VERIFIED, note=note)
-
-
-def noted(claim_id: str, statement: str, note: str) -> Claim:
-    return Claim(claim_id, statement, DERIVED_WITH_NOTE, note=note)
-
-
 def asserted(claim_id: str, statement: str, note: str = None) -> Claim:
     return Claim(claim_id, statement, ASSERTED_NOT_VERIFIED, note=note)
-
-
-def failed(claim_id: str, statement: str, residual: str = None, witness: str = None) -> Claim:
-    return Claim(claim_id, statement, FAILED, residual=residual, witness=witness)
 
 
 def check(claim_id: str, statement: str, ok: bool, residual: str = None, witness: str = None, note: str = None) -> Claim:

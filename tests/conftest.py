@@ -733,7 +733,8 @@ def reference_theorem_generator_audit(t, fam, char, max_degree=None):
                 f"{prefix}.pairing.{name}.{h_label}",
                 f"{{{h_label}, {name}}} is a nonzero multiple of {name}",
                 lam is not None and lam != field.zero,
-                residual=f"eigenvalue {lam}",
+                residual=None if lam is None else f"eigenvalue {lam}",
+                witness="not an eigenvector" if lam is None else None,
             )
         )
     results = invariants.oracle_suite(t, gens, range(1, bcap + 1), field)[1]
@@ -815,8 +816,8 @@ def reference_theorem_generator_audit(t, fam, char, max_degree=None):
 # ---------------------------------------------------------------------------
 # The identity suites with each claim rule written out: the references for
 # the suites that build their claims from a residual (``report.identity``)
-# and state the note and pairing rules once (``report.check``,
-# ``poisson.nonzero_pairings``)
+# and state the note and eigenvalue rules once (``report.check``,
+# ``poisson.eigenvalue_claim``)
 # ---------------------------------------------------------------------------
 
 
@@ -864,7 +865,7 @@ def reference_relation_chain(t, fam, field=QQ):
                 statement = f"{{{label}, {elem}}} = 0"
             claim_id = f"{t.name}.chain.{elem}.{label}"
             if residual.is_zero and note:
-                claims.append(rep.noted(claim_id, statement, note))
+                claims.append(rep.Claim(claim_id, statement, rep.DERIVED_WITH_NOTE, note=note))
             else:
                 claims.append(
                     rep.check(
@@ -886,7 +887,8 @@ def reference_relation_chain(t, fam, field=QQ):
                 f"{t.name}.chain.weight.{elem}.{h_label}",
                 f"{{{h_label}, {elem}}} = {scalar}*{elem}",
                 lam is not None and lam == want,
-                residual=None if lam == want else f"eigenvalue {lam}",
+                residual=None if lam is None or lam == want else f"eigenvalue {lam}",
+                witness="not an eigenvector" if lam is None else None,
             )
         )
     return claims
@@ -927,17 +929,19 @@ def reference_semicenter_witness_suite(t, fam, field=QQ):
         weights, failing = poisson.weight_of(t, f)
         if weights is None:
             claims.append(
-                rep.failed(
+                rep.Claim(
                     f"{prefix}.weights.{name}.eigenvector",
                     f"{name} is a simultaneous Cartan eigenvector",
+                    rep.FAILED,
                     witness=t.label(failing),
                 )
             )
             continue
         claims.append(
-            rep.verified(
+            rep.Claim(
                 f"{prefix}.weights.{name}.eigenvector",
                 f"{name} has Cartan weight ({', '.join(str(x) for x in weights)})",
+                rep.VERIFIED,
             )
         )
     for elem, h_label, expected, note in fam.weight_expectations:
@@ -948,7 +952,7 @@ def reference_semicenter_witness_suite(t, fam, field=QQ):
         claim_id = f"{prefix}.weights.{elem}.{h_label}"
         statement = f"{{{h_label}, {elem}}} = {expected}*{elem}"
         if ok and note:
-            claims.append(rep.noted(claim_id, statement, note))
+            claims.append(rep.Claim(claim_id, statement, rep.DERIVED_WITH_NOTE, note=note))
         else:
             claims.append(
                 rep.check(
@@ -957,6 +961,7 @@ def reference_semicenter_witness_suite(t, fam, field=QQ):
                     ok,
                     residual=None if lam is None else f"eigenvalue {lam}",
                     witness=None if lam is not None else "not an eigenvector",
+                    note=note,
                 )
             )
     for elem, h_label in fam.nonzero_pairings:
@@ -968,7 +973,8 @@ def reference_semicenter_witness_suite(t, fam, field=QQ):
                 f"{prefix}.weights.{elem}.{h_label}.nonzero",
                 f"{{{h_label}, {elem}}} is a nonzero multiple of {elem}",
                 ok,
-                residual=None if ok else f"eigenvalue {lam}",
+                residual=None if ok or lam is None else f"eigenvalue {lam}",
+                witness="not an eigenvector" if lam is None else None,
             )
         )
     return claims

@@ -1,6 +1,6 @@
 """The claim rules stated once: ``report.check`` decides verified,
 derived-with-note and failed; ``report.identity`` checks an exact identity
-from its residual; ``poisson.nonzero_pairings`` is the one nonzero-pairing
+from its residual; ``poisson.eigenvalue_claim`` makes every Cartan-eigenvalue
 claim.  The identity suites built on them give the same claims as the
 references in ``conftest``, which write each rule out, on every catalog
 table at Q and at each admissible prime up to 7, and on mutated tables and
@@ -56,6 +56,47 @@ def test_nonzero_pairings_name_their_claims():
     zero = dataclasses.replace(fam, nonzero_pairings=(("c2", "h1"),))
     [claim] = poisson.nonzero_pairings(t, zero, QQ, lambda elem, h: "p")
     assert (claim.status, claim.residual) == (rep.FAILED, "eigenvalue 0")
+
+
+def test_a_failing_weight_expectation_keeps_its_note():
+    t = liealg.g2_borel()
+    fam = invariants.build_family(t)
+    elem, h_label, _, note = fam.weight_expectations[3]
+    # the noted c2 weight stated as the source prints it
+    restated = dataclasses.replace(fam, weight_expectations=((elem, h_label, "-1", note),))
+    for field in (QQ, GF(5)):
+        claims = {c.claim_id: c for c in poisson.semicenter_witness_suite(t, restated, field)}
+        assert claims[f"{t.name}.weights.c2.h2"] == rep.Claim(
+            f"{t.name}.weights.c2.h2", "{h2, c2} = -1*c2", rep.FAILED, residual=f"eigenvalue {field.coerce(-2)}", note=note
+        )
+
+
+def plus(label):
+    """f plus the variable ``label``: a weight vector plus a variable of
+    another weight is no eigenvector."""
+    return lambda f: f + Polynomial.variable(f.registry, f.field, label)
+
+
+def f4_non_eigenvectors(fam):
+    """c2 + x2 and u9 + x2: x2's weight differs from theirs, also mod 3,
+    under every Cartan label an eigenvalue claim pairs them with."""
+    return replaced_elements(fam, {"c2": plus("x2"), "u9": plus("x2")})
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_a_non_eigenvector_is_the_witness_of_each_eigenvalue_claim(char):
+    fam = f4_non_eigenvectors(invariants.build_family(liealg.f4_borel()))
+    t, field = fam.table, field_of_characteristic(char)
+    claims = poisson.semicenter_witness_suite(t, fam, field) + invariants.verify_relation_chain(t, fam, field)
+    kinds = {
+        "expectation": [c for c in claims if c.claim_id in {f"{t.name}.weights.c2.h{k}" for k in (2, 3, 4)}],
+        "pairing": [c for c in claims if c.claim_id == f"{t.name}.weights.c2.h4.nonzero"],
+        "chain weight": [c for c in claims if c.claim_id.startswith(f"{t.name}.chain.weight.u9.")],
+    }
+    for kind, of_kind in kinds.items():
+        assert of_kind, kind
+        for c in of_kind:
+            assert (c.status, c.residual, c.witness) == (rep.FAILED, None, "not an eigenvector"), (kind, c)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +201,7 @@ def f4_mutations(fam):
     yield "chain restated", dataclasses.replace(fam, chain=chain)
     weights = fam.chain_weights[:-1] + (("w3", "h2", "3"),)
     yield "chain weight restated", dataclasses.replace(fam, chain_weights=weights)
+    yield "c2 and u9 plus x2", f4_non_eigenvectors(fam)
     jac = fam.jacobians
     vars_, _, factors = jac.identities[1]
     for coef in ("2", "5"):

@@ -1,7 +1,8 @@
 """The per-table memo (``StructureTable.memo``) against fresh computation.
 
-Oracle dimensions, symmetrized lifts, the derived multigrading and the Jacobi
-report are computed once per table; a result
+Oracle dimensions, symmetrized lifts, Poisson-invariance verdicts, the
+derived multigrading and the Jacobi report are computed once per table; a
+result
 served from a warm memo must equal the one a newly built table computes.
 Each builder in ``CASES`` returns a new table, with an empty memo, on every
 call: ``nilradical_table`` and ``cn_borel`` build one each time, unlike the
@@ -10,7 +11,7 @@ cached ``g2_borel`` and ``f4_borel``.
 
 import pytest
 
-from liecenter import charp, invariants, liealg
+from liecenter import charp, invariants, liealg, poisson
 from liecenter.exactalg import GF, QQ
 from liecenter.invariants import brute_force_invariant_space
 from liecenter.pbw import CharacteristicObstruction, symmetrize, z_lift_audit
@@ -61,6 +62,29 @@ def test_symmetrize_memo_matches_fresh_table(name):
             assert first == symmetrize(fresh, invariants.build_family(fresh).element(elt, field))
             lifted += 1
     assert lifted >= 4
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_invariance_verdict_memo_matches_fresh_table(name, monkeypatch):
+    build, p, _ = CASES[name]
+    warm, fresh = build(), build()
+    warm_fam, fresh_fam = invariants.build_family(warm), invariants.build_family(fresh)
+    calls = []
+    ad_apply = poisson.ad_apply
+    monkeypatch.setattr(poisson, "ad_apply", lambda *args: calls.append(args) or ad_apply(*args))
+    verdicts = set()
+    for field in (QQ, GF(p)):
+        for elt in sorted(warm_fam.elements(field)):
+            f = warm_fam.element(elt, field)
+            for gens in (warm.nilradical, range(warm.dim)):
+                first = poisson.is_invariant(warm, f, gens)
+                calls.clear()
+                assert poisson.is_invariant(warm, f, gens) is first
+                assert not calls  # served from the memo
+                assert warm.memo[("invariant", f, tuple(gens))] is first
+                assert first == poisson.is_invariant(fresh, fresh_fam.element(elt, field), gens)
+                verdicts.add(first[0])
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("name,char", [("g2-nil", 0), ("g2-nil", 5), ("c3-borel", 0), ("c3-borel", 5)])
