@@ -181,38 +181,39 @@ def _family(t: StructureTable) -> InvariantFamily:
 # ---------------------------------------------------------------------------
 
 
+def jacobi_suite(t: StructureTable) -> list[rep.Claim]:
+    """The Jacobi identity over all basis triples, one failed claim per
+    failing triple, and the ideal structure of the table."""
+    report = liealg.jacobi_check(t)
+    claims = [
+        rep.check(
+            f"{t.name}.jacobi.all-triples",
+            f"the Jacobi identity holds for all {report.triples_checked} basis triples",
+            report.ok,
+        )
+    ]
+    for failure in report.failures:
+        claims.append(
+            rep.check(
+                f"{t.name}.jacobi.{'-'.join(failure.triple)}",
+                f"Jacobi residual at {failure.triple}",
+                False,
+                residual=failure.residual,
+                witness=",".join(failure.triple),
+            )
+        )
+    for problem in liealg.check_nilradical_ideal(t):
+        claims.append(rep.check(f"{t.name}.jacobi.ideal", problem, False))
+    return claims
+
+
 def _suite_callables(t: StructureTable, args) -> dict[str, Callable[[], list]]:
     """Map each suite that applies to the table and characteristic to a
     zero-argument callable."""
     char = args.char
     field = field_of_characteristic(char)
     fam = _family(t) if invariants.catalog_entry(t) else None
-    suites: dict[str, Callable[[], list]] = {}
-
-    def jacobi() -> list:
-        report = liealg.jacobi_check(t)
-        claims = [
-            rep.check(
-                f"{t.name}.jacobi.all-triples",
-                f"the Jacobi identity holds for all {report.triples_checked} basis triples",
-                report.ok,
-            )
-        ]
-        for failure in report.failures:
-            claims.append(
-                rep.check(
-                    f"{t.name}.jacobi.{'-'.join(failure.triple)}",
-                    f"Jacobi residual at {failure.triple}",
-                    False,
-                    residual=failure.residual,
-                    witness=",".join(failure.triple),
-                )
-            )
-        for problem in liealg.check_nilradical_ideal(t):
-            claims.append(rep.check(f"{t.name}.jacobi.ideal", problem, False))
-        return claims
-
-    suites["jacobi"] = jacobi
+    suites: dict[str, Callable[[], list]] = {"jacobi": lambda: jacobi_suite(t)}
     if fam is not None:
         suites["invariance"] = lambda: invariants.invariance_suite(t, fam, field)
         suites["chains"] = lambda: invariants.verify_relation_chain(t, fam, field)

@@ -627,39 +627,19 @@ def parse_polynomial(registry: VarRegistry, field: Field, text: str) -> Polynomi
 # ---------------------------------------------------------------------------
 
 
-def _det(rows: list[list[Polynomial]]) -> Polynomial:
+def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Determinant of a nonempty square polynomial matrix by cofactor
+    expansion along the first row."""
     n = len(rows)
+    if not n or any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square and nonempty")
     if n == 1:
         return rows[0][0]
-    first = rows[0][0]
-    total = Polynomial.zero(first.registry, first.field)
-    sign = 1
+    total = Polynomial.zero(rows[0][0].registry, rows[0][0].field)
     for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        total = total + term if sign > 0 else total - term
-        sign = -sign
+        term = rows[0][j] * poly_det([[row[k] for k in range(n) if k != j] for row in rows[1:]])
+        total = total - term if j % 2 else total + term
     return total
-
-
-def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix by cofactor expansion."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    return _det([list(r) for r in rows])
-
-
-def jacobian_det(
-    fs: Sequence[Polynomial], vs: Sequence[Union[int, str]]
-) -> Polynomial:
-    """Determinant of the matrix of partials d(fs)/d(vs), expanded exactly."""
-    if len(fs) != len(vs):
-        raise ValueError(f"need as many functions as variables, got {len(fs)}/{len(vs)}")
-    if not fs:
-        raise ValueError("empty Jacobian")
-    rows = [[f.partial(v) for v in vs] for f in fs]
-    return _det(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .exactalg import (
     poly_det,
 )
 from ._f4_data import F4_HS, F4_XS
-from .liealg import _G2_LABELS, StructureTable, cn_basis_labels, lie_generators
+from .liealg import _G2_LABELS, StructureTable, cn_basis_labels, lie_generators, per_table
 from .poisson import ad_apply, eigenvalue_claim, is_invariant
 
 
@@ -516,7 +516,8 @@ def verify_triangle_property(t: StructureTable, fam: InvariantFamily, field: Fie
 # ---------------------------------------------------------------------------
 
 
-def derive_multigrading(t: StructureTable) -> list[tuple[int, ...]]:
+@per_table(lambda t: ("multigrading",))
+def derive_multigrading(t: StructureTable) -> tuple[tuple[int, ...], ...]:
     """Integer gradings of the basis compatible with every bracket:
     w_i + w_j = w_k whenever x_k appears in [x_i, x_j].
 
@@ -524,13 +525,6 @@ def derive_multigrading(t: StructureTable) -> list[tuple[int, ...]]:
     because each ad x_i shifts a monomial's multidegree by w_i uniformly.
     Computed once per table.
     """
-    key = ("multigrading",)
-    if key not in t.memo:
-        t.memo[key] = _derive_multigrading(t)
-    return list(t.memo[key])
-
-
-def _derive_multigrading(t: StructureTable) -> tuple[tuple[int, ...], ...]:
     dim = t.dim
     rows = []
     for (i, j), entry in sorted(t.brackets.items()):
@@ -546,6 +540,7 @@ def _derive_multigrading(t: StructureTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for v in linalg.nullspace_int(rows, dim))
 
 
+@per_table(lambda t, degree, gens, field=QQ: ("oracle", field.characteristic, degree, tuple(gens)))
 def brute_force_invariant_space(
     t: StructureTable,
     degree: int,
@@ -596,10 +591,6 @@ def brute_force_invariant_space(
     t.check_characteristic(field.characteristic)
     t.inverse_scale(field)
     char = field.characteristic
-    gens = tuple(gens)
-    memo_key = ("oracle", char, degree, gens)
-    if memo_key in t.memo:
-        return t.memo[memo_key]
     gens = lie_generators(t, gens, char)
     dim = t.dim
     place = [(degree + 1) ** v for v in range(dim)]
@@ -651,7 +642,6 @@ def brute_force_invariant_space(
         elif not linalg.saturates_mod(dense, ncols, char or linalg.FILTER_PRIME):
             null = linalg.nullspace_mod(dense, ncols, char) if char else linalg.nullspace_int(dense, ncols)
             space += len(null)
-    t.memo[memo_key] = space
     return space
 
 
@@ -698,10 +688,17 @@ def compare_with_generated(
     dimension.  K_d holds every degree-d polynomial killed by each ad x_i,
     i in gens, and the generators are homogeneous, so G_d lies in K_d
     exactly when every product passes ``poisson.is_invariant``: no basis of
-    K_d is needed."""
+    K_d is needed.  By {x, fg} = f{x, g} + g{x, f} a product of invariant
+    generators is invariant, so the generators of degree at most d, which
+    include every factor of a product, are checked first, each verdict
+    computed once per table, and the products only when one of them fails:
+    a product of non-invariant generators can still be invariant."""
     products = [p for p in degree_d_products(generators, degree) if not p.is_zero]
     generated_dim = linalg.rank([p.terms for p in products], field)
-    contained = all(is_invariant(t, p, gens)[0] for p in products)
+    factors = [poly for _, poly in generators if 0 < poly.total_degree() <= degree]
+    contained = all(is_invariant(t, g, gens)[0] for g in factors) or all(
+        is_invariant(t, p, gens)[0] for p in products
+    )
     return {
         "degree": degree,
         "oracle_dim": oracle_dim,

@@ -24,10 +24,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from . import _f4_data, linalg
 from .exactalg import (
@@ -93,16 +93,10 @@ class StructureTable:
             }
             for i in range(self.dim)
         ]
-        # everything else derived from the table, computed once per table and
-        # keyed by kind: ("pbw",) the PBW kernel's integer letter products in
-        # the basis y = D*x, keyed by (sorted letter word, letter) and shared
-        # by every characteristic, ("oracle", char, degree, gens) the int
-        # dimensions of invariant spaces, ("symmetrize", polynomial) lifts,
-        # ("lie-generators", char, gens) generating subsets of gens,
-        # ("central", element, gens) and ("invariant", polynomial, gens) the
-        # centrality and Poisson-invariance verdicts, ("multigrading",) the
-        # gradings that split the oracle into blocks, ("jacobi",) the Jacobi
-        # report
+        # everything else derived from the table, each result computed once
+        # per table under its key: the rule is :func:`per_table`; the one
+        # other entry, ("pbw",), holds the PBW kernel's integer letter
+        # products (``pbw._mul_mono_letter``)
         self.memo: dict = {}
 
     @property
@@ -144,10 +138,30 @@ class StructureTable:
         raises ZeroDivisionError when the characteristic divides D."""
         return field.coerce(Fraction(1, self.scale))
 
-    # -- derived tables --------------------------------------------------------
-
     def __repr__(self):
         return f"<StructureTable {self.name} dim={self.dim}>"
+
+
+_MISSING = object()
+
+
+def per_table(key: Callable) -> Callable:
+    """Compute ``fn(t, *args)`` once per table: the result is kept in
+    ``t.memo`` under ``key(t, *args)``, and a later call with an equal key
+    returns the kept object.  A call that raises keeps nothing."""
+
+    def decorate(fn):
+        @wraps(fn)
+        def memoized(t: StructureTable, *args):
+            k = key(t, *args)
+            hit = t.memo.get(k, _MISSING)
+            if hit is _MISSING:
+                hit = t.memo[k] = fn(t, *args)
+            return hit
+
+        return memoized
+
+    return decorate
 
 
 def lincomb_to_poly(t: StructureTable, lin: LinComb, field: Field = QQ) -> Polynomial:
@@ -178,17 +192,10 @@ class JacobiReport:
         return not self.failures
 
 
+@per_table(lambda t: ("jacobi",))
 def jacobi_check(t: StructureTable) -> JacobiReport:
-    """Check [xi,[xj,xk]] + [xj,[xk,xi]] + [xk,[xi,xj]] = 0 over all triples.
-    Computed once per table: a second call returns the same report."""
-    key = ("jacobi",)
-    if key not in t.memo:
-        t.memo[key] = _jacobi_check(t)
-    return t.memo[key]
-
-
-def _jacobi_check(t: StructureTable) -> JacobiReport:
-    """The check on the integer rows: [y_a, [y_b, y_c]] = D^2*[x_a, [x_b, x_c]],
+    """Check [xi,[xj,xk]] + [xj,[xk,xi]] + [xk,[xi,xj]] = 0 over all triples,
+    once per table, on the integer rows: [y_a, [y_b, y_c]] = D^2*[x_a, [x_b, x_c]],
     so the ints summed here are D^2*J(i, j, k).  J is homogeneous of degree 2
     in the constants, hence D^2*J = 0 iff J = 0; a nonzero residual is
     printed as D^2*J / D^2, the rational J itself."""
@@ -231,6 +238,7 @@ def check_nilradical_ideal(t: StructureTable) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+@per_table(lambda t, gens, char: ("lie-generators", char, tuple(gens)))
 def lie_generators(t: StructureTable, gens: Iterable[int], char: int) -> tuple[int, ...]:
     """A subsequence of ``gens`` whose iterated brackets span every basis
     vector of ``gens`` over the field of ``char``.
@@ -246,28 +254,6 @@ def lie_generators(t: StructureTable, gens: Iterable[int], char: int) -> tuple[i
     Computed once per table.
     """
     gens = tuple(gens)
-    key = ("lie-generators", char, gens)
-    if key not in t.memo:
-        t.memo[key] = _lie_generators(t, gens, char)
-    return t.memo[key]
-
-
-def ad_vector(t: StructureTable, i: int, vec: dict, field: Field) -> dict:
-    """D*[basis_i, vec] over ``field`` for ``vec`` a map index -> field
-    element, from the integer row; p | D raises ZeroDivisionError.
-
-    D is a unit of the field, so the spans are those of [basis_i, -]; over
-    GF(p), (D*ad x)^p = D^p*(ad x)^p = D*(ad x)^p by Fermat, so (D*ad x)^p
-    = 0 iff (ad x)^p = 0, and (D*ad h)^p = D*ad h iff (ad h)^p = ad h."""
-    t.inverse_scale(field)
-    row = t.rows[i]
-    out: dict = {}
-    for k, c in vec.items():
-        add_into(out, row.get(k, ()), field, c)
-    return out
-
-
-def _lie_generators(t: StructureTable, gens: tuple[int, ...], char: int) -> tuple[int, ...]:
     t.check_characteristic(char)
     field = field_of_characteristic(char)
     one = field.one
@@ -295,6 +281,21 @@ def _lie_generators(t: StructureTable, gens: tuple[int, ...], char: int) -> tupl
     if not (closed and jacobi_check(t).ok):
         return gens
     return tuple(i for i in gens if i in chosen)
+
+
+def ad_vector(t: StructureTable, i: int, vec: dict, field: Field) -> dict:
+    """D*[basis_i, vec] over ``field`` for ``vec`` a map index -> field
+    element, from the integer row; p | D raises ZeroDivisionError.
+
+    D is a unit of the field, so the spans are those of [basis_i, -]; over
+    GF(p), (D*ad x)^p = D^p*(ad x)^p = D*(ad x)^p by Fermat, so (D*ad x)^p
+    = 0 iff (ad x)^p = 0, and (D*ad h)^p = D*ad h iff (ad h)^p = ad h."""
+    t.inverse_scale(field)
+    row = t.rows[i]
+    out: dict = {}
+    for k, c in vec.items():
+        add_into(out, row.get(k, ()), field, c)
+    return out
 
 
 # ---------------------------------------------------------------------------

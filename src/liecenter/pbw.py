@@ -53,7 +53,7 @@ from .exactalg import (
     add_into,
     mono_degree,
 )
-from .liealg import StructureTable, ad_power_identity, lie_generators
+from .liealg import StructureTable, ad_power_identity, lie_generators, per_table
 
 
 class CharacteristicObstruction(ValueError):
@@ -252,6 +252,7 @@ def commutator_with_basis(t: StructureTable, g: Union[int, str], e: PBWElement) 
     return PBWElement(e.registry, field, _out_of_kernel(t, field, total, scale, shift=1))
 
 
+@per_table(lambda t, e, gens: ("central", e, tuple(gens)))
 def is_central_u(
     t: StructureTable, e: PBWElement, gens: Iterable[int]
 ) -> tuple[bool, Optional[int]]:
@@ -259,14 +260,6 @@ def is_central_u(
     failing generator is returned.  Decided over a Lie generating subset of
     ``gens``, which commutes with e exactly when all of ``gens`` does.
     Computed once per table."""
-    gens = tuple(gens)
-    key = ("central", e, gens)
-    if key not in t.memo:
-        t.memo[key] = _is_central_u(t, e, gens)
-    return t.memo[key]
-
-
-def _is_central_u(t: StructureTable, e: PBWElement, gens: tuple) -> tuple[bool, Optional[int]]:
     subset = lie_generators(t, gens, e.field.characteristic)
     if all(commutator_with_basis(t, i, e).is_zero for i in subset):
         return True, None
@@ -284,6 +277,7 @@ def naive_lift(f: Polynomial) -> PBWElement:
     return PBWElement(f.registry, f.field, dict(f.terms))
 
 
+@per_table(lambda t, f: ("symmetrize", f))
 def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
     """The canonical lift: each degree-k monomial becomes the average of its
     k! letter orderings, straightened to normal form.
@@ -305,9 +299,6 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
         raise CharacteristicObstruction(
             f"symmetrizing degree {f.total_degree()} needs p > degree, have p={char}"
         )
-    key = ("symmetrize", f)
-    if key in t.memo:
-        return t.memo[key]
     coeffs, common = _into_kernel(t, f)
     top = max(f.total_degree(), 0)
     levels: list = [set() for _ in range(top + 1)]
@@ -338,8 +329,7 @@ def symmetrize(t: StructureTable, f: Polynomial) -> PBWElement:
             if len(word) == k:
                 add_into(part, sums[word].items(), scale=a)
         add_into(total, _out_of_kernel(t, field, part, common * factorial(k)).items(), field)
-    t.memo[key] = PBWElement(f.registry, field, total)
-    return t.memo[key]
+    return PBWElement(f.registry, field, total)
 
 
 def gr_leading(e: PBWElement) -> Polynomial:

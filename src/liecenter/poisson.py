@@ -23,7 +23,7 @@ from .exactalg import (
     mono_div_var,
     mono_mul_var,
 )
-from .liealg import StructureTable, lie_generators
+from .liealg import StructureTable, lie_generators, per_table
 
 
 def ad_apply(t: StructureTable, i: Union[int, str], f: Polynomial) -> Polynomial:
@@ -85,6 +85,7 @@ def poisson_bracket(t: StructureTable, f: Polynomial, g: Polynomial) -> Polynomi
     return out
 
 
+@per_table(lambda t, f, gens: ("invariant", f, tuple(gens)))
 def is_invariant(
     t: StructureTable, f: Polynomial, gens: Iterable[int]
 ) -> tuple[bool, Optional[int]]:
@@ -92,14 +93,6 @@ def is_invariant(
     failing generator is returned.  Decided over a Lie generating subset of
     ``gens``, which kills f exactly when all of ``gens`` does.  Computed
     once per table."""
-    gens = tuple(gens)
-    key = ("invariant", f, gens)
-    if key not in t.memo:
-        t.memo[key] = _is_invariant(t, f, gens)
-    return t.memo[key]
-
-
-def _is_invariant(t: StructureTable, f: Polynomial, gens: tuple) -> tuple[bool, Optional[int]]:
     subset = lie_generators(t, gens, f.field.characteristic)
     if all(ad_apply(t, i, f).is_zero for i in subset):
         return True, None
@@ -107,8 +100,10 @@ def _is_invariant(t: StructureTable, f: Polynomial, gens: tuple) -> tuple[bool, 
     return False, next(i for i in gens if not ad_apply(t, i, f).is_zero)
 
 
+@per_table(lambda t, k, f: ("eigenvalue", t.registry.resolve(k), f))
 def cartan_eigenvalue(t: StructureTable, k: Union[int, str], f: Polynomial):
-    """The scalar lam with {h_k, f} = lam*f, or None if f is no eigenvector."""
+    """The scalar lam with {h_k, f} = lam*f, or None if f is no eigenvector.
+    Computed once per table for each Cartan index, named by label or index."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no weight")
     return eigenvalue(f, ad_apply(t, k, f))

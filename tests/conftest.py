@@ -12,7 +12,6 @@ from liecenter.exactalg import (
     Polynomial,
     add_into,
     frobenius_expand,
-    jacobian_det,
     mono_degree,
     mono_div_var,
     mono_mul_var,
@@ -343,7 +342,7 @@ def reference_jacobian_identity_suite(t, fam, p=3):
             rhs = Polynomial.constant(t.registry, QQ, coef)
             for fname, power in factors:
                 rhs = rhs * factor_poly(fname) ** power
-            lhs = -jacobian_det(cs, list(vars_))
+            lhs = -poly_det([[f.partial(v) for v in vars_] for f in cs])
             claim_id = f"{t.name}.jacobians.det.{'-'.join(vars_)}"
             rhs_str = f"{coef}*" + "*".join(f"{n}^{k}" if k > 1 else n for n, k in factors)
             statement = (
@@ -523,6 +522,15 @@ def reference_compare_with_generated(t, oracle_basis, generators, degree, field)
         "union_dim": r_union,
         "equal": r_oracle == r_generated == r_union,
     }
+
+
+def reference_contained(t, generators, degree, gens):
+    """Whether every nonzero degree-d product of the generators passes
+    ``poisson.is_invariant`` under ``gens``: the per-product containment
+    check, the reference for ``invariants.compare_with_generated``, which
+    checks the generators first."""
+    products = invariants.degree_d_products(generators, degree)
+    return all(poisson.is_invariant(t, p, gens)[0] for p in products if not p.is_zero)
 
 
 def _reference_audit_invariant_generators(t, claims, prefix, generators, gens_idx, scope):
@@ -1054,7 +1062,7 @@ def reference_jacobian_records_suite(t, fam, p=3):
         rhs = Polynomial.constant(t.registry, QQ, coef)
         for n, k in factors:
             rhs = rhs * (named.get(n) or Polynomial.variable(t.registry, QQ, n)) ** k
-        lhs = jacobian_det(neg_cs, vars_)
+        lhs = poly_det([[f.partial(v) for v in vars_] for f in neg_cs])
         claim_id = f"{t.name}.jacobians.{jac.kind}.{'-'.join(vars_)}"
         rhs_str = f"{coef}*" + "*".join(f"{n}^{k}" if k > 1 else n for n, k in factors)
         statement = jac.statement.format(vars=",".join(vars_), rhs=rhs_str)

@@ -19,6 +19,7 @@ from conftest import (
     is_homogeneous,
     leading_monomial,
     reference_compare_with_generated,
+    reference_contained,
     reference_oracle_basis,
     table_to_dict,
     with_bracket,
@@ -568,3 +569,45 @@ def test_comparison_under_every_basis_element(g2b, char):
     generators = charp.invariant_generators(g2b, invariants.build_family(g2b), field)
     for d in range(1, 4):
         assert not compared(g2b, tuple(range(g2b.dim)), generators, d, field)["contained"]
+
+
+def _containment_cases():
+    for name, build, primes in _catalog_borels():
+        for level in ("nil", "borel"):
+            yield pytest.param(build, level, (0, *primes), id=f"{name}-{level}")
+
+
+@pytest.mark.parametrize("build, level, chars", _containment_cases())
+def test_containment_matches_the_per_product_reference(build, level, chars):
+    """The generators-first containment verdict against the per-product
+    one, for the claimed generators under the nilradical and, on a Borel
+    table, under every basis element, where the nilradical invariants are
+    not all invariant and the products decide."""
+    t = build()
+    t = liealg.nilradical_table(t) if level == "nil" else t
+    fam = invariants.build_family(t)
+    verdicts = set()
+    for char in chars:
+        field = GF(char) if char else QQ
+        generators = charp.invariant_generators(t, fam, field)
+        for gens in {tuple(t.nilradical), tuple(range(t.dim))}:
+            for d in range(1, invariants.oracle_degree(t) + 1):
+                got = compare_with_generated(t, 0, generators, d, field, gens)["contained"]
+                assert got == reference_contained(t, generators, d, gens), (t.name, char, gens, d)
+                verdicts.add(got)
+    assert verdicts == ({True, False} if t.cartan else {True})
+
+
+def test_containment_reads_the_products_when_a_generator_fails(g2n):
+    # over GF(5), {y, x^5} = 5*x^4*{y, x} = 0: the fifth power of a
+    # non-invariant variable is invariant, so a failing generator does not
+    # decide containment
+    field = GF(5)
+    x = next(
+        Polynomial.variable(g2n.registry, field, i)
+        for i in g2n.nilradical
+        if not is_invariant(g2n, Polynomial.variable(g2n.registry, field, i), g2n.nilradical)[0]
+    )
+    for d, contained in ((4, False), (5, True)):
+        assert compare_with_generated(g2n, 0, [("x", x)], d, field, g2n.nilradical)["contained"] is contained
+        assert reference_contained(g2n, [("x", x)], d, g2n.nilradical) is contained

@@ -1,9 +1,9 @@
 """The per-table memo (``StructureTable.memo``) against fresh computation.
 
-Oracle dimensions, symmetrized lifts, Poisson-invariance verdicts, the
-derived multigrading and the Jacobi report are computed once per table; a
-result
-served from a warm memo must equal the one a newly built table computes.
+Oracle dimensions, symmetrized lifts, Poisson-invariance verdicts, Cartan
+eigenvalues, the derived multigrading and the Jacobi report are computed
+once per table (``liealg.per_table``); a result served from a warm memo
+must equal the one a newly built table computes.
 Each builder in ``CASES`` returns a new table, with an empty memo, on every
 call: ``nilradical_table`` and ``cn_borel`` build one each time, unlike the
 cached ``g2_borel`` and ``f4_borel``.
@@ -12,7 +12,7 @@ cached ``g2_borel`` and ``f4_borel``.
 import pytest
 
 from liecenter import charp, invariants, liealg, poisson
-from liecenter.exactalg import GF, QQ
+from liecenter.exactalg import GF, QQ, Polynomial
 from liecenter.invariants import brute_force_invariant_space
 from liecenter.pbw import CharacteristicObstruction, symmetrize, z_lift_audit
 
@@ -87,6 +87,44 @@ def test_invariance_verdict_memo_matches_fresh_table(name, monkeypatch):
     assert verdicts == {True, False}
 
 
+def new_g2_borel():
+    t = liealg.g2_borel()
+    return liealg.StructureTable(t.name, t.registry, t.brackets, t.cartan, t.nilradical, t.excluded_primes)
+
+
+# Borel tables for the Cartan eigenvalues: (new-table builder, admissible prime)
+BORELS = {"g2-borel": (new_g2_borel, 5), "c3-borel": (lambda: liealg.cn_borel(3), 5)}
+
+
+@pytest.mark.parametrize("name", BORELS)
+def test_cartan_eigenvalue_memo_matches_fresh_table(name, monkeypatch):
+    # the family's elements are weight vectors; the sum of the first two
+    # nilradical generators, of different weights, is no eigenvector
+    build, p = BORELS[name]
+    warm, fresh = build(), build()
+    warm_fam, fresh_fam = invariants.build_family(warm), invariants.build_family(fresh)
+    calls = []
+    ad_apply = poisson.ad_apply
+    monkeypatch.setattr(poisson, "ad_apply", lambda *args: calls.append(args) or ad_apply(*args))
+    a, b = warm.nilradical[:2]
+    lambdas = set()
+    for field in (QQ, GF(p)):
+        mixed = Polynomial.variable(warm.registry, field, a) + Polynomial.variable(warm.registry, field, b)
+        cases = [(warm_fam.element(elt, field), fresh_fam.element(elt, field)) for elt in sorted(warm_fam.elements(field))]
+        for f, g in cases + [(mixed, mixed)]:
+            for k in warm.cartan:
+                first = poisson.cartan_eigenvalue(warm, k, f)
+                calls.clear()
+                # a warm call, by index or by label, is one memo entry
+                assert poisson.cartan_eigenvalue(warm, k, f) is first
+                assert poisson.cartan_eigenvalue(warm, warm.label(k), f) is first
+                assert not calls
+                assert warm.memo[("eigenvalue", k, f)] is first
+                assert first == poisson.cartan_eigenvalue(fresh, fresh.label(k), g)
+                lambdas.add(first is None)
+    assert lambdas == {True, False}
+
+
 @pytest.mark.parametrize("name,char", [("g2-nil", 0), ("g2-nil", 5), ("c3-borel", 0), ("c3-borel", 5)])
 def test_audit_after_oracle_and_lifts_matches_fresh_table(name, char):
     build, _, _ = CASES[name]
@@ -125,6 +163,6 @@ def test_multigrading_is_derived_once_per_table():
     t = CASES["c3-borel"][0]()
     first = invariants.derive_multigrading(t)
     assert invariants.derive_multigrading(t) == first
-    first.clear()  # a caller's copy does not reach the memo
+    assert type(first) is tuple  # no caller can alter the memo
     assert invariants.derive_multigrading(t) == invariants.derive_multigrading(CASES["c3-borel"][0]())
     assert len(invariants.derive_multigrading(t)) == 3
