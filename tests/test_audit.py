@@ -4,9 +4,9 @@ U-center claim decided on the span of b, and a kill matrix showing that every
 audit claim kind the pinned configurations emit fails under some mutation of
 the table or the family, unless it is listed below with the reason it
 cannot.  A second kill matrix does the same for the identity suites
-(invariance, chains, triangle, weights, frobenius, jacobians and the
-p-center), with one more operator: a stated coefficient of a family's
-records changed."""
+(jacobi, invariance, chains, triangle, weights, frobenius, jacobians, the
+lifts and the p-center of pbw, and the oracle), with one more operator: a
+stated coefficient of a family's records changed."""
 
 import dataclasses
 import json
@@ -373,9 +373,9 @@ def _oracle_suite(t, fam, char):
     return invariants.oracle_suite(t, charp.invariant_generators(t, fam, field), degrees, field)[0]
 
 
-# each identity suite as ``cli`` runs it, by its --suites name, and zlift
-# for the lifts of the pbw suite: the weights on a Borel table, the others
-# that take a prime at one
+# each identity suite as ``cli`` runs it, by its --suites name: the weights
+# on a Borel table, the others that take a prime at one, and the pbw
+# suite's lifts at every characteristic, its p-center at a prime
 IDENTITY_SUITES = {
     "jacobi": lambda t, fam, char: cli.jacobi_suite(t),
     "invariance": _field_suite(invariants.invariance_suite),
@@ -384,8 +384,8 @@ IDENTITY_SUITES = {
     "weights": lambda t, fam, char: poisson.semicenter_witness_suite(t, fam, field_of_characteristic(char)) if t.cartan else [],
     "frobenius": lambda t, fam, char: charp.frobenius_membership_suite(t, fam, char) if char else [],
     "jacobians": lambda t, fam, char: charp.jacobian_identity_suite(t, fam, char) if char else [],
-    "pbw": lambda t, fam, char: pbw.p_center_suite(t, char) if char else [],
-    "zlift": _field_suite(pbw.z_lift_audit),
+    "pbw": lambda t, fam, char: pbw.z_lift_audit(t, fam, field_of_characteristic(char))
+    + (pbw.p_center_suite(t, char) if char else []),
     "oracle": _oracle_suite,
 }
 
@@ -501,7 +501,7 @@ def test_every_pinned_identity_kind_can_fail():
     killed = identity_kill_matrix()
     emitted = pinned_identity_kinds()
     assert {k.split(".")[1] for k in emitted} >= {
-        "invariance", "chain", "triangle", "weights", "frobenius", "jacobians", "pcenter"
+        "jacobi", "invariance", "chain", "triangle", "weights", "frobenius", "jacobians", "pcenter", "zlift", "oracle"
     }
     alive = sorted(k for k in emitted if k not in killed and k not in IDENTITY_EXCEPTIONS)
     assert not alive, f"no mutation fails {alive}"
